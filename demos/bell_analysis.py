@@ -25,7 +25,7 @@ print(" ", state)
 # A probe coupled to both photons picks up no phase when their bits agree
 # and a +-theta phase when they differ; homodyne reads |shift| only.
 
-cfg = RunConfig(n_photons=2, theta=0.01, alpha=5000.0, seed=42)
+cfg = RunConfig(theta=0.01, alpha=5000.0, seed=42)
 joint = attach_probes(state, [ProbeRegister(pid, cfg.theta, cfg.alpha)
                               for pid in probe_ids(2)])
 joint = parity_gadget(joint, "alpha1", 0, 1, "P")

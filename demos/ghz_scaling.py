@@ -15,7 +15,7 @@ from hypersa import RunConfig, verify_complete
 
 for n in (2, 3, 4, 5):
     start = time.perf_counter()
-    report = verify_complete(n, RunConfig(n_photons=n))
+    report = verify_complete(n, RunConfig())
     elapsed = time.perf_counter() - start
     branches = sum(check.branches for check in report.per_state)
     print(f"n={n}: {report.correct}/{report.total_states} correct, "
@@ -24,7 +24,7 @@ for n in (2, 3, 4, 5):
           f"{elapsed:.2f}s")
 
 # Each group holds exactly four states: same bits, the four sign pairs.
-report = verify_complete(3, RunConfig(n_photons=3))
+report = verify_complete(3, RunConfig())
 by_signature = {}
 for check in report.per_state:
     by_signature.setdefault(check.signature, []).append(check.label)

@@ -18,7 +18,7 @@ TRIALS = 4000
 
 print("alpha,per_probe_error,predicted,observed,wilson_low,wilson_high")
 for alpha in (10.0, 20.0, 40.0, 80.0, 120.0, 160.0):
-    cfg = RunConfig(n_photons=N, theta=THETA, alpha=alpha,
+    cfg = RunConfig(theta=THETA, alpha=alpha,
                     model=HomodyneModel.GAUSSIAN, trials=TRIALS, seed=11)
     stats = monte_carlo_misclassification(N, cfg)
     per_probe = gaussian_error_prob(alpha, THETA)

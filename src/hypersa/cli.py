@@ -19,11 +19,11 @@ import sys
 
 from .kerr import HomodyneModel, gaussian_error_prob
 from .optics import outcome_json, outcome_tokens
-from .protocols import (DetectionRow, RunConfig, SignatureRow,
-                        VERIFY_MAX_PHOTONS, emit_detection_table,
-                        emit_signature_table, hgsa_n_analyze,
-                        monte_carlo_misclassification, probe_ids,
-                        verify_complete)
+from .protocols import (DetectionRow, PhotonCountError, RunConfig,
+                        SignatureRow, check_photon_count,
+                        emit_detection_table, emit_signature_table,
+                        hgsa_n_analyze, monte_carlo_misclassification,
+                        probe_ids, verify_complete)
 from .states import HyperLabel, parse_state_literal, state_from_label
 
 ENV_PREFIX = "HYPERSA_"
@@ -74,10 +74,19 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         dest="fmt", help="output format")
 
 
-def _config(args, n: int) -> RunConfig:
-    return RunConfig(n_photons=n, theta=args.theta, alpha=args.alpha,
-                     model=HomodyneModel(args.model), trials=args.trials,
-                     seed=args.seed, output=args.fmt)
+def _photon_count(command: str, n: int | None) -> int:
+    """``n`` (2 when not given) within the guard; :func:`main` exits 3 if not."""
+    return check_photon_count(2 if n is None else n, command)
+
+
+def _config(args) -> RunConfig:
+    try:
+        return RunConfig(theta=args.theta, alpha=args.alpha,
+                         model=HomodyneModel(args.model), trials=args.trials,
+                         seed=args.seed)
+    except ValueError as exc:
+        # RunConfig names the field first, and each field has a flag of that name
+        raise ValueError(f"--{exc}") from None
 
 
 def _feasibility_note(cfg: RunConfig) -> None:
@@ -101,15 +110,15 @@ def cmd_analyze(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    cfg = _config(args, query.n_photons)
+    n = _photon_count("analyze", query.n_photons)
+    cfg = _config(args)
     _feasibility_note(cfg)
-    label, transcript = hgsa_n_analyze(query.n_photons,
-                                       state_from_label(query), cfg)
+    label, transcript = hgsa_n_analyze(n, state_from_label(query), cfg)
     if args.fmt == "json":
         doc = transcript.to_json_dict()
         doc["label"] = _label_json(label)
         doc["detection"] = outcome_json(transcript.detector_outcome)
-        print(json.dumps(doc))
+        print(json.dumps(doc, allow_nan=False))
     elif args.fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf)
@@ -130,16 +139,12 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    n = args.n if args.n is not None else 2
-    if not 2 <= n <= VERIFY_MAX_PHOTONS:
-        print(f"error: verify supports 2 <= n <= {VERIFY_MAX_PHOTONS}, got {n}",
-              file=sys.stderr)
-        return EXIT_GUARD
-    cfg = _config(args, n)
+    n = _photon_count("verify", args.n)
+    cfg = _config(args)
     _feasibility_note(cfg)
     report = verify_complete(n, cfg)
     if args.fmt == "json":
-        print(json.dumps(report.to_json_dict()))
+        print(json.dumps(report.to_json_dict(), allow_nan=False))
     elif args.fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf)
@@ -204,12 +209,8 @@ def _detection_text(rows: list[DetectionRow]) -> str:
 
 
 def cmd_tables(args) -> int:
-    n = args.n if args.n is not None else 2
-    if not 2 <= n <= VERIFY_MAX_PHOTONS:
-        print(f"error: tables supports 2 <= n <= {VERIFY_MAX_PHOTONS}, got {n}",
-              file=sys.stderr)
-        return EXIT_GUARD
-    cfg = _config(args, n)
+    n = _photon_count("tables", args.n)
+    cfg = _config(args)
     _feasibility_note(cfg)
     sig_rows = emit_signature_table(n)
     det_rows = emit_detection_table(n)
@@ -217,7 +218,7 @@ def cmd_tables(args) -> int:
         print(json.dumps({
             "signature_table": [row._asdict() for row in sig_rows],
             "detection_table": [row._asdict() for row in det_rows],
-        }))
+        }, allow_nan=False))
     elif args.fmt == "csv":
         print(_signature_csv(sig_rows, n), end="")
         print()
@@ -232,21 +233,17 @@ def cmd_tables(args) -> int:
 
 
 def cmd_montecarlo(args) -> int:
-    n = args.n if args.n is not None else 2
-    if not 2 <= n <= VERIFY_MAX_PHOTONS:
-        print(f"error: montecarlo supports 2 <= n <= {VERIFY_MAX_PHOTONS}, got {n}",
-              file=sys.stderr)
-        return EXIT_GUARD
+    n = _photon_count("montecarlo", args.n)
     if args.model != HomodyneModel.GAUSSIAN.value:
         print("error: montecarlo requires --model gaussian", file=sys.stderr)
         return EXIT_PARSE
-    cfg = _config(args, n)
+    cfg = _config(args)
     _feasibility_note(cfg)
     stats = monte_carlo_misclassification(n, cfg)
     per_probe = gaussian_error_prob(cfg.alpha, cfg.theta)
     if args.fmt == "json":
         print(json.dumps({"n": n, "per_probe_error": per_probe,
-                          **stats.to_json_dict()}))
+                          **stats.to_json_dict()}, allow_nan=False))
     elif args.fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf)
@@ -301,6 +298,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_PARSE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
+    except PhotonCountError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_GUARD
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -113,6 +113,7 @@ class HomodyneResult(NamedTuple):
     magnitude: int
     probability: float
     collapsed: JointState
+    classes: int  # magnitude classes in the support; 1 is a point mass
 
 
 def attach_probes(state: PhotonState,
@@ -201,9 +202,9 @@ def homodyne_measure(joint: JointState, probe: str,
 
     Branches are grouped by the magnitude of the probe's phase multiple; one
     class is selected by exact branch weight (a point-mass class needs no
-    randomness, otherwise a seed is required).  The collapsed state is the
-    renormalized projection onto the selected class with the probe removed
-    and branch amplitudes preserved.
+    randomness and has probability exactly 1; otherwise a seed is
+    required).  The collapsed state is the renormalized projection onto the
+    selected class with the probe removed and branch amplitudes preserved.
 
     Under the gaussian model the *reported* magnitude flips between 0 and 1
     with probability :func:`gaussian_error_prob`; the collapse still follows
@@ -231,16 +232,17 @@ def homodyne_measure(joint: JointState, probe: str,
             if u < acc:
                 break
 
-    reported, probability = magnitude, weight
+    reported = magnitude
+    probability = weight if len(classes) > 1 else 1.0
     if model is HomodyneModel.GAUSSIAN:
         if rng is None:
             raise ValueError("the gaussian readout model requires a seed")
         err = gaussian_error_prob(reg.alpha, reg.theta)
         if magnitude in (0, 1) and rng.random() < err:
             reported = 1 - magnitude
-            probability = weight * err
+            probability *= err
         else:
-            probability = weight * (1.0 - err)
+            probability *= 1.0 - err
 
     scale = 1.0 / math.sqrt(weight)
     out: dict[JointKey, complex] = {}
@@ -251,4 +253,4 @@ def homodyne_measure(joint: JointState, probe: str,
         out[key] = out.get(key, 0j) + amp * scale
     probes = joint.probes[:idx] + joint.probes[idx + 1:]
     return HomodyneResult(reported, probability,
-                          JointState(joint.n_photons, probes, out))
+                          JointState(joint.n_photons, probes, out), len(classes))

@@ -1,9 +1,8 @@
 """Linear-optical elements and the single-photon detection stage.
 
-Half-wave plates flip polarization, wave plates and beam splitters apply the
-Hadamard rotation to polarization and spatial mode respectively, and the
-polarizing beam splitter switches the path of horizontally polarized light.
-Detection projects onto the per-photon {H,V} x {path 1, path 2} product basis.
+Wave plates and beam splitters apply the Hadamard rotation to polarization
+and spatial mode respectively.  Detection projects onto the per-photon
+{H,V} x {path 1, path 2} product basis.
 """
 
 from __future__ import annotations
@@ -12,7 +11,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .states import HADAMARD, NORM_TOL, PAULI_X, BasisKet, PhotonState, apply_gate
+from .states import HADAMARD, NORM_TOL, PhotonState, apply_gate
 
 
 class PhotonRecord(NamedTuple):
@@ -32,11 +31,6 @@ class DetectorOutcome(NamedTuple):
     probability: float
 
 
-def apply_hwp(state: PhotonState, photon: int) -> PhotonState:
-    """Half-wave plate: bit-flip on the photon's polarization."""
-    return apply_gate(state, photon, "P", PAULI_X)
-
-
 def apply_wp(state: PhotonState, photon: int) -> PhotonState:
     """Wave plate: Hadamard on the photon's polarization."""
     return apply_gate(state, photon, "P", HADAMARD)
@@ -45,21 +39,6 @@ def apply_wp(state: PhotonState, photon: int) -> PhotonState:
 def apply_bs(state: PhotonState, photon: int) -> PhotonState:
     """Beam splitter: Hadamard on the photon's spatial mode."""
     return apply_gate(state, photon, "S", HADAMARD)
-
-
-def apply_pbs(state: PhotonState, photon: int) -> PhotonState:
-    """Polarizing beam splitter: H-polarized amplitude switches path,
-    V-polarized amplitude keeps it.  A real permutation; the physical
-    reflection phase is deliberately not modeled."""
-    if not 0 <= photon < state.n_photons:
-        raise ValueError(f"photon index {photon} out of range for "
-                         f"{state.n_photons} photons")
-    out: dict[BasisKet, complex] = {}
-    for ket, amp in state.items():
-        if ket.bit("P", photon) == 0:
-            ket = ket.with_bit("S", photon, ket.bit("S", photon) ^ 1)
-        out[ket] = out.get(ket, 0j) + amp
-    return PhotonState(state.n_photons, out)
 
 
 def _outcome_key(outcome: DetectorOutcome) -> tuple:

@@ -13,8 +13,9 @@ The discrimination of an N-photon hyperentangled input runs in three steps:
 
 The QND step splits the 4^N inputs into 4^(N-1) groups of four, and the
 detector parities separate each group, so the map from input to readout is a
-bijection.  ``verify_complete`` checks that claim by enumeration, walking
-every detector branch symbolically instead of sampling.
+bijection.  ``verify_complete`` checks that claim by enumeration: it runs the
+analyser's own steps 1-3 (:func:`pre_detection`) and walks every detector
+branch symbolically where the analyser samples one.
 """
 
 from __future__ import annotations
@@ -27,14 +28,26 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .kerr import (HomodyneModel, JointState, ProbeRegister, attach_probes,
-                   gaussian_error_prob, homodyne_measure,
-                   magnitude_distribution, parity_gadget)
+                   gaussian_error_prob, homodyne_measure, parity_gadget)
 from .optics import (DetectorOutcome, apply_bs, apply_wp,
                      detection_distribution, outcome_tokens, sample_outcome)
 from .states import (HyperLabel, PhotonState, all_canonical_labels,
                      canonical_bit_strings, complement, state_from_label)
 
 VERIFY_MAX_PHOTONS = 10  # 4^N enumeration guard
+
+
+class PhotonCountError(ValueError):
+    """A photon count outside ``2 <= n <= VERIFY_MAX_PHOTONS``."""
+
+
+def check_photon_count(n: int, what: str) -> int:
+    """The enumeration guard for everything that walks all 4^n inputs (and
+    for the CLI, which applies it to every subcommand); returns ``n``."""
+    if not 2 <= n <= VERIFY_MAX_PHOTONS:
+        raise PhotonCountError(f"{what} supports 2 <= n <= {VERIFY_MAX_PHOTONS}, "
+                               f"got {n}")
+    return n
 
 
 def stream(seed: int, name: str) -> np.random.Generator:
@@ -51,19 +64,25 @@ class RunConfig:
 
     ``alpha * theta**2`` is the weak-probe feasibility figure: magnitude
     discrimination is reliable when it is large.  Defaults are illustrative.
+    ``trials`` sizes the Monte Carlo study, and the noise study that
+    ``verify_complete`` attaches under the gaussian model.
     """
 
-    n_photons: int = 2
     theta: float = 0.01
     alpha: float = 5000.0
     model: HomodyneModel = HomodyneModel.IDEAL
     trials: int = 10000
     seed: int = 0
-    output: str = "text"
 
     def __post_init__(self):
-        if self.trials < 1:
-            raise ValueError(f"trials must be >= 1, got {self.trials}")
+        # chained comparisons are False for NaN, so these also reject it
+        for name, ok, rule in (
+                ("theta", 0 < self.theta < math.pi / 2, "finite and in (0, pi/2)"),
+                ("alpha", 0 < self.alpha < math.inf, "finite and > 0"),
+                ("trials", self.trials >= 1, ">= 1"),
+                ("seed", self.seed >= 0, ">= 0")):
+            if not ok:
+                raise ValueError(f"{name} must be {rule}, got {getattr(self, name)!r}")
         object.__setattr__(self, "model", HomodyneModel(self.model))
 
     def feasibility(self) -> float:
@@ -71,11 +90,14 @@ class RunConfig:
 
 
 class ProbeReadout(NamedTuple):
-    """One homodyne record, JSON form {"probe": ..., "magnitude": ..., "p": ...}."""
+    """One homodyne record, JSON form {"probe": ..., "magnitude": ..., "p": ...}.
+    ``classes`` counts the magnitude classes the probe could have shown; 1
+    means the readout was certain."""
 
     probe: str
     magnitude: int
     p: float
+    classes: int
 
 
 @dataclass(frozen=True)
@@ -122,7 +144,8 @@ def run_parity_stage(joint: JointState, dof: str, prefix: str,
         pid = f"{prefix}{k}"
         result = homodyne_measure(joint, pid, cfg.model,
                                   stream(cfg.seed, f"probe:{pid}"))
-        readouts.append(ProbeReadout(pid, result.magnitude, result.probability))
+        readouts.append(ProbeReadout(pid, result.magnitude, result.probability,
+                                     result.classes))
         joint = result.collapsed
     return joint, readouts
 
@@ -135,6 +158,17 @@ def sign_basis_transform(state: PhotonState) -> PhotonState:
     return state
 
 
+def pre_detection(state: PhotonState,
+                  cfg: RunConfig) -> tuple[PhotonState, list[ProbeReadout]]:
+    """Everything before the detectors: attach fresh probes, run the P and
+    then the S parity stage, and rotate into the sign basis.  Returns the
+    rotated photon state and the 2(n-1) readouts, alpha probes first."""
+    joint = attach_probes(state, _registers(state.n_photons, cfg))
+    joint, alpha_reads = run_parity_stage(joint, "P", "alpha", cfg)
+    joint, beta_reads = run_parity_stage(joint, "S", "beta", cfg)
+    return sign_basis_transform(joint.photon_state()), alpha_reads + beta_reads
+
+
 def decode_signs(outcome: DetectorOutcome) -> tuple[str, str]:
     """Sign pair from detector parities: "+" iff the V count (polarization)
     or the path-2 count (spatial) is even."""
@@ -143,8 +177,12 @@ def decode_signs(outcome: DetectorOutcome) -> tuple[str, str]:
     return ("+" if v % 2 == 0 else "-", "+" if x2 % 2 == 0 else "-")
 
 
-def _decode_bits(readouts: Sequence[ProbeReadout]) -> str:
-    return "0" + "".join(str(r.magnitude) for r in readouts)
+def _decode_bits(readouts: Sequence[ProbeReadout]) -> tuple[str, str]:
+    """(polarization, spatial) bit-strings from the alpha-then-beta
+    readouts: photon 0 is the leading 0, each magnitude the next bit."""
+    bits = "".join(str(r.magnitude) for r in readouts)
+    half = len(bits) // 2
+    return "0" + bits[:half], "0" + bits[half:]
 
 
 def hgsa_n_analyze(n: int, state: PhotonState,
@@ -159,15 +197,12 @@ def hgsa_n_analyze(n: int, state: PhotonState,
         raise ValueError(f"analysis needs at least 2 photons, got {n}")
     if state.n_photons != n:
         raise ValueError(f"state has {state.n_photons} photons, expected {n}")
-    joint = attach_probes(state, _registers(n, cfg))
-    joint, alpha_reads = run_parity_stage(joint, "P", "alpha", cfg)
-    joint, beta_reads = run_parity_stage(joint, "S", "beta", cfg)
-    transformed = sign_basis_transform(joint.photon_state())
-    outcome = sample_outcome(transformed, stream(cfg.seed, "detection"))
+    rotated, readouts = pre_detection(state, cfg)
+    outcome = sample_outcome(rotated, stream(cfg.seed, "detection"))
     p_sign, s_sign = decode_signs(outcome)
-    label = HyperLabel(p_sign, _decode_bits(alpha_reads),
-                       s_sign, _decode_bits(beta_reads))
-    transcript = Transcript(tuple(alpha_reads + beta_reads), outcome,
+    p_bits, s_bits = _decode_bits(readouts)
+    label = HyperLabel(p_sign, p_bits, s_sign, s_bits)
+    transcript = Transcript(tuple(readouts), outcome,
                             cfg.theta, cfg.alpha, cfg.model, cfg.seed)
     return label, transcript
 
@@ -177,14 +212,6 @@ def hbsa_analyze(state: PhotonState, cfg: RunConfig) -> tuple[HyperLabel, Transc
     if state.n_photons != 2:
         raise ValueError(f"Bell analysis needs a 2-photon state, got {state.n_photons}")
     return hgsa_n_analyze(2, state, cfg)
-
-
-def hgsa3_analyze(state: PhotonState, cfg: RunConfig) -> tuple[HyperLabel, Transcript]:
-    """Three-photon GHZ-product analysis (the n=3 pipeline)."""
-    if state.n_photons != 3:
-        raise ValueError(f"three-photon analysis needs a 3-photon state, "
-                         f"got {state.n_photons}")
-    return hgsa_n_analyze(3, state, cfg)
 
 
 # --- exhaustive verification -------------------------------------------------
@@ -289,49 +316,35 @@ def monte_carlo_misclassification(n: int, cfg: RunConfig) -> NoiseStats:
 
 
 def verify_complete(n: int, cfg: RunConfig | None = None) -> VerificationReport:
-    """Run the pipeline on every canonical hyperentangled input, walking
-    every detector branch symbolically, and report the QND group partition.
+    """Run the analyser's pre-detection stage on every canonical
+    hyperentangled input, walk every detector branch symbolically, and
+    report the QND group partition.
 
-    The exhaustive pass always uses the ideal readout; with
+    An input is correct when every probe readout was a point mass, the
+    readouts decode to its bits and every branch decodes to its signs.  The
+    exhaustive pass always uses the ideal readout; with
     ``cfg.model == gaussian`` a sampled noise study is attached on top.
     Guarded to n <= 10 because the enumeration grows as 16^n.
     """
+    check_photon_count(n, "verification")
     if cfg is None:
-        cfg = RunConfig(n_photons=n)
-    if not 2 <= n <= VERIFY_MAX_PHOTONS:
-        raise ValueError(f"verification supports 2 <= n <= {VERIFY_MAX_PHOTONS}, "
-                         f"got {n}")
+        cfg = RunConfig()
+    ideal = replace(cfg, model=HomodyneModel.IDEAL)
     per_state = []
-    signatures: set[tuple[int, ...]] = set()
-    correct = 0
     for label in all_canonical_labels(n):
-        joint = attach_probes(state_from_label(label), _registers(n, cfg))
-        for dof, prefix in (("P", "alpha"), ("S", "beta")):
-            for k in range(1, n):
-                joint = parity_gadget(joint, f"{prefix}{k}", 0, k, dof)
-        signature = []
-        point_mass = True
-        for pid in probe_ids(n):
-            dist = magnitude_distribution(joint, pid)
-            point_mass &= len(dist) == 1
-            result = homodyne_measure(joint, pid, HomodyneModel.IDEAL,
-                                      stream(cfg.seed, f"verify:{pid}"))
-            signature.append(result.magnitude)
-            joint = result.collapsed
-        signature = tuple(signature)
-        signatures.add(signature)
-        p_bits = "0" + "".join(str(m) for m in signature[:n - 1])
-        s_bits = "0" + "".join(str(m) for m in signature[n - 1:])
-        branches = detection_distribution(sign_basis_transform(joint.photon_state()))
-        branch_ok = all(decode_signs(o) == (label.p_sign, label.s_sign)
-                        for o in branches)
-        ok = (point_mass and branch_ok
-              and p_bits == label.p_bits and s_bits == label.s_bits)
-        correct += ok
-        per_state.append(StateCheck(label.literal(), signature, len(branches), ok))
+        rotated, readouts = pre_detection(state_from_label(label), ideal)
+        branches = detection_distribution(rotated)
+        signs = (label.p_sign, label.s_sign)
+        ok = (all(r.classes == 1 for r in readouts)
+              and _decode_bits(readouts) == (label.p_bits, label.s_bits)
+              and all(decode_signs(o) == signs for o in branches))
+        per_state.append(StateCheck(label.literal(),
+                                    tuple(r.magnitude for r in readouts),
+                                    len(branches), ok))
     noise = (monte_carlo_misclassification(n, cfg)
              if cfg.model is HomodyneModel.GAUSSIAN else None)
-    return VerificationReport(n, 4 ** n, correct, len(signatures), cfg.model,
+    return VerificationReport(n, 4 ** n, sum(c.ok for c in per_state),
+                              len({c.signature for c in per_state}), cfg.model,
                               tuple(per_state), noise)
 
 
@@ -376,9 +389,7 @@ def _member_literal(p_sign: str, p_bits: str, s_sign: str, s_bits: str) -> str:
 def emit_signature_table(n: int) -> list[SignatureRow]:
     """The probe-shift signature of every QND group, 4^(n-1) rows, ordered by
     (polarization, spatial) bit class."""
-    if not 2 <= n <= VERIFY_MAX_PHOTONS:
-        raise ValueError(f"signature table supports 2 <= n <= {VERIFY_MAX_PHOTONS}, "
-                         f"got {n}")
+    check_photon_count(n, "signature table")
     rows = []
     for p_bits in canonical_bit_strings(n):
         for s_bits in canonical_bit_strings(n):
@@ -396,9 +407,7 @@ def emit_detection_table(n: int) -> list[DetectionRow]:
     The outcome set is computed by actually transforming one member of the
     group; it depends only on the sign pair.
     """
-    if not 2 <= n <= VERIFY_MAX_PHOTONS:
-        raise ValueError(f"detection table supports 2 <= n <= {VERIFY_MAX_PHOTONS}, "
-                         f"got {n}")
+    check_photon_count(n, "detection table")
     rows = []
     for gi, (p_sign, s_sign) in enumerate(_SIGN_ORDER, start=1):
         members = tuple(_member_literal(p_sign, pb, s_sign, sb)

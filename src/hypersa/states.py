@@ -3,9 +3,9 @@
 Each photon holds two classical bits: a polarization bit (0 = H, 1 = V) and a
 spatial bit (0 = first path, 1 = second path).  An N-photon pure state is a
 sparse map from :class:`BasisKet` to a complex amplitude.  The maximally
-entangled inputs handled here never have more than four nonzero terms, so the
-sparse form stays tiny at any photon count, where a dense vector would need
-4^N entries.
+entangled inputs handled here have four nonzero terms; after the sign-basis
+rotation an N-photon state holds 4^(N-1), a quarter of the 4^N entries a
+dense vector would need.
 
 All values are immutable after construction; every operation returns a new
 state.  Amplitudes with magnitude below :data:`PRUNE_EPS` are dropped on
@@ -28,9 +28,6 @@ PRUNE_EPS = 1e-12
 NORM_TOL = 1e-10
 
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
-
-#: Pauli X, the bit-flip gate used by half-wave plates.
-PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
 #: Single-qubit Hadamard, used by wave plates (P) and beam splitters (S).
 HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) * _SQRT_HALF
@@ -155,9 +152,6 @@ class PhotonState:
         if n < PRUNE_EPS:
             raise ValueError("cannot normalize a zero state")
         return PhotonState(self.n_photons, {k: a / n for k, a in self._amps.items()})
-
-    def is_normalized(self, tol: float = NORM_TOL) -> bool:
-        return abs(self.norm() - 1.0) <= tol
 
     def scaled(self, factor: complex) -> "PhotonState":
         """Copy with every amplitude multiplied by ``factor``."""

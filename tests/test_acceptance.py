@@ -44,7 +44,7 @@ def criterion(num: int, summary: str, budget_s: float | None = None):
 
 def test_criterion_1_two_photon_completeness():
     with criterion(1, "all 16 two-photon inputs classified on every branch", 1.0):
-        report = verify_complete(2, RunConfig(n_photons=2))
+        report = verify_complete(2, RunConfig())
         assert report.total_states == 16
         assert report.correct == 16
         assert all(check.ok for check in report.per_state)
@@ -70,7 +70,7 @@ def test_criterion_3_two_photon_detection_sets():
 
 def test_criterion_4_three_photon_completeness_and_tables():
     with criterion(4, "64/64 three-photon inputs, 16 groups, tables row for row", 5.0):
-        report = verify_complete(3, RunConfig(n_photons=3))
+        report = verify_complete(3, RunConfig())
         assert (report.total_states, report.correct) == (64, 64)
         assert report.group_count == 16
         sig_rows = emit_signature_table(3)
@@ -126,10 +126,10 @@ def test_criterion_5_worked_group_amplitudes_against_dense_oracle():
 
 def test_criterion_6_n_photon_scaling():
     with criterion(6, "256/256 at n=4 and 1024/1024 at n=5, groups 4^(n-1)", 60.0):
-        report4 = verify_complete(4, RunConfig(n_photons=4))
+        report4 = verify_complete(4, RunConfig())
         assert (report4.total_states, report4.correct) == (256, 256)
         assert report4.group_count == 64
-        report5 = verify_complete(5, RunConfig(n_photons=5))
+        report5 = verify_complete(5, RunConfig())
         assert (report5.total_states, report5.correct) == (1024, 1024)
         assert report5.group_count == 256
 
@@ -142,7 +142,7 @@ def test_criterion_7_nondemolition_suite():
             labels = all_canonical_labels(n)
             label = labels[int(rng.integers(len(labels)))]
             state = state_from_label(label)
-            cfg = RunConfig(n_photons=n, seed=int(rng.integers(2 ** 31)))
+            cfg = RunConfig(seed=int(rng.integers(2 ** 31)))
             joint = attach_probes(state, [ProbeRegister(pid, cfg.theta, cfg.alpha)
                                           for pid in probe_ids(n)])
             joint, _ = run_parity_stage(joint, "P", "alpha", cfg)
@@ -154,7 +154,7 @@ def test_criterion_8_gaussian_noise_statistics():
     with criterion(8, "sampled error rate tracks the per-probe composition "
                       "and falls with alpha", 30.0):
         theta, trials = 0.2, 10_000
-        cfg = RunConfig(n_photons=2, theta=theta, alpha=30.0,
+        cfg = RunConfig(theta=theta, alpha=30.0,
                         model=HomodyneModel.GAUSSIAN, trials=trials, seed=2026)
         stats = monte_carlo_misclassification(2, cfg)
         predicted = stats.predicted
@@ -165,7 +165,7 @@ def test_criterion_8_gaussian_noise_statistics():
         # increasing alpha sweep: observed rate strictly decreases
         rates = []
         for alpha in (10.0, 30.0, 60.0, 100.0, 150.0):
-            sweep_cfg = RunConfig(n_photons=2, theta=theta, alpha=alpha,
+            sweep_cfg = RunConfig(theta=theta, alpha=alpha,
                                   model=HomodyneModel.GAUSSIAN, trials=2500,
                                   seed=99)
             rates.append(monte_carlo_misclassification(2, sweep_cfg).rate)

@@ -54,6 +54,21 @@ class TestAnalyze:
         assert lines[0] == "label,alpha1,beta1,detection"
         assert lines[1].startswith("P:+00;S:-01,0,1,")
 
+    def test_guard_exits_3(self, capsys):
+        code, out, err = run(capsys, "analyze", "P:+" + "0" * 11 + ";S:+" + "0" * 11)
+        assert code == 3
+        assert out == ""
+        assert "2 <= n <= 10, got 11" in err
+
+    @pytest.mark.parametrize("flag,value", [("--theta", "nan"), ("--alpha", "inf"),
+                                            ("--seed", "-1")])
+    def test_invalid_number_exits_2_naming_flag(self, capsys, flag, value):
+        code, out, err = run(capsys, "analyze", "P:+00;S:+00", "--format", "json",
+                             flag, value)
+        assert code == 2
+        assert out == ""
+        assert f"error: {flag} must be" in err
+
 
 class TestVerify:
     def test_json_report_shape(self, capsys):

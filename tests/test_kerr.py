@@ -104,7 +104,7 @@ class TestHomodyne:
         j = parity_gadget(joint_of(s), "alpha1", 0, 1, "P")
         result = homodyne_measure(j, "alpha1")
         assert result.magnitude == 1
-        assert result.probability == pytest.approx(1.0, abs=1e-10)
+        assert (result.probability, result.classes) == (1.0, 1)  # exact, no float dust
         assert equal_up_to_global_phase(result.collapsed.photon_state(), s, 1e-10)
 
     def test_even_parity_point_mass(self):
@@ -112,7 +112,7 @@ class TestHomodyne:
         j = parity_gadget(joint_of(s), "alpha1", 0, 1, "P")
         result = homodyne_measure(j, "alpha1")
         assert result.magnitude == 0
-        assert result.probability == pytest.approx(1.0, abs=1e-10)
+        assert (result.probability, result.classes) == (1.0, 1)
         assert equal_up_to_global_phase(result.collapsed.photon_state(), s, 1e-10)
 
     def test_mixed_parity_collapses_each_way(self):

@@ -5,8 +5,7 @@ import pytest
 from scipy import stats
 
 from hypersa.optics import (DetectorOutcome, PhotonRecord, apply_bs,
-                            apply_hwp, apply_pbs, apply_wp,
-                            detection_distribution, outcome_json,
+                            apply_wp, detection_distribution, outcome_json,
                             outcome_tokens, sample_outcome)
 from hypersa.states import (BasisKet, PhotonState, bell_state,
                             equal_up_to_global_phase, hyper_product)
@@ -22,19 +21,6 @@ def single(pol, spa):
 
 
 class TestElements:
-    def test_hwp_flips_polarization(self):
-        out = apply_hwp(single("0", "0"), 0)
-        assert out.amplitude(BasisKet("1", "0")) == pytest.approx(1.0)
-
-    def test_hwp_twice_identity(self):
-        s = bell_state("psi-", "P")
-        out = apply_hwp(apply_hwp(s, 0), 0)
-        assert equal_up_to_global_phase(out, s)
-
-    def test_hwp_leaves_diagonal_state_alone(self):
-        s = PhotonState(1, {BasisKet("0", "0"): SQ, BasisKet("1", "0"): SQ})
-        assert equal_up_to_global_phase(apply_hwp(s, 0), s)
-
     def test_wp_rotates_h_and_v(self):
         plus = apply_wp(single("0", "0"), 0)
         assert plus.amplitude(BasisKet("0", "0")) == pytest.approx(SQ)
@@ -63,16 +49,7 @@ class TestElements:
         assert_matches_dense(out, op @ dense_vector(s))
         assert equal_up_to_global_phase(out, s)  # antisymmetric up to sign
 
-    def test_pbs_switches_h_keeps_v(self):
-        assert apply_pbs(single("0", "0"), 0).amplitude(BasisKet("0", "1")) == 1.0
-        assert apply_pbs(single("1", "0"), 0).amplitude(BasisKet("1", "0")) == 1.0
-
-    def test_pbs_twice_identity(self):
-        rng = np.random.default_rng(3)
-        s = random_state(2, rng)
-        assert equal_up_to_global_phase(apply_pbs(apply_pbs(s, 1), 1), s)
-
-    @pytest.mark.parametrize("element", [apply_hwp, apply_wp, apply_bs, apply_pbs])
+    @pytest.mark.parametrize("element", [apply_wp, apply_bs])
     def test_norm_preserving_involutions(self, element):
         rng = np.random.default_rng(29)
         for _ in range(5):
@@ -98,7 +75,7 @@ class TestElements:
             assert abs(amp - ba.amplitude(ket)) < 1e-10
 
     def test_index_out_of_range(self):
-        for element in (apply_hwp, apply_wp, apply_bs, apply_pbs):
+        for element in (apply_wp, apply_bs):
             with pytest.raises(ValueError, match="out of range"):
                 element(bell_state("phi+", "P"), 5)
 

@@ -4,8 +4,9 @@ import pytest
 from hypersa.kerr import HomodyneModel, ProbeRegister, attach_probes
 from hypersa.optics import (DetectorOutcome, PhotonRecord,
                             detection_distribution, outcome_tokens)
+from hypersa import cli, protocols
 from hypersa.protocols import (RunConfig, decode_signs,
-                               hbsa_analyze, hgsa3_analyze, hgsa_n_analyze,
+                               hbsa_analyze, hgsa_n_analyze,
                                monte_carlo_misclassification,
                                predicted_error_rate, probe_ids,
                                run_parity_stage, sign_basis_transform, stream,
@@ -30,50 +31,46 @@ def bell_product(p, s):
     return hyper_product(bell_state(p, "P"), bell_state(s, "S"))
 
 
-def cfg_for(n, **kw):
-    return RunConfig(n_photons=n, **kw)
-
-
 class TestTwoPhotonAnalysis:
     def test_odd_even_signature(self):
-        label, tr = hbsa_analyze(bell_product("psi+", "phi-"), cfg_for(2))
+        label, tr = hbsa_analyze(bell_product("psi+", "phi-"), RunConfig())
         assert [r.magnitude for r in tr.probe_readouts] == [1, 0]
         assert [r.probe for r in tr.probe_readouts] == ["alpha1", "beta1"]
         assert label == HyperLabel("+", "01", "-", "00")
 
     def test_even_even_full_roundtrip(self):
-        label, tr = hbsa_analyze(bell_product("phi+", "phi+"), cfg_for(2, seed=5))
+        label, tr = hbsa_analyze(bell_product("phi+", "phi+"), RunConfig(seed=5))
         assert [r.magnitude for r in tr.probe_readouts] == [0, 0]
         assert outcome_tokens(tr.detector_outcome) in PARITY_OUTCOMES[("+", "+")]
         assert label == HyperLabel("+", "00", "+", "00")
 
     def test_minus_minus_outcome_membership(self):
-        label, tr = hbsa_analyze(bell_product("phi-", "psi-"), cfg_for(2, seed=9))
+        label, tr = hbsa_analyze(bell_product("phi-", "psi-"), RunConfig(seed=9))
         assert outcome_tokens(tr.detector_outcome) in PARITY_OUTCOMES[("-", "-")]
         assert label == HyperLabel("-", "00", "-", "01")
 
     def test_all_sixteen_exact(self):
         for p in BELL:
             for s in BELL:
-                label, _ = hbsa_analyze(bell_product(p, s), cfg_for(2, seed=1))
+                label, _ = hbsa_analyze(bell_product(p, s), RunConfig(seed=1))
                 assert label.bell_names() == (p, s)
 
     def test_wrong_photon_count_rejected(self):
         with pytest.raises(ValueError, match="2-photon"):
-            hbsa_analyze(ghz_state("+", "000", "P", 3), cfg_for(3))
+            hbsa_analyze(ghz_state("+", "000", "P", 3), RunConfig())
 
 
 class TestThreePhotonAnalysis:
     def test_signature_pairs(self):
         state = hyper_product(ghz_state("+", "000", "P"), ghz_state("+", "001", "S"))
-        label, tr = hgsa3_analyze(state, cfg_for(3))
+        label, tr = hgsa_n_analyze(3, state, RunConfig())
         mags = [r.magnitude for r in tr.probe_readouts]
         assert mags[:2] == [0, 0] and mags[2:] == [0, 1]
         assert label == HyperLabel("+", "000", "+", "001")
 
     def test_noncanonical_input_decodes_to_canonical(self):
         state = hyper_product(ghz_state("-", "100", "P"), ghz_state("+", "010", "S"))
-        label, tr = hgsa3_analyze(state, cfg_for(3))
+        label, tr = hgsa_n_analyze(3, state, RunConfig())
         mags = [r.magnitude for r in tr.probe_readouts]
         assert mags[:2] == [1, 1] and mags[2:] == [1, 0]
         assert label == HyperLabel("-", "011", "+", "010")
@@ -84,33 +81,20 @@ class TestThreePhotonAnalysis:
         for outcome in detection_distribution(sign_basis_transform(state)):
             assert decode_signs(outcome) == ("+", "-")
 
-    def test_wrong_photon_count_rejected(self):
-        with pytest.raises(ValueError, match="3-photon"):
-            hgsa3_analyze(bell_product("phi+", "phi+"), cfg_for(2))
-
 
 class TestNPhotonAnalysis:
     def test_reduces_to_two_photon_pipeline(self):
         for label in all_canonical_labels(2):
             state = state_from_label(label)
-            via_n, _ = hgsa_n_analyze(2, state, cfg_for(2, seed=3))
-            via_2, _ = hbsa_analyze(state, cfg_for(2, seed=3))
+            via_n, _ = hgsa_n_analyze(2, state, RunConfig(seed=3))
+            via_2, _ = hbsa_analyze(state, RunConfig(seed=3))
             assert via_n == via_2 == label
-
-    def test_reduces_to_three_photon_pipeline(self):
-        rng = np.random.default_rng(8)
-        labels = all_canonical_labels(3)
-        for idx in rng.choice(len(labels), size=12, replace=False):
-            state = state_from_label(labels[idx])
-            via_n, _ = hgsa_n_analyze(3, state, cfg_for(3, seed=4))
-            via_3, _ = hgsa3_analyze(state, cfg_for(3, seed=4))
-            assert via_n == via_3 == labels[idx]
 
     def test_four_photon_example_against_xor_and_parity_oracles(self):
         p_bits, s_bits = "0110", "0000"
         state = hyper_product(ghz_state("-", p_bits, "P"),
                               ghz_state("+", s_bits, "S"))
-        label, tr = hgsa_n_analyze(4, state, cfg_for(4))
+        label, tr = hgsa_n_analyze(4, state, RunConfig())
         # bitwise XOR against photon 0 predicts each probe's magnitude
         expect_p = [int(p_bits[0]) ^ int(p_bits[k]) for k in range(1, 4)]
         expect_s = [int(s_bits[0]) ^ int(s_bits[k]) for k in range(1, 4)]
@@ -128,16 +112,16 @@ class TestNPhotonAnalysis:
     def test_five_photon_all_zero(self):
         state = hyper_product(ghz_state("+", "00000", "P"),
                               ghz_state("+", "00000", "S"))
-        label, tr = hgsa_n_analyze(5, state, cfg_for(5))
+        label, tr = hgsa_n_analyze(5, state, RunConfig())
         assert all(r.magnitude == 0 for r in tr.probe_readouts)
         assert len(tr.probe_readouts) == 8
         assert label == HyperLabel("+", "00000", "+", "00000")
 
     def test_guard_and_count_checks(self):
         with pytest.raises(ValueError, match="at least 2"):
-            hgsa_n_analyze(1, bell_product("phi+", "phi+"), cfg_for(2))
+            hgsa_n_analyze(1, bell_product("phi+", "phi+"), RunConfig())
         with pytest.raises(ValueError, match="expected 3"):
-            hgsa_n_analyze(3, bell_product("phi+", "phi+"), cfg_for(3))
+            hgsa_n_analyze(3, bell_product("phi+", "phi+"), RunConfig())
 
 
 class TestSignDecoding:
@@ -161,7 +145,7 @@ class TestSignDecoding:
 
 class TestStageOrder:
     def test_spatial_stage_first_gives_same_labels(self):
-        cfg = cfg_for(2, seed=21)
+        cfg = RunConfig(seed=21)
         for label in all_canonical_labels(2):
             joint = attach_probes(
                 state_from_label(label),
@@ -179,7 +163,7 @@ class TestCompleteness:
     def test_readout_map_is_injective(self, n):
         seen = set()
         for label in all_canonical_labels(n):
-            _, tr = hgsa_n_analyze(n, state_from_label(label), cfg_for(n))
+            _, tr = hgsa_n_analyze(n, state_from_label(label), RunConfig())
             key = (tuple(r.magnitude for r in tr.probe_readouts),
                    decode_signs(tr.detector_outcome))
             seen.add(key)
@@ -194,7 +178,7 @@ class TestCompleteness:
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_group_partition_shape(self, n):
-        report = verify_complete(n, cfg_for(n))
+        report = verify_complete(n, RunConfig())
         by_signature = {}
         for check in report.per_state:
             by_signature.setdefault(check.signature, []).append(check.label)
@@ -202,7 +186,7 @@ class TestCompleteness:
         assert all(len(members) == 4 for members in by_signature.values())
 
     def test_verify_two_photons(self):
-        report = verify_complete(2, cfg_for(2))
+        report = verify_complete(2, RunConfig())
         assert report.total_states == 16
         assert report.correct == 16
         assert report.group_count == 4
@@ -211,18 +195,30 @@ class TestCompleteness:
         assert all(check.branches == 4 for check in report.per_state)
 
     def test_verify_json_shape(self):
-        report = verify_complete(2, cfg_for(2))
+        report = verify_complete(2, RunConfig())
         assert report.to_json_dict() == {"n": 2, "total": 16, "correct": 16,
                                          "groups": 4, "model": "ideal"}
 
+    def test_verifier_runs_the_analysers_stages(self, monkeypatch):
+        # a defect in the shared stage must fail the proof, not only analyze
+        real = protocols.run_parity_stage
+
+        def reversed_readouts(*args):
+            joint, readouts = real(*args)
+            return joint, readouts[::-1]
+
+        monkeypatch.setattr(protocols, "run_parity_stage", reversed_readouts)
+        assert verify_complete(3).correct < 64
+        assert cli.main(["verify", "--n", "3"]) == 1
+
     def test_verify_guard(self):
         with pytest.raises(ValueError, match="2 <= n <= 10"):
-            verify_complete(1, cfg_for(2))
+            verify_complete(1, RunConfig())
         with pytest.raises(ValueError, match="2 <= n <= 10"):
-            verify_complete(11, cfg_for(2))
+            verify_complete(11, RunConfig())
 
     def test_gaussian_verify_attaches_noise_stats(self):
-        cfg = RunConfig(n_photons=2, theta=0.2, alpha=150.0,
+        cfg = RunConfig(theta=0.2, alpha=150.0,
                         model=HomodyneModel.GAUSSIAN, trials=200, seed=13)
         report = verify_complete(2, cfg)
         assert report.correct == 16  # exhaustive pass stays ideal
@@ -234,19 +230,19 @@ class TestCompleteness:
 
 class TestNoiseStudy:
     def test_ideal_model_never_errs(self):
-        stats = monte_carlo_misclassification(2, cfg_for(2, trials=50, seed=2))
+        stats = monte_carlo_misclassification(2, RunConfig(trials=50, seed=2))
         assert stats.errors == 0
         assert stats.predicted == 0.0
 
     def test_huge_alpha_reaches_the_ideal_limit(self):
-        cfg = RunConfig(n_photons=2, theta=0.2, alpha=1e6,
+        cfg = RunConfig(theta=0.2, alpha=1e6,
                         model=HomodyneModel.GAUSSIAN, trials=10_000, seed=6)
         stats = monte_carlo_misclassification(2, cfg)
         assert stats.errors == 0
         assert stats.rate == 0.0
 
     def test_predicted_rate_composition(self):
-        cfg = RunConfig(n_photons=3, theta=0.2, alpha=30.0,
+        cfg = RunConfig(theta=0.2, alpha=30.0,
                         model=HomodyneModel.GAUSSIAN)
         from hypersa.kerr import gaussian_error_prob
         p = gaussian_error_prob(30.0, 0.2)
@@ -268,12 +264,15 @@ class TestPlumbing:
         assert not np.array_equal(a, c)
 
     def test_runconfig_validation(self):
-        with pytest.raises(ValueError, match="trials"):
-            RunConfig(trials=0)
+        for field, value in (("trials", 0), ("theta", 0.0), ("theta", 2.0),
+                             ("theta", float("nan")), ("alpha", 0.0),
+                             ("alpha", float("inf")), ("seed", -1)):
+            with pytest.raises(ValueError, match=f"^{field} must be"):
+                RunConfig(**{field: value})
         assert RunConfig(model="gaussian").model is HomodyneModel.GAUSSIAN
 
     def test_transcript_json_records(self):
-        _, tr = hbsa_analyze(bell_product("psi+", "phi-"), cfg_for(2))
+        _, tr = hbsa_analyze(bell_product("psi+", "phi-"), RunConfig())
         doc = tr.to_json_dict()
         assert doc["probes"][0] == {"probe": "alpha1", "magnitude": 1,
                                     "p": pytest.approx(1.0)}

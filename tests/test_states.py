@@ -8,13 +8,14 @@ from hypersa.states import (BasisKet, HyperLabel, PhotonState,
                             canonical_bit_strings, complement,
                             equal_up_to_global_phase, ghz_state,
                             hyper_product, parse_state_literal,
-                            state_from_label, HADAMARD, PAULI_X)
+                            state_from_label, HADAMARD)
 
 from oracle import (dense_vector, gate_operator, random_state,
                     random_unitary, assert_matches_dense)
 
 SQ = 1 / math.sqrt(2)
 BELL = ("phi+", "phi-", "psi+", "psi-")
+PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 
 
 class TestBellStates:
