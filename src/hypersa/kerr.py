@@ -39,17 +39,18 @@ class HomodyneModel(str, Enum):
 @dataclass(frozen=True)
 class ProbeRegister:
     """A coherent probe: its id, single-pass phase shift theta (radians) and
-    real amplitude alpha.  Both parameters must be positive."""
+    real amplitude alpha.  Both parameters must be finite and positive."""
 
     id: str
     theta: float
     alpha: float
 
     def __post_init__(self):
-        if self.theta <= 0:
-            raise ValueError(f"probe theta must be > 0, got {self.theta}")
-        if self.alpha <= 0:
-            raise ValueError(f"probe alpha must be > 0, got {self.alpha}")
+        # chained comparisons are False for NaN, so these also reject it
+        for name in ("theta", "alpha"):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise ValueError(f"probe {name} must be finite and > 0, got {value}")
 
 
 JointKey = tuple[BasisKet, tuple[int, ...]]
@@ -180,8 +181,8 @@ def gaussian_error_prob(alpha: float, theta: float) -> float:
     Zero separation (theta -> 0) gives the indistinguishable-distribution
     limit of exactly 0.5.
     """
-    if alpha <= 0:
-        raise ValueError(f"alpha must be > 0, got {alpha}")
+    if not 0 < alpha < math.inf:
+        raise ValueError(f"alpha must be finite and > 0, got {alpha}")
     if not 0 <= theta < math.pi / 2:
         raise ValueError(f"theta must lie in [0, pi/2), got {theta}")
     return 0.5 * math.erfc(alpha * (1.0 - math.cos(theta)) / math.sqrt(2.0))

@@ -52,14 +52,17 @@ def detection_distribution(state: PhotonState) -> list[DetectorOutcome]:
     lexicographically on the per-photon (mode, polarization) records so
     output is stable across runs.
     """
-    total = sum(abs(a) ** 2 for _, a in state.items())
+    items = state.items()
+    total = sum(abs(a) ** 2 for _, a in items)
     if abs(total - 1.0) > NORM_TOL:
         raise ValueError(f"state is not normalized (sum of probabilities {total!r})")
+    # photon i's record for each (polarization, spatial) bit pair
+    table = [{(p, s): PhotonRecord(i, int(s) + 1, "H" if p == "0" else "V")
+              for p in "01" for s in "01"}
+             for i in range(state.n_photons)]
     outcomes = []
-    for ket, amp in state.items():
-        records = tuple(
-            PhotonRecord(i, ket.bit("S", i) + 1, "H" if ket.bit("P", i) == 0 else "V")
-            for i in range(state.n_photons))
+    for (pol, spa), amp in items:
+        records = tuple(map(dict.__getitem__, table, zip(pol, spa)))
         outcomes.append(DetectorOutcome(records, abs(amp) ** 2))
     outcomes.sort(key=_outcome_key)
     return outcomes

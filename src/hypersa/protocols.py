@@ -9,7 +9,9 @@ The discrimination of an N-photon hyperentangled input runs in three steps:
 3. Every photon passes a beam splitter and a wave plate, rotating both DOFs
    into the parity-readout basis; detector counts decode the two signs:
    an even number of V clicks means the polarization superposition was "+",
-   an even number of path-2 clicks the same for the spatial DOF.
+   an even number of path-2 clicks the same for the spatial DOF.  All beam
+   splitters act before all wave plates; the elements commute, so this is
+   the same operator as any other order, and the state stays smaller.
 
 The QND step splits the 4^N inputs into 4^(N-1) groups of four, and the
 detector parities separate each group, so the map from input to readout is a
@@ -152,9 +154,13 @@ def run_parity_stage(joint: JointState, dof: str, prefix: str,
 
 def sign_basis_transform(state: PhotonState) -> PhotonState:
     """Beam splitter plus wave plate on every photon: both DOFs rotate into
-    the basis where GHZ-sign information becomes a count parity."""
+    the basis where GHZ-sign information becomes a count parity.  The
+    elements commute; with every beam splitter first, the spatial DOF cancels
+    down to 2^(n-1) terms before the wave plates grow the polarization DOF."""
     for photon in range(state.n_photons):
-        state = apply_wp(apply_bs(state, photon), photon)
+        state = apply_bs(state, photon)
+    for photon in range(state.n_photons):
+        state = apply_wp(state, photon)
     return state
 
 

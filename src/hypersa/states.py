@@ -81,14 +81,6 @@ class BasisKet(NamedTuple):
         bits = self.pol_bits if dof == "P" else self.spa_bits
         return 0 if bits[photon] == "0" else 1
 
-    def with_bit(self, dof: Dof, photon: int, value: int) -> "BasisKet":
-        """Copy of this ket with one bit replaced."""
-        bits = self.pol_bits if dof == "P" else self.spa_bits
-        new = bits[:photon] + ("1" if value else "0") + bits[photon + 1:]
-        if dof == "P":
-            return BasisKet(new, self.spa_bits)
-        return BasisKet(self.pol_bits, new)
-
     def label(self) -> str:
         """Readable form like ``HV|a1b2``."""
         pol = "".join("H" if c == "0" else "V" for c in self.pol_bits)
@@ -114,10 +106,13 @@ class PhotonState:
         for ket, amp in amplitudes.items():
             if not isinstance(ket, BasisKet):
                 ket = BasisKet(*ket)
-            if len(ket.pol_bits) != n_photons or len(ket.spa_bits) != n_photons:
+            pol, spa = ket
+            if len(pol) != n_photons or len(spa) != n_photons:
                 raise ValueError(f"ket {ket!r} does not describe {n_photons} photons")
-            _check_bits(ket.pol_bits, "pol_bits")
-            _check_bits(ket.spa_bits, "spa_bits")
+            # strip leaves behind any character other than 0/1
+            if pol.strip("01") or spa.strip("01"):
+                _check_bits(pol, "pol_bits")
+                _check_bits(spa, "spa_bits")
             a = complex(amp)
             if abs(a) >= PRUNE_EPS:
                 amps[ket] = a
@@ -321,18 +316,31 @@ def apply_gate(state: PhotonState, photon: int, dof: Dof,
     g = np.asarray(gate, dtype=complex)
     if g.shape != (2, 2):
         raise ValueError(f"gate must be 2x2, got shape {g.shape}")
-    defect = np.max(np.abs(g @ g.conj().T - np.eye(2)))
-    if defect > 1e-10:
+    (g00, g01), (g10, g11) = g.tolist()
+    # largest entry of |gate @ gate^dagger - 1| (the lower off-diagonal one is
+    # the conjugate of the upper); NaN ranks highest and fails the check
+    defect = max((abs(g00 * g00.conjugate() + g01 * g01.conjugate() - 1.0),
+                  abs(g00 * g10.conjugate() + g01 * g11.conjugate()),
+                  abs(g10 * g10.conjugate() + g11 * g11.conjugate() - 1.0)),
+                 key=lambda d: (math.isnan(d), d))
+    if not defect <= 1e-10:
         raise ValueError(f"gate is not unitary (defect {defect:.3g})")
+    # old bit -> (coefficient keeping it, flipped bit, coefficient flipping to it)
+    table = {"0": (g00, "1", g10), "1": (g11, "0", g01)}
+    on_pol = dof == "P"
+    new_ket = tuple.__new__
     out: dict[BasisKet, complex] = {}
+    get = out.get
     for ket, amp in state._amps.items():
-        b = ket.bit(dof, photon)
-        for nb in (0, 1):
-            c = g[nb, b]
-            if c == 0:
-                continue
-            nk = ket.with_bit(dof, photon, nb)
-            out[nk] = out.get(nk, 0j) + c * amp
+        pol, spa = ket
+        bits = pol if on_pol else spa
+        keep, flipped, flip = table[bits[photon]]
+        if keep:
+            out[ket] = get(ket, 0j) + keep * amp
+        if flip:
+            nbits = bits[:photon] + flipped + bits[photon + 1:]
+            nk = new_ket(BasisKet, (nbits, spa) if on_pol else (pol, nbits))
+            out[nk] = get(nk, 0j) + flip * amp
     return PhotonState(state.n_photons, out)
 
 

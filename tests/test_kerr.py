@@ -31,6 +31,17 @@ class TestProbeRegister:
         with pytest.raises(ValueError, match="alpha"):
             ProbeRegister("a", 0.1, -1.0)
 
+    @pytest.mark.parametrize("theta, alpha, field", [
+        (math.nan, math.nan, "theta"),
+        (math.nan, 1.0, "theta"),
+        (math.inf, 1.0, "theta"),
+        (0.1, math.nan, "alpha"),
+        (0.1, math.inf, "alpha"),
+    ])
+    def test_rejects_non_finite_parameters(self, theta, alpha, field):
+        with pytest.raises(ValueError, match=f"probe {field} must be finite"):
+            ProbeRegister("a", theta, alpha)
+
 
 class TestKerrInteract:
     def test_active_branch_shifts(self):
@@ -180,6 +191,16 @@ class TestGaussianModel:
             gaussian_error_prob(0.0, 0.1)
         with pytest.raises(ValueError, match="theta"):
             gaussian_error_prob(1.0, math.pi)
+
+    @pytest.mark.parametrize("alpha, theta, field", [
+        (math.nan, 0.1, "alpha"),
+        (math.inf, 0.1, "alpha"),
+        (1.0, math.nan, "theta"),
+        (1.0, math.inf, "theta"),
+    ])
+    def test_non_finite_inputs_rejected(self, alpha, theta, field):
+        with pytest.raises(ValueError, match=field):
+            gaussian_error_prob(alpha, theta)
 
     def test_misreads_flip_report_not_collapse(self):
         # weak separation: err close to 0.5, reports flip but state survives

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hypersa.kerr import HomodyneModel, ProbeRegister, attach_probes
 from hypersa.optics import (DetectorOutcome, PhotonRecord,
@@ -14,7 +15,8 @@ from hypersa.protocols import (RunConfig, decode_signs,
 from hypersa.states import (HyperLabel, all_canonical_labels, bell_state,
                             ghz_state, hyper_product, state_from_label)
 
-from oracle import dense_vector, hadamard_everywhere
+from oracle import (assert_matches_dense, dense_vector, hadamard_everywhere,
+                    random_state)
 
 BELL = ("phi+", "phi-", "psi+", "psi-")
 
@@ -122,6 +124,17 @@ class TestNPhotonAnalysis:
             hgsa_n_analyze(1, bell_product("phi+", "phi+"), RunConfig())
         with pytest.raises(ValueError, match="expected 3"):
             hgsa_n_analyze(3, bell_product("phi+", "phi+"), RunConfig())
+
+
+class TestSignBasisTransform:
+    @settings(max_examples=30, deadline=None)
+    @given(n=st.integers(1, 4), seed=st.integers(0, 2 ** 32 - 1))
+    def test_matches_dense_hadamard_everywhere(self, n, seed):
+        # the elements commute, so whatever order sign_basis_transform runs
+        # them in, the result must be the all-qubit Hadamard
+        state = random_state(n, np.random.default_rng(seed))
+        assert_matches_dense(sign_basis_transform(state),
+                             hadamard_everywhere(n) @ dense_vector(state))
 
 
 class TestSignDecoding:

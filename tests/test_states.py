@@ -1,7 +1,9 @@
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hypersa.states import (BasisKet, HyperLabel, PhotonState,
                             all_canonical_labels, apply_gate, bell_state,
@@ -154,10 +156,37 @@ class TestApplyGate:
                              gate.conj().T)
             assert equal_up_to_global_phase(out, state, 1e-10)
 
+    @settings(max_examples=80, deadline=None)
+    @given(n=st.integers(1, 4), data=st.data(), seed=st.integers(0, 2 ** 32 - 1),
+           kind=st.sampled_from(["random", "pauli-x", "phase", "phase-flip"]))
+    def test_matches_dense_oracle_property(self, n, data, seed, kind):
+        # exact zero entries (Pauli X, diagonal and anti-diagonal phase gates)
+        # drive the kernel's skip-zero branch
+        rng = np.random.default_rng(seed)
+        a, b = np.exp(2j * np.pi * rng.random(2))
+        gate = {"random": random_unitary(rng), "pauli-x": PAULI_X,
+                "phase": np.diag([a, b]),
+                "phase-flip": np.array([[0, a], [b, 0]])}[kind]
+        state = random_state(n, rng)
+        photon = data.draw(st.integers(0, n - 1), label="photon")
+        dof = data.draw(st.sampled_from("PS"), label="dof")
+        out = apply_gate(state, photon, dof, gate)
+        assert_matches_dense(out, gate_operator(n, photon, dof, gate)
+                             @ dense_vector(state))
+
     def test_non_unitary_rejected(self):
         with pytest.raises(ValueError, match="unitary"):
             apply_gate(bell_state("phi+", "P"), 0, "P",
                        np.array([[1, 1], [0, 1]], dtype=complex))
+
+    @pytest.mark.parametrize("gate", [
+        np.array([[math.nan, 0], [0, 1]], dtype=complex),
+        np.array([[0, 1], [math.nan, 0]], dtype=complex),
+        np.array([[1, 0], [0, math.inf]], dtype=complex),
+    ])
+    def test_non_finite_gate_rejected(self, gate):
+        with pytest.raises(ValueError, match="unitary"):
+            apply_gate(bell_state("phi+", "P"), 0, "P", gate)
 
     def test_bad_photon_index_rejected(self):
         with pytest.raises(ValueError, match="out of range"):
@@ -233,6 +262,23 @@ class TestStateContainer:
     def test_wrong_ket_length_rejected(self):
         with pytest.raises(ValueError, match="photons"):
             PhotonState(2, {BasisKet("0", "0"): 1.0})
+
+    @pytest.mark.parametrize("n, ket, message", [
+        (2, BasisKet("0x", "00"), "pol_bits must be a nonempty string of 0/1, got '0x'"),
+        (2, BasisKet("00", "0x"), "spa_bits must be a nonempty string of 0/1, got '0x'"),
+        (1, BasisKet("0", "2"), "spa_bits must be a nonempty string of 0/1, got '2'"),
+        (2, BasisKet("00", "2"),
+         "ket BasisKet(pol_bits='00', spa_bits='2') does not describe 2 photons"),
+        (1, BasisKet("", ""),
+         "ket BasisKet(pol_bits='', spa_bits='') does not describe 1 photons"),
+    ])
+    def test_bad_ket_rejected_naming_the_field(self, n, ket, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            PhotonState(n, {ket: 1.0})
+
+    def test_tuple_key_accepted(self):
+        s = PhotonState(2, {("01", "10"): 1.0})
+        assert s.kets() == [BasisKet("01", "10")]
 
     def test_normalized_unit_norm(self):
         s = PhotonState(1, {BasisKet("0", "0"): 3.0, BasisKet("1", "1"): 4.0})
