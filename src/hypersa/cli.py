@@ -19,8 +19,8 @@ import sys
 
 from .kerr import HomodyneModel, gaussian_error_prob
 from .optics import outcome_json, outcome_tokens
-from .protocols import (DetectionRow, PhotonCountError, RunConfig,
-                        SignatureRow, check_photon_count,
+from .protocols import (DetectionRow, NoiseStats, PhotonCountError,
+                        RunConfig, SignatureRow, check_photon_count,
                         emit_detection_table, emit_signature_table,
                         hgsa_n_analyze, monte_carlo_misclassification,
                         probe_ids, verify_complete)
@@ -138,6 +138,14 @@ def cmd_analyze(args) -> int:
     return EXIT_OK
 
 
+def _print_probe_misreads(stats: NoiseStats, cfg: RunConfig) -> None:
+    """One line per probe: the misread rate drawn against the model's."""
+    expected = gaussian_error_prob(cfg.alpha, cfg.theta)
+    for probe, flips in stats.per_probe_flips.items():
+        print(f"probe {probe}: misread rate {flips / stats.trials:.6f} "
+              f"(gaussian_error_prob {expected:.6f})")
+
+
 def cmd_verify(args) -> int:
     n = _photon_count("verify", args.n)
     cfg = _config(args)
@@ -162,6 +170,7 @@ def cmd_verify(args) -> int:
             print(f"noise: rate={ns.rate:.6f} "
                   f"wilson95=[{ns.wilson_low:.6f}, {ns.wilson_high:.6f}] "
                   f"predicted={ns.predicted:.6f} trials={ns.trials}")
+            _print_probe_misreads(ns, cfg)
         if not report.all_correct:
             for check in report.per_state:
                 if not check.ok:
@@ -258,6 +267,7 @@ def cmd_montecarlo(args) -> int:
               f"wilson95=[{stats.wilson_low:.6f}, {stats.wilson_high:.6f}]")
         print(f"predicted: {stats.predicted:.6f} "
               f"(per-probe {per_probe:.6f} over {2 * (n - 1)} probes)")
+        _print_probe_misreads(stats, cfg)
     return EXIT_OK
 
 

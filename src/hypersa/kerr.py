@@ -188,6 +188,13 @@ def gaussian_error_prob(alpha: float, theta: float) -> float:
     return 0.5 * math.erfc(alpha * (1.0 - math.cos(theta)) / math.sqrt(2.0))
 
 
+def misread(magnitude: int) -> int | None:
+    """What a gaussian misread of ``magnitude`` reports: shifts 0 and
+    +-theta are the confusable pair, so 0 and 1 swap; None for a magnitude
+    that cannot be misread."""
+    return 1 - magnitude if magnitude in (0, 1) else None
+
+
 def _as_generator(seed) -> np.random.Generator | None:
     if seed is None:
         return None
@@ -239,8 +246,9 @@ def homodyne_measure(joint: JointState, probe: str,
         if rng is None:
             raise ValueError("the gaussian readout model requires a seed")
         err = gaussian_error_prob(reg.alpha, reg.theta)
-        if magnitude in (0, 1) and rng.random() < err:
-            reported = 1 - magnitude
+        wrong = misread(magnitude)
+        if wrong is not None and rng.random() < err:
+            reported = wrong
             probability *= err
         else:
             probability *= 1.0 - err

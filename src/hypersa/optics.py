@@ -41,10 +41,6 @@ def apply_bs(state: PhotonState, photon: int) -> PhotonState:
     return apply_gate(state, photon, "S", HADAMARD)
 
 
-def _outcome_key(outcome: DetectorOutcome) -> tuple:
-    return tuple((r.mode, r.pol) for r in outcome.records)
-
-
 def detection_distribution(state: PhotonState) -> list[DetectorOutcome]:
     """Full support of the product-basis measurement, exact probabilities.
 
@@ -52,7 +48,10 @@ def detection_distribution(state: PhotonState) -> list[DetectorOutcome]:
     lexicographically on the per-photon (mode, polarization) records so
     output is stable across runs.
     """
-    items = state.items()
+    # per-photon (spatial, polarization) bits sort as the (mode, pol) records
+    items = sorted(state._amps.items(),
+                   key=lambda item: "".join(map(str.__add__, item[0].spa_bits,
+                                                item[0].pol_bits)))
     total = sum(abs(a) ** 2 for _, a in items)
     if abs(total - 1.0) > NORM_TOL:
         raise ValueError(f"state is not normalized (sum of probabilities {total!r})")
@@ -64,7 +63,6 @@ def detection_distribution(state: PhotonState) -> list[DetectorOutcome]:
     for (pol, spa), amp in items:
         records = tuple(map(dict.__getitem__, table, zip(pol, spa)))
         outcomes.append(DetectorOutcome(records, abs(amp) ** 2))
-    outcomes.sort(key=_outcome_key)
     return outcomes
 
 

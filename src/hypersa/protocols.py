@@ -24,19 +24,22 @@ from __future__ import annotations
 
 import hashlib
 import math
+from collections import Counter
 from dataclasses import dataclass, replace
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .kerr import (HomodyneModel, JointState, ProbeRegister, attach_probes,
-                   gaussian_error_prob, homodyne_measure, parity_gadget)
+                   gaussian_error_prob, homodyne_measure, misread,
+                   parity_gadget)
 from .optics import (DetectorOutcome, apply_bs, apply_wp,
                      detection_distribution, outcome_tokens, sample_outcome)
 from .states import (HyperLabel, PhotonState, all_canonical_labels,
                      canonical_bit_strings, complement, state_from_label)
 
 VERIFY_MAX_PHOTONS = 10  # 4^N enumeration guard
+MC_CHUNK = 1 << 14  # Monte Carlo trials drawn at once; bounds its arrays
 
 
 class PhotonCountError(ValueError):
@@ -243,13 +246,15 @@ class NoiseStats:
     wilson_high: float
     predicted: float
     per_state: dict[str, tuple[int, int]]  # literal -> (trials, errors)
+    per_probe_flips: dict[str, int]  # probe id -> misreads drawn
 
     def to_json_dict(self) -> dict:
         return {"trials": self.trials, "errors": self.errors, "rate": self.rate,
                 "wilson_low": self.wilson_low, "wilson_high": self.wilson_high,
                 "predicted": self.predicted,
                 "per_state": {k: {"trials": t, "errors": e}
-                              for k, (t, e) in self.per_state.items()}}
+                              for k, (t, e) in self.per_state.items()},
+                "per_probe_flips": self.per_probe_flips}
 
 
 @dataclass(frozen=True)
@@ -295,30 +300,70 @@ def predicted_error_rate(n: int, cfg: RunConfig) -> float:
     return 1.0 - (1.0 - p) ** (2 * (n - 1))
 
 
+def _misread_label(label: HyperLabel, readouts: Sequence[ProbeReadout],
+                   pattern: Sequence[bool]) -> HyperLabel:
+    """The label the analyser decodes when exactly the probes flagged in
+    ``pattern`` (one flag per readout) misread: ``label``'s signs, with the
+    bits of the reported magnitudes."""
+    reported = [r._replace(magnitude=misread(r.magnitude)) if flip else r
+                for r, flip in zip(readouts, pattern)]
+    p_bits, s_bits = _decode_bits(reported)
+    return label._replace(p_bits=p_bits, s_bits=s_bits)
+
+
 def monte_carlo_misclassification(n: int, cfg: RunConfig) -> NoiseStats:
-    """Sample cfg.trials full pipeline runs on uniformly drawn canonical
-    inputs and tally wrong labels, with a Wilson 95% interval and the
-    analytic prediction for comparison."""
+    """Analyse cfg.trials uniformly drawn canonical inputs under cfg.model
+    and tally wrong labels, with a Wilson 95% interval, the analytic
+    prediction and the misreads drawn per probe.
+
+    A trial differs from the ideal analysis of its input only in which
+    probes misread: every readout is a point mass, and every detector branch
+    decodes to the same signs (what :func:`verify_complete` proves).  So
+    each drawn input is analysed once under the ideal readout, and each
+    distinct misread pattern of it is decoded once per chunk.  Inputs and
+    misreads are drawn from two named streams in chunks of ``MC_CHUNK`` trials;
+    chunked draws equal one draw of every trial, so the result does not
+    depend on the chunk size and memory does not grow with the trial count.
+    """
     labels = all_canonical_labels(n)
-    states = [state_from_label(lab) for lab in labels]
-    master = stream(cfg.seed, "montecarlo")
-    picks = master.integers(0, len(labels), size=cfg.trials)
-    trial_seeds = master.integers(0, 2 ** 63 - 1, size=cfg.trials)
-    per: dict[str, list[int]] = {lab.literal(): [0, 0] for lab in labels}
-    errors = 0
-    for t in range(cfg.trials):
-        lab = labels[picks[t]]
-        got, _ = hgsa_n_analyze(n, states[picks[t]],
-                                replace(cfg, seed=int(trial_seeds[t])))
-        bad = got != lab
-        errors += bad
-        cell = per[lab.literal()]
-        cell[0] += 1
-        cell[1] += bad
+    probes = probe_ids(n)
+    err = (gaussian_error_prob(cfg.alpha, cfg.theta)
+           if cfg.model is HomodyneModel.GAUSSIAN else 0.0)
+    ideal = replace(cfg, model=HomodyneModel.IDEAL)
+
+    def analyse(pick: int) -> tuple[HyperLabel, tuple[ProbeReadout, ...]]:
+        label, transcript = hgsa_n_analyze(n, state_from_label(labels[pick]), ideal)
+        readouts = transcript.probe_readouts
+        if any(r.classes != 1 or misread(r.magnitude) is None for r in readouts):
+            raise ValueError(f"{labels[pick].literal()}: a readout is not a point "
+                             f"mass at magnitude 0 or 1, so its trials cannot "
+                             f"share one analysis: {readouts}")
+        return label, readouts
+
+    pick_rng = stream(cfg.seed, "montecarlo:inputs")
+    flip_rng = stream(cfg.seed, "montecarlo:misreads")
+    analysed: dict[int, tuple[HyperLabel, tuple[ProbeReadout, ...]]] = {}
+    trials_per = [0] * len(labels)
+    errors_per = [0] * len(labels)
+    flips_per = [0] * len(probes)
+    for start in range(0, cfg.trials, MC_CHUNK):
+        size = min(MC_CHUNK, cfg.trials - start)
+        picks = pick_rng.integers(0, len(labels), size=size).tolist()
+        flips = (flip_rng.random((size, len(probes))) < err).tolist()
+        for (pick, pattern), count in Counter(zip(picks, map(tuple, flips))).items():
+            if pick not in analysed:
+                analysed[pick] = analyse(pick)
+            trials_per[pick] += count
+            if _misread_label(*analysed[pick], pattern) != labels[pick]:
+                errors_per[pick] += count
+            flips_per = [f + count * flip for f, flip in zip(flips_per, pattern)]
+    errors = sum(errors_per)
     low, high = wilson_interval(errors, cfg.trials)
     return NoiseStats(cfg.trials, errors, errors / cfg.trials, low, high,
                       predicted_error_rate(n, cfg),
-                      {k: (t, e) for k, (t, e) in per.items()})
+                      {lab.literal(): (t, e) for lab, t, e in
+                       zip(labels, trials_per, errors_per)},
+                      dict(zip(probes, flips_per)))
 
 
 def verify_complete(n: int, cfg: RunConfig | None = None) -> VerificationReport:

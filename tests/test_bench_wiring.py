@@ -48,6 +48,7 @@ def bench_run(monkeypatch):
 @pytest.mark.parametrize("workload, argv", [
     ("verify", ("verify", "--n", "2")),
     ("montecarlo", ("montecarlo", "--n", "2", "--model", "gaussian", "--trials", "20")),
+    ("analyze", ("analyze", "P:+00;S:-01", "--format", "json")),
 ])
 def test_workload_spans_fire(bench_run, workload, argv):
     # a fast path that bypasses a traced function (apply_gate, stream, ...)

@@ -136,6 +136,22 @@ class TestMonteCarlo:
         jsonschema.validate(doc, schema("montecarlo.schema.json"))
         assert doc["trials"] == 400
 
+    def test_text_output_lists_each_probe(self, capsys):
+        code, out, _ = run(capsys, "montecarlo", "--n", "3", *self.ARGS[3:])
+        assert code == 0
+        lines = [line for line in out.splitlines() if line.startswith("probe ")]
+        assert [line.split(":")[0] for line in lines] == [
+            "probe alpha1", "probe alpha2", "probe beta1", "probe beta2"]
+        assert all("misread rate" in line and "gaussian_error_prob 0.115847" in line
+                   for line in lines)
+
+    def test_gaussian_verify_json_validates(self, capsys):
+        code, out, _ = run(capsys, "verify", *self.ARGS[1:], "--format", "json")
+        assert code == 0
+        doc = json.loads(out)
+        jsonschema.validate(doc, schema("report.schema.json"))
+        assert sum(doc["noise"]["per_probe_flips"].values()) >= doc["noise"]["errors"]
+
     def test_requires_gaussian_model(self, capsys):
         code, _, err = run(capsys, "montecarlo", "--n", "2", "--trials", "10")
         assert code == 2

@@ -6,7 +6,7 @@ import pytest
 from hypersa.kerr import (HomodyneModel, JointState, ProbeRegister,
                           attach_probes, gaussian_error_prob,
                           homodyne_measure, kerr_interact,
-                          magnitude_distribution, parity_gadget)
+                          magnitude_distribution, misread, parity_gadget)
 from hypersa.states import (BasisKet, PhotonState, bell_state,
                             equal_up_to_global_phase, ghz_state,
                             hyper_product)
@@ -201,6 +201,10 @@ class TestGaussianModel:
     def test_non_finite_inputs_rejected(self, alpha, theta, field):
         with pytest.raises(ValueError, match=field):
             gaussian_error_prob(alpha, theta)
+
+    @pytest.mark.parametrize("magnitude, reported", [(0, 1), (1, 0), (2, None)])
+    def test_misread_swaps_zero_and_one(self, magnitude, reported):
+        assert misread(magnitude) == reported
 
     def test_misreads_flip_report_not_collapse(self):
         # weak separation: err close to 0.5, reports flip but state survives

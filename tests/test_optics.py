@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 from hypersa.optics import (DetectorOutcome, PhotonRecord, apply_bs,
@@ -157,3 +158,17 @@ class TestRendering:
     def test_json_form(self):
         outcome = DetectorOutcome((PhotonRecord(0, 1, "H"),), 1.0)
         assert outcome_json(outcome) == [{"photon": "A", "mode": 1, "pol": "H"}]
+
+
+def _record_order_key(outcome):
+    # the order detection_distribution promises: per photon (mode, pol)
+    return tuple((r.mode, r.pol) for r in outcome.records)
+
+
+class TestDetectionOrder:
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 4), seed=st.integers(0, 2 ** 32 - 1))
+    def test_outcomes_sorted_by_per_photon_records(self, n, seed):
+        outcomes = detection_distribution(random_state(n, np.random.default_rng(seed)))
+        assert len(outcomes) == 4 ** n
+        assert outcomes == sorted(outcomes, key=_record_order_key)

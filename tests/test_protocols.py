@@ -1,8 +1,12 @@
+import itertools
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hypersa.kerr import HomodyneModel, ProbeRegister, attach_probes
+from hypersa.kerr import (HomodyneModel, ProbeRegister, attach_probes,
+                          gaussian_error_prob)
 from hypersa.optics import (DetectorOutcome, PhotonRecord,
                             detection_distribution, outcome_tokens)
 from hypersa import cli, protocols
@@ -266,6 +270,82 @@ class TestNoiseStudy:
         assert low < 0.5 < high
         assert wilson_interval(0, 100)[0] == 0.0
         assert wilson_interval(100, 100)[1] == pytest.approx(1.0, abs=1e-12)
+
+
+class ScriptedStream(np.random.Generator):
+    """A generator whose ``random()`` returns one scripted value."""
+
+    def __init__(self, value):
+        super().__init__(np.random.PCG64(0))
+        self.value = value
+
+    def random(self, *args, **kwargs):
+        return self.value
+
+
+GAUSSIAN_CFG = RunConfig(theta=0.2, alpha=40.0, model=HomodyneModel.GAUSSIAN,
+                         trials=3000, seed=23)
+
+
+class TestBatchedNoiseStudy:
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_pattern_decode_matches_the_per_trial_pipeline(self, n, monkeypatch):
+        # every input and every misread pattern, run through the gaussian
+        # pipeline with each probe's draw scripted below or above err
+        err = gaussian_error_prob(GAUSSIAN_CFG.alpha, GAUSSIAN_CFG.theta)
+        ideal = replace(GAUSSIAN_CFG, model=HomodyneModel.IDEAL)
+        misreading: set[str] = set()
+        real_stream = protocols.stream
+
+        def scripted(seed, name):
+            kind, _, probe = name.partition(":")
+            if kind != "probe":
+                return real_stream(seed, name)
+            return ScriptedStream(err / 2 if probe in misreading else (1 + err) / 2)
+
+        monkeypatch.setattr(protocols, "stream", scripted)
+        pids = probe_ids(n)
+        for label in all_canonical_labels(n):
+            state = state_from_label(label)
+            ideal_label, transcript = hgsa_n_analyze(n, state, ideal)
+            for pattern in itertools.product((False, True), repeat=len(pids)):
+                misreading.clear()
+                misreading.update(p for p, flip in zip(pids, pattern) if flip)
+                got, _ = hgsa_n_analyze(n, state, GAUSSIAN_CFG)
+                assert got == protocols._misread_label(
+                    ideal_label, transcript.probe_readouts, pattern)
+                assert (got != label) == any(pattern)
+
+    def test_result_does_not_depend_on_the_chunk_size(self, monkeypatch):
+        cfg = replace(GAUSSIAN_CFG, trials=250)  # not a multiple of 7
+        default = monte_carlo_misclassification(3, cfg)
+        monkeypatch.setattr(protocols, "MC_CHUNK", 7)
+        assert monte_carlo_misclassification(3, cfg) == default
+
+    @pytest.mark.parametrize("alpha", [40.0, 1e6])
+    def test_flip_counts_are_the_misreads_drawn(self, alpha):
+        cfg = replace(GAUSSIAN_CFG, alpha=alpha)
+        stats = monte_carlo_misclassification(3, cfg)
+        err = gaussian_error_prob(cfg.alpha, cfg.theta)
+        flips = stream(cfg.seed, "montecarlo:misreads").random((cfg.trials, 4)) < err
+        assert stats.per_probe_flips == dict(zip(probe_ids(3),
+                                                 flips.sum(axis=0).tolist()))
+        assert sum(stats.per_probe_flips.values()) == flips.sum()
+        assert stats.errors == flips.any(axis=1).sum()
+        if alpha == 1e6:
+            assert set(stats.per_probe_flips.values()) == {0}
+
+    def test_readout_not_a_point_mass_is_refused(self, monkeypatch):
+        real = protocols.hgsa_n_analyze
+
+        def two_classes(*args):
+            label, transcript = real(*args)
+            readouts = tuple(r._replace(classes=2) for r in transcript.probe_readouts)
+            return label, replace(transcript, probe_readouts=readouts)
+
+        monkeypatch.setattr(protocols, "hgsa_n_analyze", two_classes)
+        with pytest.raises(ValueError, match="not a point mass"):
+            monte_carlo_misclassification(2, GAUSSIAN_CFG)
 
 
 class TestPlumbing:
