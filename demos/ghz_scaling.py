@@ -4,7 +4,8 @@ For N photons there are 4^N hyperentangled GHZ-class inputs.  The QND stage
 can only ever produce 4^(N-1) distinct probe signatures, so completeness
 hinges on the detector parities separating the four states inside every
 signature group.  This script verifies the whole map by enumeration,
-walking every detector branch symbolically, and reports the group counts.
+walking every detector branch symbolically one degree of freedom at a time,
+and reports the group counts.
 
 Run:  python demos/ghz_scaling.py
 """
@@ -20,7 +21,7 @@ for n in (2, 3, 4, 5):
     branches = sum(check.branches for check in report.per_state)
     print(f"n={n}: {report.correct}/{report.total_states} correct, "
           f"{report.group_count} signature groups "
-          f"(expected {4 ** (n - 1)}), {branches} detector branches walked, "
+          f"(expected {4 ** (n - 1)}), {branches} detector branches covered, "
           f"{elapsed:.2f}s")
 
 # Each group holds exactly four states: same bits, the four sign pairs.

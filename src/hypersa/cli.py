@@ -174,7 +174,8 @@ def cmd_verify(args) -> int:
         if not report.all_correct:
             for check in report.per_state:
                 if not check.ok:
-                    print(f"FAIL {check.label} signature={check.signature}")
+                    print(f"FAIL {check.label} signature={check.signature} "
+                          f"broken={check.broken}")
     return EXIT_OK if report.all_correct else 1
 
 

@@ -18,6 +18,15 @@ detector parities separate each group, so the map from input to readout is a
 bijection.  ``verify_complete`` checks that claim by enumeration: it runs the
 analyser's own steps 1-3 (:func:`pre_detection`) and walks every detector
 branch symbolically where the analyser samples one.
+
+It does so one degree of freedom at a time.  No stage couples the two DOFs:
+the wave plates and the alpha gadgets act on polarization only, the beam
+splitters and the beta gadgets on spatial mode only, and
+:func:`decode_signs` reads the polarization sign from the V count and the
+spatial sign from the path-2 count.  So a P-GHZ x S-GHZ input is
+classified correctly iff its polarization half and its spatial half are,
+and 2^N runs, each carrying one polarization and one spatial half, cover
+all 4^N inputs.
 """
 
 from __future__ import annotations
@@ -227,12 +236,66 @@ def hbsa_analyze(state: PhotonState, cfg: RunConfig) -> tuple[HyperLabel, Transc
 
 class StateCheck(NamedTuple):
     """Per-input verification record: the decoded signature, how many
-    detector branches were walked, and whether every branch decoded right."""
+    detector branches the input has, whether every branch decoded right and,
+    if not, the first invariant of :data:`_INVARIANTS` that broke."""
 
     label: str
     signature: tuple[int, ...]
     branches: int
     ok: bool
+    broken: str = ""
+
+
+#: What a verified input must satisfy, in the order a failure is named: the
+#: detector support is a P x S product, each DOF's readouts are point
+#: masses, decode to its bits, and every branch decodes to its sign.
+_INVARIANTS = ("product support", "P readout", "S readout", "P bits", "S bits",
+               "P signs", "S signs")
+
+
+class _DofCheck(NamedTuple):
+    """One DOF's half of a verifier run: its probe magnitudes, how many
+    distinct detector strings it shows, and the invariants that broke."""
+
+    magnitudes: tuple[int, ...]
+    support: int
+    broken: frozenset[str]
+
+
+def _partner(sign: str, bits: str) -> tuple[str, str]:
+    """The spatial label that runs beside polarization label (sign, bits):
+    the other sign and, after the leading 0, every bit complemented.  A
+    bijection on canonical labels, and the two halves never agree in sign
+    or in a non-leading bit, so a stage that reads the wrong DOF fails."""
+    return "-" if sign == "+" else "+", "0" + complement(bits[1:])
+
+
+def _check_pair(p_sign: str, p_bits: str,
+                cfg: RunConfig) -> tuple[_DofCheck, _DofCheck]:
+    """Run polarization label (p_sign, p_bits) beside its spatial partner
+    through the analyser's stages, walk every detector branch, and check
+    each DOF's half."""
+    s_sign, s_bits = _partner(p_sign, p_bits)
+    state = state_from_label(HyperLabel(p_sign, p_bits, s_sign, s_bits))
+    rotated, readouts = pre_detection(state, cfg)
+    branches = detection_distribution(rotated)
+    signs = [decode_signs(o) for o in branches]
+    supports = (len({tuple(r.pol for r in o.records) for o in branches}),
+                len({tuple(r.mode for r in o.records) for o in branches}))
+    product = len(branches) == supports[0] * supports[1]
+    decoded = _decode_bits(readouts)
+    half = len(readouts) // 2
+    checks = []
+    for i, (dof, reads, bits, sign) in enumerate(
+            (("P", readouts[:half], p_bits, p_sign),
+             ("S", readouts[half:], s_bits, s_sign))):
+        broken = {"product support": not product,
+                  f"{dof} readout": any(r.classes != 1 for r in reads),
+                  f"{dof} bits": decoded[i] != bits,
+                  f"{dof} signs": any(s[i] != sign for s in signs)}
+        checks.append(_DofCheck(tuple(r.magnitude for r in reads), supports[i],
+                                frozenset(k for k, bad in broken.items() if bad)))
+    return checks[0], checks[1]
 
 
 @dataclass(frozen=True)
@@ -372,26 +435,37 @@ def verify_complete(n: int, cfg: RunConfig | None = None) -> VerificationReport:
     report the QND group partition.
 
     An input is correct when every probe readout was a point mass, the
-    readouts decode to its bits and every branch decodes to its signs.  The
-    exhaustive pass always uses the ideal readout; with
-    ``cfg.model == gaussian`` a sampled noise study is attached on top.
-    Guarded to n <= 10 because the enumeration grows as 16^n.
+    readouts decode to its bits and every branch decodes to its signs.
+    Those checks split by degree of freedom (see the module notes), so the
+    analyser runs 2^n times, once per polarization label beside its
+    spatial :func:`_partner`, and each run also checks that its detector
+    support is the product of the polarization and spatial supports.  The
+    4^n records are then assembled from the halves, in
+    :func:`all_canonical_labels` order: the signature is the polarization
+    magnitudes then the spatial ones, ``branches`` the product of the two
+    supports (the branches a joint run of that input would walk), and a
+    failure names the first broken invariant.  The exhaustive pass always
+    uses the ideal readout; with ``cfg.model == gaussian`` a sampled noise
+    study is attached on top.
     """
     check_photon_count(n, "verification")
     if cfg is None:
         cfg = RunConfig()
     ideal = replace(cfg, model=HomodyneModel.IDEAL)
+    p_checks: dict[tuple[str, str], _DofCheck] = {}
+    s_checks: dict[tuple[str, str], _DofCheck] = {}
+    for bits in canonical_bit_strings(n):
+        for sign in "+-":
+            p_checks[sign, bits], s_checks[_partner(sign, bits)] = \
+                _check_pair(sign, bits, ideal)
     per_state = []
     for label in all_canonical_labels(n):
-        rotated, readouts = pre_detection(state_from_label(label), ideal)
-        branches = detection_distribution(rotated)
-        signs = (label.p_sign, label.s_sign)
-        ok = (all(r.classes == 1 for r in readouts)
-              and _decode_bits(readouts) == (label.p_bits, label.s_bits)
-              and all(decode_signs(o) == signs for o in branches))
-        per_state.append(StateCheck(label.literal(),
-                                    tuple(r.magnitude for r in readouts),
-                                    len(branches), ok))
+        p = p_checks[label.p_sign, label.p_bits]
+        s = s_checks[label.s_sign, label.s_bits]
+        broken = next((name for name in _INVARIANTS
+                       if name in p.broken or name in s.broken), "")
+        per_state.append(StateCheck(label.literal(), p.magnitudes + s.magnitudes,
+                                    p.support * s.support, not broken, broken))
     noise = (monte_carlo_misclassification(n, cfg)
              if cfg.model is HomodyneModel.GAUSSIAN else None)
     return VerificationReport(n, 4 ** n, sum(c.ok for c in per_state),

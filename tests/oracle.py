@@ -3,15 +3,22 @@
 Every photon contributes two qubit slots: slot i is photon i's polarization
 bit, slot n_photons + i its spatial bit.  A state maps to a dense vector of
 dimension 4^N indexed by int(pol_bits + spa_bits, 2); gates become explicit
-Kronecker products applied by matrix-vector multiplication.  Nothing here
-shares code with the sparse path.
+Kronecker products applied by matrix-vector multiplication.  Nothing in
+that oracle shares code with the sparse path.
+
+:func:`joint_verify` is the other reference here: the exhaustive verifier's
+joint walk over all 4^N inputs, which the per-DOF verifier replaced.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from hypersa.states import BasisKet, PhotonState
+from hypersa.optics import detection_distribution
+from hypersa.protocols import (RunConfig, StateCheck, _decode_bits,
+                               decode_signs, pre_detection)
+from hypersa.states import (BasisKet, PhotonState, all_canonical_labels,
+                            state_from_label)
 
 
 def dense_vector(state: PhotonState) -> np.ndarray:
@@ -72,3 +79,23 @@ def assert_matches_dense(state: PhotonState, vec: np.ndarray, tol: float = 1e-10
     got = dense_vector(state)
     err = np.max(np.abs(got - vec))
     assert err <= tol, f"sparse state deviates from dense oracle by {err}"
+
+
+def joint_verify(n: int) -> list[StateCheck]:
+    """Every canonical input through the analyser's pre-detection stage
+    under the ideal readout, every detector branch walked: correct when each
+    readout is a point mass, the readouts decode to the input's bits and
+    every branch decodes to its signs."""
+    ideal = RunConfig()
+    per_state = []
+    for label in all_canonical_labels(n):
+        rotated, readouts = pre_detection(state_from_label(label), ideal)
+        branches = detection_distribution(rotated)
+        signs = (label.p_sign, label.s_sign)
+        ok = (all(r.classes == 1 for r in readouts)
+              and _decode_bits(readouts) == (label.p_bits, label.s_bits)
+              and all(decode_signs(o) == signs for o in branches))
+        per_state.append(StateCheck(label.literal(),
+                                    tuple(r.magnitude for r in readouts),
+                                    len(branches), ok))
+    return per_state

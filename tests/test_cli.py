@@ -4,7 +4,7 @@ from importlib import resources
 import jsonschema
 import pytest
 
-from hypersa import cli
+from hypersa import cli, protocols
 
 
 def run(capsys, *argv):
@@ -91,6 +91,17 @@ class TestVerify:
         assert lines[0] == "state,alpha1,beta1,branches,ok"
         assert len(lines) == 17
         assert all(line.endswith(",4,1") for line in lines[1:])
+
+
+    def test_text_failure_names_the_broken_invariant(self, capsys, monkeypatch):
+        real = protocols.decode_signs
+        monkeypatch.setattr(protocols, "decode_signs",
+                            lambda outcome: (real(outcome)[0],) * 2)
+        code, out, _ = run(capsys, "verify", "--n", "2")
+        fails = [line for line in out.splitlines() if line.startswith("FAIL ")]
+        assert code == 1 and len(fails) == 16
+        assert fails[0] == "FAIL P:+00;S:+00 signature=(0, 0) broken=S signs"
+        assert all(line.endswith(" broken=S signs") for line in fails)
 
 
 class TestTables:

@@ -1,4 +1,5 @@
 import itertools
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -16,11 +17,13 @@ from hypersa.protocols import (RunConfig, decode_signs,
                                predicted_error_rate, probe_ids,
                                run_parity_stage, sign_basis_transform, stream,
                                verify_complete, wilson_interval)
-from hypersa.states import (HyperLabel, all_canonical_labels, bell_state,
-                            ghz_state, hyper_product, state_from_label)
+from hypersa.states import (BasisKet, HyperLabel, PhotonState,
+                            all_canonical_labels, bell_state,
+                            canonical_bit_strings, ghz_state, hyper_product,
+                            state_from_label)
 
 from oracle import (assert_matches_dense, dense_vector, hadamard_everywhere,
-                    random_state)
+                    joint_verify, random_state)
 
 BELL = ("phi+", "phi-", "psi+", "psi-")
 
@@ -228,6 +231,14 @@ class TestCompleteness:
         assert verify_complete(3).correct < 64
         assert cli.main(["verify", "--n", "3"]) == 1
 
+    def test_verify_six_photons_within_budget(self):
+        start = time.perf_counter()
+        report = verify_complete(6)
+        elapsed = time.perf_counter() - start
+        assert (report.total_states, report.correct) == (4096, 4096)
+        assert report.group_count == 1024
+        assert elapsed < 20.0, f"verify_complete(6) took {elapsed:.2f}s, budget 20s"
+
     def test_verify_guard(self):
         with pytest.raises(ValueError, match="2 <= n <= 10"):
             verify_complete(1, RunConfig())
@@ -243,6 +254,78 @@ class TestCompleteness:
         assert report.noise.trials == 200
         doc = report.to_json_dict()
         assert "noise" in doc and doc["noise"]["trials"] == 200
+
+
+class TestPerDofVerifier:
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_matches_the_joint_walk(self, n):
+        report = verify_complete(n)
+        # label, signature, branches, ok
+        assert [c[:4] for c in report.per_state] == [c[:4] for c in joint_verify(n)]
+        assert all(c.broken == "" for c in report.per_state)
+
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_partner_is_a_bijection_that_differs_in_every_free_bit(self, n):
+        halves = [(sign, bits) for bits in canonical_bit_strings(n) for sign in "+-"]
+        partners = [protocols._partner(sign, bits) for sign, bits in halves]
+        assert sorted(partners) == sorted(halves)
+        for (sign, bits), (p_sign, p_bits) in zip(halves, partners):
+            assert sign != p_sign and p_bits[0] == "0"
+            assert all(a != b for a, b in zip(bits[1:], p_bits[1:]))
+
+    @staticmethod
+    def failures(report):
+        assert report.correct < 64
+        return {c.broken for c in report.per_state if not c.ok}
+
+    def test_spatial_gadget_reading_polarization_breaks_s_bits(self, monkeypatch):
+        real = protocols.parity_gadget
+
+        def reads_polarization(joint, probe, ref, other, dof):
+            return real(joint, probe, ref, other, "P")
+
+        monkeypatch.setattr(protocols, "parity_gadget", reads_polarization)
+        report = verify_complete(3)
+        assert self.failures(report) == {"S bits"}
+        assert report.correct == 0  # the partner differs in every free bit
+
+    def test_spatial_sign_from_the_v_count_breaks_s_signs(self, monkeypatch):
+        real = protocols.decode_signs
+        monkeypatch.setattr(protocols, "decode_signs",
+                            lambda outcome: (real(outcome)[0],) * 2)
+        report = verify_complete(3)
+        assert self.failures(report) == {"S signs"}
+        assert report.correct == 0  # the partner always has the other sign
+
+    def test_rotation_coupling_the_dofs_breaks_product_support(self, monkeypatch):
+        real = protocols.sign_basis_transform
+
+        def coupled(state):
+            # after the rotation, photon 0's path flips wherever it is V
+            return PhotonState(state.n_photons, {
+                BasisKet(pol, spa if pol[0] == "0" else "10"[int(spa[0])] + spa[1:]): amp
+                for (pol, spa), amp in real(state).items()})
+
+        monkeypatch.setattr(protocols, "sign_basis_transform", coupled)
+        report = verify_complete(3)
+        assert self.failures(report) == {"product support"}
+
+
+@st.composite
+def canonical_label(draw):
+    n = draw(st.integers(2, 8))
+    bits = st.text("01", min_size=n - 1, max_size=n - 1).map("0".__add__)
+    return HyperLabel(draw(st.sampled_from("+-")), draw(bits),
+                      draw(st.sampled_from("+-")), draw(bits))
+
+
+class TestAnalyseDecodes:
+    @settings(max_examples=25, deadline=None)
+    @given(label=canonical_label(), seed=st.integers(0, 2 ** 32 - 1))
+    def test_analyse_then_decode_is_the_identity(self, label, seed):
+        n = label.n_photons
+        decoded, _ = hgsa_n_analyze(n, state_from_label(label), RunConfig(seed=seed))
+        assert decoded == label
 
 
 class TestNoiseStudy:
