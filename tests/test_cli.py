@@ -92,7 +92,6 @@ class TestVerify:
         assert len(lines) == 17
         assert all(line.endswith(",4,1") for line in lines[1:])
 
-
     def test_text_failure_names_the_broken_invariant(self, capsys, monkeypatch):
         real = protocols.decode_signs
         monkeypatch.setattr(protocols, "decode_signs",
