@@ -6,6 +6,10 @@ run is misclassified when any of its 2(N-1) probes misreads, so the
 aggregate error should follow 1-(1-p)^(2(N-1)) and fall as alpha grows.
 This script prints observed vs predicted rates as CSV for plotting.
 
+Each row runs on its own seed.  With one seed shared, every row would
+compare the same uniforms against its own error probability, so the rows
+would err high or low together instead of scattering independently.
+
 Run:  python demos/noise_sweep.py
 """
 
@@ -17,9 +21,9 @@ THETA = 0.2
 TRIALS = 4000
 
 print("alpha,per_probe_error,predicted,observed,wilson_low,wilson_high")
-for alpha in (10.0, 20.0, 40.0, 80.0, 120.0, 160.0):
+for row, alpha in enumerate((10.0, 20.0, 40.0, 80.0, 120.0, 160.0)):
     cfg = RunConfig(theta=THETA, alpha=alpha,
-                    model=HomodyneModel.GAUSSIAN, trials=TRIALS, seed=11)
+                    model=HomodyneModel.GAUSSIAN, trials=TRIALS, seed=11 + row)
     stats = monte_carlo_misclassification(N, cfg)
     per_probe = gaussian_error_prob(alpha, THETA)
     print(f"{alpha:g},{per_probe:.6f},{stats.predicted:.6f},"

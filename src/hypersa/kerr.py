@@ -22,8 +22,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping, NamedTuple, Sequence
 
-import numpy as np
-
+from .rng import Seed, as_generator
 from .states import Dof, PRUNE_EPS, BasisKet, PhotonState, _check_dof
 
 
@@ -195,17 +194,9 @@ def misread(magnitude: int) -> int | None:
     return 1 - magnitude if magnitude in (0, 1) else None
 
 
-def _as_generator(seed) -> np.random.Generator | None:
-    if seed is None:
-        return None
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
-
-
 def homodyne_measure(joint: JointState, probe: str,
                      model: HomodyneModel | str = HomodyneModel.IDEAL,
-                     seed: int | np.random.Generator | None = None) -> HomodyneResult:
+                     seed: Seed | None = None) -> HomodyneResult:
     """Measure one probe's X quadrature and detach it.
 
     Branches are grouped by the magnitude of the probe's phase multiple; one
@@ -223,7 +214,7 @@ def homodyne_measure(joint: JointState, probe: str,
     idx = joint.probe_index(probe)
     reg = joint.probes[idx]
     classes = magnitude_distribution(joint, probe)
-    rng = _as_generator(seed)
+    rng = as_generator(seed)
 
     if len(classes) == 1:
         magnitude, weight = next(iter(classes.items()))

@@ -9,8 +9,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-import numpy as np
-
+from .rng import Seed, as_generator
 from .states import HADAMARD, NORM_TOL, PhotonState, apply_gate
 
 
@@ -66,14 +65,15 @@ def detection_distribution(state: PhotonState) -> list[DetectorOutcome]:
     return outcomes
 
 
-def sample_outcome(state: PhotonState,
-                   seed: int | np.random.Generator) -> DetectorOutcome:
+def sample_outcome(state: PhotonState, seed: Seed) -> DetectorOutcome:
     """Draw one detection event; reproducible for a given seed.
 
-    Accepts an integer seed or an existing Generator (so callers can thread
-    one stream through many draws).
+    Accepts an integer seed or an existing generator or stream (so callers
+    can thread one stream through many draws).
     """
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = as_generator(seed)
+    if rng is None:
+        raise ValueError("a seed is required to sample a detection event")
     dist = detection_distribution(state)
     u = rng.random()
     acc = 0.0

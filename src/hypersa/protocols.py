@@ -37,13 +37,12 @@ from collections import Counter
 from dataclasses import dataclass, replace
 from typing import NamedTuple, Sequence
 
-import numpy as np
-
 from .kerr import (HomodyneModel, JointState, ProbeRegister, attach_probes,
                    gaussian_error_prob, homodyne_measure, misread,
                    parity_gadget)
 from .optics import (DetectorOutcome, apply_bs, apply_wp,
                      detection_distribution, outcome_tokens, sample_outcome)
+from .rng import Stream
 from .states import (HyperLabel, PhotonState, all_canonical_labels,
                      canonical_bit_strings, complement, state_from_label)
 
@@ -64,12 +63,14 @@ def check_photon_count(n: int, what: str) -> int:
     return n
 
 
-def stream(seed: int, name: str) -> np.random.Generator:
+def stream(seed: int, name: str) -> Stream:
     """Named child generator: all randomness flows from one seed, split by
-    purpose ("probe:alpha1", "detection", ...) so streams never collide."""
+    purpose ("probe:alpha1", "detection", ...) so streams never collide.
+    The generator is built on its first draw, so a point-mass readout,
+    which draws nothing, costs no generator."""
     digest = hashlib.sha256(name.encode("utf-8")).digest()
-    key = tuple(int.from_bytes(digest[i:i + 4], "little") for i in range(0, 16, 4))
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=key))
+    return Stream(seed, tuple(int.from_bytes(digest[i:i + 4], "little")
+                              for i in range(0, 16, 4)))
 
 
 @dataclass(frozen=True)

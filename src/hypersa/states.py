@@ -15,9 +15,7 @@ construction so float dust never accumulates through gate chains.
 from __future__ import annotations
 
 import math
-from typing import Iterator, Literal, Mapping, NamedTuple
-
-import numpy as np
+from typing import Iterator, Literal, Mapping, NamedTuple, Sequence
 
 Dof = Literal["P", "S"]
 
@@ -30,7 +28,8 @@ NORM_TOL = 1e-10
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
 
 #: Single-qubit Hadamard, used by wave plates (P) and beam splitters (S).
-HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) * _SQRT_HALF
+HADAMARD = ((complex(_SQRT_HALF), complex(_SQRT_HALF)),
+            (complex(_SQRT_HALF), complex(-_SQRT_HALF)))
 
 BELL_KINDS = ("phi+", "phi-", "psi+", "psi-")
 
@@ -303,20 +302,21 @@ def state_from_label(label: HyperLabel) -> PhotonState:
 
 
 def apply_gate(state: PhotonState, photon: int, dof: Dof,
-               gate: np.ndarray) -> PhotonState:
+               gate: Sequence[Sequence[complex]]) -> PhotonState:
     """Apply a 2x2 unitary to one photon's bit in one DOF.
 
-    The gate must be unitary within 1e-10; the new amplitude of a ket with
-    bit b' collects ``gate[b', b]`` times every old amplitude with bit b.
+    The gate is any 2x2 nested sequence of numbers (tuples, lists or an
+    ndarray) and must be unitary within 1e-10; the new amplitude of a ket
+    with bit b' collects ``gate[b', b]`` times every old amplitude with bit b.
     """
     _check_dof(dof)
     if not 0 <= photon < state.n_photons:
         raise ValueError(f"photon index {photon} out of range for "
                          f"{state.n_photons} photons")
-    g = np.asarray(gate, dtype=complex)
-    if g.shape != (2, 2):
-        raise ValueError(f"gate must be 2x2, got shape {g.shape}")
-    (g00, g01), (g10, g11) = g.tolist()
+    try:
+        (g00, g01), (g10, g11) = [[complex(x) for x in row] for row in gate]
+    except (TypeError, ValueError):
+        raise ValueError(f"gate must be 2x2 numbers, got {gate!r}") from None
     # largest entry of |gate @ gate^dagger - 1| (the lower off-diagonal one is
     # the conjugate of the upper); NaN ranks highest and fails the check
     defect = max((abs(g00 * g00.conjugate() + g01 * g01.conjugate() - 1.0),

@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import pytest
 
+import hypersa
 from hypersa import cli, protocols
 
 
@@ -221,3 +226,27 @@ class TestUsage:
         doc = json.loads(out)
         assert code == 0 and doc["correct"] == doc["total"]
         assert doc["groups"] == 16
+
+
+# runs subcommands through cli.main in one fresh interpreter and reports,
+# after each, whether numpy has been imported
+FIRST_DRAW_SCRIPT = """
+import contextlib, io, sys
+from hypersa import cli
+for argv in (["verify", "--n", "3"], ["tables", "--n", "3"], ["analyze", "P:+00;S:-01"]):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert cli.main(argv) == 0, argv
+    print(argv[0], "numpy" in sys.modules)
+"""
+
+
+def test_numpy_is_imported_on_the_first_draw():
+    # verify (ideal readout) and tables draw nothing, so they never load
+    # numpy; analyze samples its detector event, so it must
+    src = str(Path(hypersa.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    done = subprocess.run([sys.executable, "-c", FIRST_DRAW_SCRIPT],
+                          env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == ["verify False", "tables False", "analyze True"]

@@ -142,6 +142,17 @@ class TestHomodyne:
             assert collapsed.amplitude(expected) == pytest.approx(1.0)
         assert hits[0] > 60 and hits[1] > 60
 
+    def test_numpy_integer_seed_equals_int_seed(self):
+        sq = 1 / math.sqrt(2)
+        s = PhotonState(2, {BasisKet("00", "00"): sq, BasisKet("01", "00"): sq})
+        j = parity_gadget(joint_of(s), "alpha1", 0, 1, "P")
+        for seed in range(8):
+            for model in HomodyneModel:
+                a = homodyne_measure(j, "alpha1", model, np.uint32(seed))
+                b = homodyne_measure(j, "alpha1", model, seed)
+                assert (a.magnitude, a.probability) == (b.magnitude, b.probability)
+                assert a.collapsed.items() == b.collapsed.items()
+
     def test_mixed_parity_without_seed_rejected(self):
         sq = 1 / math.sqrt(2)
         s = PhotonState(2, {BasisKet("00", "00"): sq, BasisKet("01", "00"): sq})

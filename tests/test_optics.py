@@ -133,6 +133,15 @@ class TestSampling:
         b = [sample_outcome(t, seed) for seed in range(20)]
         assert a == b
 
+    def test_numpy_integer_seed_equals_int_seed(self):
+        t = transform_all(hyper_product(bell_state("phi+", "P"), bell_state("psi-", "S")))
+        for seed in (0, 9, 2 ** 40):
+            assert sample_outcome(t, np.int64(seed)) == sample_outcome(t, seed)
+
+    def test_sampling_without_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed"):
+            sample_outcome(single("0", "1"), None)
+
     def test_empirical_frequencies_chi_square(self):
         s = hyper_product(bell_state("phi-", "P"), bell_state("psi+", "S"))
         t = transform_all(s)

@@ -1,4 +1,9 @@
+import copy
+import hashlib
 import itertools
+import math
+import pickle
+import statistics
 import time
 from dataclasses import replace
 
@@ -418,6 +423,30 @@ class TestBatchedNoiseStudy:
         if alpha == 1e6:
             assert set(stats.per_probe_flips.values()) == {0}
 
+    @pytest.mark.parametrize("n, seeds", [(2, 100), (3, 40)])
+    def test_rate_is_calibrated_across_seeds(self, n, seeds):
+        # A trial is wrong iff one of its 2(n-1) probes misreads, so at each
+        # seed errors ~ Binomial(T, p) with p = predicted, and
+        # z = (errors - T p) / sqrt(T p q) has mean 0 and variance 1 exactly.
+        # Bounds, fixed from that before the first run, at 4 sigma:
+        # - the mean of K independent z has sd 1/sqrt(K);
+        # - the sample variance s^2 of K draws has variance
+        #   (mu4 - (K-3)/(K-1)) / K, where mu4 = 3 + (1 - 6pq)/(Tpq) is the
+        #   fourth moment of a standardized binomial.
+        # A few trials per seed keep the analyses (the cost) few.
+        cfg = replace(GAUSSIAN_CFG, trials=4)
+        p = predicted_error_rate(n, cfg)
+        tpq = cfg.trials * p * (1 - p)
+        z = []
+        for seed in range(seeds):
+            stats = monte_carlo_misclassification(n, replace(cfg, seed=seed))
+            assert stats.predicted == p
+            z.append((stats.errors - cfg.trials * p) / math.sqrt(tpq))
+        mu4 = 3 + (1 - 6 * p * (1 - p)) / tpq
+        var_s2 = (mu4 - (seeds - 3) / (seeds - 1)) / seeds
+        assert abs(statistics.fmean(z)) <= 4 / math.sqrt(seeds)
+        assert abs(statistics.variance(z) - 1) <= 4 * math.sqrt(var_s2)
+
     def test_readout_not_a_point_mass_is_refused(self, monkeypatch):
         real = protocols.hgsa_n_analyze
 
@@ -438,6 +467,26 @@ class TestPlumbing:
         c = stream(7, "probe:beta1").random(4)
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
+
+    @pytest.mark.parametrize("seed", [0, 7, 2 ** 32 - 1, 2 ** 32, 2 ** 64 + 3])
+    def test_stream_draws_equal_an_eager_generator(self, seed):
+        # the lazy stream must draw what the generator it stands for draws
+        name = "montecarlo:inputs"
+        digest = hashlib.sha256(name.encode("utf-8")).digest()
+        key = tuple(int.from_bytes(digest[i:i + 4], "little") for i in range(0, 16, 4))
+        eager = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=key))
+        lazy = stream(seed, name)
+        assert lazy.random() == eager.random()
+        assert np.array_equal(lazy.integers(0, 64, size=50), eager.integers(0, 64, size=50))
+        assert np.array_equal(lazy.random((3, 4)), eager.random((3, 4)))
+
+    def test_stream_copies_and_pickles_unbuilt(self):
+        original = stream(7, "detection")
+        for clone in (copy.copy(original), copy.deepcopy(original),
+                      pickle.loads(pickle.dumps(original))):
+            assert clone._rng is None
+            assert np.array_equal(clone.random(3), stream(7, "detection").random(3))
+        assert original._rng is None
 
     def test_runconfig_validation(self):
         for field, value in (("trials", 0), ("theta", 0.0), ("theta", 2.0),

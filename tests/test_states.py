@@ -18,6 +18,8 @@ from oracle import (dense_vector, gate_operator, random_state,
 SQ = 1 / math.sqrt(2)
 BELL = ("phi+", "phi-", "psi+", "psi-")
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
+# the Hadamard as an ndarray, built the way the package built it with numpy
+H_ARRAY = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) * (1.0 / math.sqrt(2.0))
 
 
 class TestBellStates:
@@ -191,6 +193,23 @@ class TestApplyGate:
     def test_bad_photon_index_rejected(self):
         with pytest.raises(ValueError, match="out of range"):
             apply_gate(bell_state("phi+", "P"), 2, "P", PAULI_X)
+
+    @pytest.mark.parametrize("gate", [
+        np.eye(3), [[1, 0, 0], [0, 1, 0], [0, 0, 1]], [1, 0], np.array([1, 0]),
+        [[1, 0], [0]], [["a", "b"], ["c", "d"]], [[None, 0], [0, 1]],
+        np.ones((2, 2, 1)),
+    ], ids=["3x3-array", "3x3-list", "1-d-list", "1-d-array", "ragged",
+            "strings", "none", "2x2x1"])
+    def test_malformed_gate_rejected(self, gate):
+        with pytest.raises(ValueError, match="gate must be 2x2"):
+            apply_gate(bell_state("phi+", "P"), 0, "P", gate)
+
+    def test_tuple_list_and_array_gates_agree(self):
+        s = ghz_state("-", "011", "S", 3)
+        want = list(apply_gate(s, 1, "S", HADAMARD).items())
+        for gate in ([list(row) for row in HADAMARD], np.array(HADAMARD),
+                     H_ARRAY):
+            assert list(apply_gate(s, 1, "S", gate).items()) == want
 
 
 class TestGlobalPhase:
