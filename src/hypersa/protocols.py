@@ -66,8 +66,9 @@ def check_photon_count(n: int, what: str) -> int:
 def stream(seed: int, name: str) -> Stream:
     """Named child generator: all randomness flows from one seed, split by
     purpose ("probe:alpha1", "detection", ...) so streams never collide.
-    The generator is built on its first draw, so a point-mass readout,
-    which draws nothing, costs no generator."""
+    Scalar draws are pure Python and numpy's generator is built only for
+    an array draw, so a point-mass readout, which draws nothing, and the
+    detector draw cost no numpy."""
     digest = hashlib.sha256(name.encode("utf-8")).digest()
     return Stream(seed, tuple(int.from_bytes(digest[i:i + 4], "little")
                               for i in range(0, 16, 4)))

@@ -233,20 +233,26 @@ class TestUsage:
 FIRST_DRAW_SCRIPT = """
 import contextlib, io, sys
 from hypersa import cli
-for argv in (["verify", "--n", "3"], ["tables", "--n", "3"], ["analyze", "P:+00;S:-01"]):
+for argv in (["verify", "--n", "3"], ["tables", "--n", "3"], ["analyze", "P:+00;S:-01"],
+             ["analyze", "P:-010;S:+011", "--model", "gaussian"],
+             ["montecarlo", "--n", "2", "--model", "gaussian", "--trials", "20"]):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         assert cli.main(argv) == 0, argv
-    print(argv[0], "numpy" in sys.modules)
+    print(*argv, "numpy" in sys.modules)
 """
 
 
 def test_numpy_is_imported_on_the_first_draw():
-    # verify (ideal readout) and tables draw nothing, so they never load
-    # numpy; analyze samples its detector event, so it must
+    # verify (ideal readout) and tables draw nothing, and analyze draws only
+    # scalars, which a stream makes without numpy, so none of them loads it;
+    # montecarlo draws its inputs and misreads as arrays, so it must
     src = str(Path(hypersa.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     done = subprocess.run([sys.executable, "-c", FIRST_DRAW_SCRIPT],
                           env={**os.environ, "PYTHONPATH": path},
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines() == ["verify False", "tables False", "analyze True"]
+    assert done.stdout.splitlines() == [
+        "verify --n 3 False", "tables --n 3 False", "analyze P:+00;S:-01 False",
+        "analyze P:-010;S:+011 --model gaussian False",
+        "montecarlo --n 2 --model gaussian --trials 20 True"]

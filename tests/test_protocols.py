@@ -14,8 +14,10 @@ from hypothesis import given, settings, strategies as st
 from hypersa.kerr import (HomodyneModel, ProbeRegister, attach_probes,
                           gaussian_error_prob)
 from hypersa.optics import (DetectorOutcome, PhotonRecord,
-                            detection_distribution, outcome_tokens)
+                            detection_distribution, outcome_tokens,
+                            sample_outcome)
 from hypersa import cli, protocols
+from hypersa.rng import Stream, as_generator
 from hypersa.protocols import (RunConfig, decode_signs,
                                hbsa_analyze, hgsa_n_analyze,
                                monte_carlo_misclassification,
@@ -317,8 +319,8 @@ class TestPerDofVerifier:
 
 
 @st.composite
-def canonical_label(draw):
-    n = draw(st.integers(2, 8))
+def canonical_label(draw, max_n=8):
+    n = draw(st.integers(2, max_n))
     bits = st.text("01", min_size=n - 1, max_size=n - 1).map("0".__add__)
     return HyperLabel(draw(st.sampled_from("+-")), draw(bits),
                       draw(st.sampled_from("+-")), draw(bits))
@@ -468,17 +470,55 @@ class TestPlumbing:
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
-    @pytest.mark.parametrize("seed", [0, 7, 2 ** 32 - 1, 2 ** 32, 2 ** 64 + 3])
-    def test_stream_draws_equal_an_eager_generator(self, seed):
-        # the lazy stream must draw what the generator it stands for draws
-        name = "montecarlo:inputs"
+    @staticmethod
+    def assert_stream_equals_eager_generator(seed, name):
+        # the lazy stream must draw what the generator it stands for draws:
+        # k pure-Python scalars, then arrays from the numpy generator that
+        # takes over their state, then scalars from numpy
         digest = hashlib.sha256(name.encode("utf-8")).digest()
         key = tuple(int.from_bytes(digest[i:i + 4], "little") for i in range(0, 16, 4))
-        eager = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=key))
-        lazy = stream(seed, name)
-        assert lazy.random() == eager.random()
-        assert np.array_equal(lazy.integers(0, 64, size=50), eager.integers(0, 64, size=50))
-        assert np.array_equal(lazy.random((3, 4)), eager.random((3, 4)))
+        for k in (0, 1, 3):
+            eager = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=key))
+            lazy = stream(seed, name)
+            assert [lazy.random() for _ in range(k)] == [eager.random() for _ in range(k)]
+            assert lazy._rng is None
+            assert np.array_equal(lazy.integers(0, 64, size=50), eager.integers(0, 64, size=50))
+            assert np.array_equal(lazy.random((3, 4)), eager.random((3, 4)))
+            assert [lazy.random() for _ in range(3)] == [eager.random() for _ in range(3)]
+
+    @pytest.mark.parametrize("seed", [0, 7, 2 ** 32 - 1, 2 ** 32, 2 ** 64 + 3])
+    def test_stream_draws_equal_an_eager_generator(self, seed):
+        self.assert_stream_equals_eager_generator(seed, "montecarlo:inputs")
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 130 - 1), name=st.text(max_size=20))
+    def test_stream_draws_equal_an_eager_generator_for_any_seed(self, seed, name):
+        self.assert_stream_equals_eager_generator(seed, name)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 130))
+    def test_int_seed_draws_equal_default_rng(self, seed):
+        # an int seed is the stream default_rng(seed) stands for: an empty
+        # spawn key; sampling functions take it without loading a Generator
+        for as_int in (seed, np.uint64(seed % 2 ** 64)):
+            eager, lazy = np.random.default_rng(as_int), as_generator(as_int)
+            assert isinstance(lazy, Stream) and lazy._rng is None
+            assert [lazy.random() for _ in range(3)] == [eager.random() for _ in range(3)]
+            assert np.array_equal(lazy.random(5), eager.random(5))
+        state = random_state(2, np.random.default_rng(5))
+        assert sample_outcome(state, seed) == sample_outcome(state, np.random.default_rng(seed))
+
+    def test_negative_seed_raises_and_a_generator_passes_through(self):
+        with pytest.raises(ValueError):
+            np.random.default_rng(-1)
+        for seed in (-1, np.int64(-5), -2 ** 70):
+            with pytest.raises(ValueError, match="non-negative"):
+                as_generator(seed)
+        with pytest.raises(ValueError, match="non-negative"):
+            sample_outcome(bell_state("phi+", "P"), -1)
+        generator = np.random.default_rng(3)
+        assert as_generator(generator) is generator
+        assert as_generator(None) is None
 
     def test_stream_copies_and_pickles_unbuilt(self):
         original = stream(7, "detection")
@@ -487,6 +527,16 @@ class TestPlumbing:
             assert clone._rng is None
             assert np.array_equal(clone.random(3), stream(7, "detection").random(3))
         assert original._rng is None
+        # a clone made after scalar draws continues where the original is
+        original.random(), original.random()
+        want = stream(7, "detection")
+        want = [want.random() for _ in range(5)][2:]
+        for clone in (copy.copy(original), copy.deepcopy(original),
+                      pickle.loads(pickle.dumps(original))):
+            assert clone._rng is None
+            assert [clone.random() for _ in range(3)] == want
+        assert original._rng is None
+        assert [original.random() for _ in range(3)] == want
 
     def test_runconfig_validation(self):
         for field, value in (("trials", 0), ("theta", 0.0), ("theta", 2.0),

@@ -14,6 +14,7 @@ from hypersa.states import (BasisKet, HyperLabel, PhotonState,
 
 from oracle import (dense_vector, gate_operator, random_state,
                     random_unitary, assert_matches_dense)
+from test_protocols import canonical_label
 
 SQ = 1 / math.sqrt(2)
 BELL = ("phi+", "phi-", "psi+", "psi-")
@@ -237,6 +238,11 @@ class TestLabels:
     def test_literal_round_trip(self):
         lab = HyperLabel("+", "000", "-", "001")
         assert parse_state_literal(lab.literal()) == lab
+
+    @settings(max_examples=200, deadline=None)
+    @given(lab=canonical_label(max_n=10))
+    def test_literal_round_trip_property(self, lab):
+        assert parse_state_literal(lab.literal(), lab.n_photons) == lab
 
     def test_bell_aliases(self):
         lab = parse_state_literal("P:phi+;S:psi-")
