@@ -10,7 +10,7 @@ complete.
 Run:  python demos/bell_analysis.py
 """
 
-from hypersa import (RunConfig, attach_probes, bell_state, hbsa_analyze,
+from hypersa import (RunConfig, attach_probes, bell_state, hgsa_n_analyze,
                      hyper_product, magnitude_distribution, outcome_tokens,
                      parity_gadget, probe_ids, ProbeRegister,
                      emit_detection_table, emit_signature_table)
@@ -34,9 +34,9 @@ print("\nprobe magnitude distributions (deterministic for these inputs):")
 for pid in ("alpha1", "beta1"):
     print(f"  {pid}: {magnitude_distribution(joint, pid)}")
 
-# --- the full pipeline in one call ------------------------------------------
+# --- the full pipeline in one call: the N-photon analyser at n=2 ----------
 
-label, transcript = hbsa_analyze(state, cfg)
+label, transcript = hgsa_n_analyze(2, state, cfg)
 print("\ndecoded label:", label.literal(), label.bell_names())
 for readout in transcript.probe_readouts:
     print(f"  probe {readout.probe}: magnitude {readout.magnitude} (p={readout.p:g})")

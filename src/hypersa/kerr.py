@@ -4,8 +4,9 @@ A probe coherent state that crosses the Kerr medium with a photon present
 picks up a phase that is an integer multiple of the single-pass shift theta.
 Only that integer ever matters here, so a :class:`JointState` tracks, per
 branch, one integer phase multiple per probe instead of a continuous phase.
-This keeps the interaction exact: gadgets permute branch keys and never touch
-amplitudes.
+The one interaction is the parity gadget: two passes of opposite phase, one
+per photon of a pair, onto one probe.  It stays exact: it permutes branch
+keys and never touches amplitudes.
 
 X-quadrature homodyne readout resolves the magnitude of a probe's shift but
 not its sign; measurement therefore groups branches by ``abs(multiple)``,
@@ -124,42 +125,34 @@ def attach_probes(state: PhotonState,
                       {(ket, zeros): amp for ket, amp in state.items()})
 
 
-def kerr_interact(joint: JointState, probe: str, photon: int, dof: Dof,
-                  active_value: int, sign: int) -> JointState:
-    """Single cross-Kerr pass: every branch whose photon bit in ``dof``
-    equals ``active_value`` moves the probe's phase multiple by ``sign``.
-
-    Amplitudes are untouched, so the norm is preserved exactly.
-    """
-    _check_dof(dof)
-    if not 0 <= photon < joint.n_photons:
-        raise ValueError(f"photon index {photon} out of range")
-    if active_value not in (0, 1):
-        raise ValueError(f"active_value must be 0 or 1, got {active_value}")
-    if sign not in (1, -1):
-        raise ValueError(f"sign must be +1 or -1, got {sign}")
-    idx = joint.probe_index(probe)
-    out: dict[JointKey, complex] = {}
-    for (ket, mults), amp in joint._amps.items():
-        if ket.bit(dof, photon) == active_value:
-            mults = mults[:idx] + (mults[idx] + sign,) + mults[idx + 1:]
-        out[(ket, mults)] = out.get((ket, mults), 0j) + amp
-    return JointState(joint.n_photons, joint.probes, out)
-
-
 def parity_gadget(joint: JointState, probe: str, ref_photon: int,
                   other_photon: int, dof: Dof) -> JointState:
     """Two-photon parity QND: branches where the photons' bits in ``dof``
     agree leave the probe alone; branches where they differ shift it by one
     multiple, positive when the reference photon's bit is 0.
 
-    Composed of two single passes with opposite signs, so the net multiple
-    is (other bit) - (reference bit).
+    Physically two cross-Kerr passes with opposite signs: the probe gains
+    +theta where the other photon's bit is 1 and -theta where the reference
+    photon's bit is 1.  Both are applied in one walk, so the net multiple
+    is (other bit) - (reference bit).  Amplitudes are untouched, so the
+    norm is preserved exactly.
     """
     if ref_photon == other_photon:
         raise ValueError("parity gadget needs two distinct photons")
-    joint = kerr_interact(joint, probe, other_photon, dof, 1, +1)
-    return kerr_interact(joint, probe, ref_photon, dof, 1, -1)
+    _check_dof(dof)
+    for photon in (ref_photon, other_photon):
+        if not 0 <= photon < joint.n_photons:
+            raise ValueError(f"photon index {photon} out of range")
+    idx = joint.probe_index(probe)
+    pos = 0 if dof == "P" else 1
+    out: dict[JointKey, complex] = {}
+    for (ket, mults), amp in joint._amps.items():
+        bits = ket[pos]
+        shift = int(bits[other_photon]) - int(bits[ref_photon])
+        if shift:
+            mults = mults[:idx] + (mults[idx] + shift,) + mults[idx + 1:]
+        out[(ket, mults)] = amp  # the ket is kept, so no two branches collide
+    return JointState(joint.n_photons, joint.probes, out)
 
 
 def magnitude_distribution(joint: JointState, probe: str) -> dict[int, float]:

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import operator
 from collections import Counter
 from dataclasses import dataclass, replace
 from typing import NamedTuple, Sequence
@@ -91,6 +92,12 @@ class RunConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("trials", "seed"):
+            try:
+                operator.index(getattr(self, name))
+            except TypeError:
+                raise ValueError(f"{name} must be an integer, "
+                                 f"got {getattr(self, name)!r}") from None
         # chained comparisons are False for NaN, so these also reject it
         for name, ok, rule in (
                 ("theta", 0 < self.theta < math.pi / 2, "finite and in (0, pi/2)"),
@@ -122,20 +129,17 @@ class Transcript:
 
     probe_readouts: tuple[ProbeReadout, ...]
     detector_outcome: DetectorOutcome
-    theta: float
-    alpha: float
-    model: HomodyneModel
-    seed: int
+    config: RunConfig
 
     def to_json_dict(self) -> dict:
         return {
             "probes": [{"probe": r.probe, "magnitude": r.magnitude, "p": r.p}
                        for r in self.probe_readouts],
             "detection": outcome_tokens(self.detector_outcome),
-            "theta": self.theta,
-            "alpha": self.alpha,
-            "model": self.model.value,
-            "seed": self.seed,
+            "theta": self.config.theta,
+            "alpha": self.config.alpha,
+            "model": self.config.model.value,
+            "seed": self.config.seed,
         }
 
 
@@ -222,16 +226,7 @@ def hgsa_n_analyze(n: int, state: PhotonState,
     p_sign, s_sign = decode_signs(outcome)
     p_bits, s_bits = _decode_bits(readouts)
     label = HyperLabel(p_sign, p_bits, s_sign, s_bits)
-    transcript = Transcript(tuple(readouts), outcome,
-                            cfg.theta, cfg.alpha, cfg.model, cfg.seed)
-    return label, transcript
-
-
-def hbsa_analyze(state: PhotonState, cfg: RunConfig) -> tuple[HyperLabel, Transcript]:
-    """Two-photon Bell-product analysis (the n=2 pipeline)."""
-    if state.n_photons != 2:
-        raise ValueError(f"Bell analysis needs a 2-photon state, got {state.n_photons}")
-    return hgsa_n_analyze(2, state, cfg)
+    return label, Transcript(tuple(readouts), outcome, cfg)
 
 
 # --- exhaustive verification -------------------------------------------------

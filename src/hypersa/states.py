@@ -15,7 +15,7 @@ construction so float dust never accumulates through gate chains.
 from __future__ import annotations
 
 import math
-from typing import Iterator, Literal, Mapping, NamedTuple, Sequence
+from typing import Literal, Mapping, NamedTuple, Sequence
 
 Dof = Literal["P", "S"]
 
@@ -71,15 +71,6 @@ class BasisKet(NamedTuple):
     pol_bits: str
     spa_bits: str
 
-    @property
-    def n_photons(self) -> int:
-        return len(self.pol_bits)
-
-    def bit(self, dof: Dof, photon: int) -> int:
-        """The photon's bit in the given degree of freedom."""
-        bits = self.pol_bits if dof == "P" else self.spa_bits
-        return 0 if bits[photon] == "0" else 1
-
     def label(self) -> str:
         """Readable form like ``HV|a1b2``."""
         pol = "".join("H" if c == "0" else "V" for c in self.pol_bits)
@@ -134,22 +125,8 @@ class PhotonState:
     def __len__(self) -> int:
         return len(self._amps)
 
-    def __iter__(self) -> Iterator[BasisKet]:
-        return iter(self.kets())
-
     def norm(self) -> float:
         return math.sqrt(sum(abs(a) ** 2 for a in self._amps.values()))
-
-    def normalized(self) -> "PhotonState":
-        """Rescaled copy with unit norm."""
-        n = self.norm()
-        if n < PRUNE_EPS:
-            raise ValueError("cannot normalize a zero state")
-        return PhotonState(self.n_photons, {k: a / n for k, a in self._amps.items()})
-
-    def scaled(self, factor: complex) -> "PhotonState":
-        """Copy with every amplitude multiplied by ``factor``."""
-        return PhotonState(self.n_photons, {k: a * factor for k, a in self._amps.items()})
 
     def inner(self, other: "PhotonState") -> complex:
         """Hermitian inner product <self|other>."""
@@ -236,8 +213,9 @@ def all_canonical_labels(n: int) -> list[HyperLabel]:
     return labels
 
 
-def ghz_state(sign: str, bits: str, dof: Dof, n: int | None = None) -> PhotonState:
-    """GHZ-class state ``(|bits> + sign |~bits>)/sqrt(2)`` in one DOF.
+def ghz_state(sign: str, bits: str, dof: Dof) -> PhotonState:
+    """GHZ-class state ``(|bits> + sign |~bits>)/sqrt(2)`` in one DOF, one
+    photon per bit.
 
     The other DOF is the all-zero product configuration.  ``bits`` need not
     be canonical; the returned amplitudes follow the given representative.
@@ -245,10 +223,7 @@ def ghz_state(sign: str, bits: str, dof: Dof, n: int | None = None) -> PhotonSta
     _check_sign(sign)
     _check_bits(bits, "bits")
     _check_dof(dof)
-    if n is None:
-        n = len(bits)
-    if len(bits) != n:
-        raise ValueError(f"bits {bits!r} does not have length n={n}")
+    n = len(bits)
     if n < 2:
         raise ValueError("GHZ-class states need at least 2 photons")
     zeros = "0" * n
@@ -269,7 +244,7 @@ def bell_state(kind: str, dof: Dof) -> PhotonState:
     if kind not in _BELL_BITS:
         raise ValueError(f"unknown Bell kind {kind!r}; expected one of {BELL_KINDS}")
     sign, bits = _BELL_BITS[kind]
-    return ghz_state(sign, bits, dof, 2)
+    return ghz_state(sign, bits, dof)
 
 
 def hyper_product(p_state: PhotonState, s_state: PhotonState) -> PhotonState:

@@ -256,3 +256,16 @@ def test_numpy_is_imported_on_the_first_draw():
         "verify --n 3 False", "tables --n 3 False", "analyze P:+00;S:-01 False",
         "analyze P:-010;S:+011 --model gaussian False",
         "montecarlo --n 2 --model gaussian --trials 20 True"]
+
+
+DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])
+def test_demo_runs(demo):
+    src = str(Path(hypersa.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    done = subprocess.run([sys.executable, str(demo)],
+                          env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr

@@ -2,14 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hypersa.kerr import (HomodyneModel, JointState, ProbeRegister,
                           attach_probes, gaussian_error_prob,
-                          homodyne_measure, kerr_interact,
-                          magnitude_distribution, misread, parity_gadget)
+                          homodyne_measure, magnitude_distribution, misread,
+                          parity_gadget)
 from hypersa.states import (BasisKet, PhotonState, bell_state,
                             equal_up_to_global_phase, ghz_state,
                             hyper_product)
+
+from oracle import random_state
 
 PROBE = ProbeRegister("alpha1", 0.01, 5000.0)
 
@@ -44,32 +47,38 @@ class TestProbeRegister:
 
 
 class TestKerrInteract:
+    """The two cross-Kerr passes of one gadget, seen branch by branch."""
+
     def test_active_branch_shifts(self):
-        j = joint_of(PhotonState(1, {BasisKet("1", "0"): 1.0}))
-        out = kerr_interact(j, "alpha1", 0, "P", 1, +1)
-        assert multiples_of(out, BasisKet("1", "0")) == (1,)
+        # the other photon's pass fires alone: +1
+        j = joint_of(PhotonState(2, {BasisKet("00", "01"): 1.0}))
+        out = parity_gadget(j, "alpha1", 0, 1, "S")
+        assert multiples_of(out, BasisKet("00", "01")) == (1,)
 
     def test_inactive_branch_unchanged(self):
-        j = joint_of(PhotonState(1, {BasisKet("0", "0"): 1.0}))
-        out = kerr_interact(j, "alpha1", 0, "P", 1, +1)
-        assert multiples_of(out, BasisKet("0", "0")) == (0,)
+        # a photon outside the pair never shifts the probe
+        j = joint_of(PhotonState(3, {BasisKet("001", "001"): 1.0}))
+        out = parity_gadget(j, "alpha1", 0, 1, "P")
+        assert multiples_of(out, BasisKet("001", "001")) == (0,)
 
     def test_opposite_signs_cancel(self):
+        # swapping the reference and the other photon flips every shift
         j = joint_of(bell_state("psi+", "P"))
-        there = kerr_interact(j, "alpha1", 0, "P", 1, +1)
-        back = kerr_interact(there, "alpha1", 0, "P", 1, -1)
+        there = parity_gadget(j, "alpha1", 0, 1, "P")
+        back = parity_gadget(there, "alpha1", 1, 0, "P")
         assert back.items() == j.items()
 
     def test_unknown_probe_rejected(self):
         with pytest.raises(ValueError, match="unknown probe"):
-            kerr_interact(joint_of(bell_state("phi+", "P")), "beta9", 0, "P", 1, 1)
+            parity_gadget(joint_of(bell_state("phi+", "P")), "beta9", 0, 1, "P")
 
     def test_repeat_passes_accumulate(self):
-        # two passes on the same probe stack to a multiple of 2
-        j = joint_of(PhotonState(1, {BasisKet("1", "0"): 1.0}))
-        out = kerr_interact(kerr_interact(j, "alpha1", 0, "P", 1, +1),
-                            "alpha1", 0, "P", 1, +1)
-        assert multiples_of(out, BasisKet("1", "0")) == (2,)
+        # two gadgets on the same probe stack an odd branch to +-2
+        j = joint_of(bell_state("psi+", "P"))
+        out = parity_gadget(parity_gadget(j, "alpha1", 0, 1, "P"),
+                            "alpha1", 0, 1, "P")
+        assert multiples_of(out, BasisKet("01", "00")) == (2,)
+        assert multiples_of(out, BasisKet("10", "00")) == (-2,)
 
 
 class TestParityGadget:
@@ -87,7 +96,7 @@ class TestParityGadget:
         # two probes pairing (A,B) and (A,C) on a "-" state with bits 100
         probes = (ProbeRegister("alpha1", 0.01, 5000.0),
                   ProbeRegister("alpha2", 0.01, 5000.0))
-        j = attach_probes(ghz_state("-", "100", "P", 3), probes)
+        j = attach_probes(ghz_state("-", "100", "P"), probes)
         j = parity_gadget(j, "alpha1", 0, 1, "P")
         j = parity_gadget(j, "alpha2", 0, 2, "P")
         assert multiples_of(j, BasisKet("100", "000")) == (-1, -1)
@@ -96,6 +105,39 @@ class TestParityGadget:
     def test_same_photon_rejected(self):
         with pytest.raises(ValueError, match="distinct"):
             parity_gadget(joint_of(bell_state("phi+", "P")), "alpha1", 1, 1, "P")
+
+    @pytest.mark.parametrize("ref, other", [(0, 2), (2, 0), (-1, 1), (0, -1)])
+    def test_photon_out_of_range_rejected(self, ref, other):
+        with pytest.raises(ValueError, match=r"photon index -?\d out of range"):
+            parity_gadget(joint_of(bell_state("phi+", "P")), "alpha1", ref, other, "P")
+
+    def test_unknown_dof_rejected(self):
+        with pytest.raises(ValueError, match="degree of freedom"):
+            parity_gadget(joint_of(bell_state("phi+", "P")), "alpha1", 0, 1, "X")
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), n=st.integers(2, 4), dof=st.sampled_from("PS"),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_matches_per_branch_shift(self, data, n, dof, seed):
+        # reference: each branch moves the probe by (other bit - ref bit),
+        # on a random state whose branches already carry random multiples
+        ref, other = data.draw(st.permutations(range(n)))[:2]
+        rng = np.random.default_rng(seed)
+        probes = (ProbeRegister("alpha1", 0.01, 5000.0),
+                  ProbeRegister("alpha2", 0.01, 5000.0))
+        probe = data.draw(st.sampled_from(probes)).id
+        idx = 0 if probe == "alpha1" else 1
+        joint = JointState(n, probes, {
+            (ket, tuple(int(m) for m in rng.integers(-2, 3, size=2))): amp
+            for ket, amp in random_state(n, rng).items()})
+        want = {}
+        for (ket, mults), amp in joint.items():
+            bits = ket.pol_bits if dof == "P" else ket.spa_bits
+            mults = list(mults)
+            mults[idx] += int(bits[other]) - int(bits[ref])
+            want[(ket, tuple(mults))] = amp
+        out = parity_gadget(joint, probe, ref, other, dof)
+        assert out.items() == JointState(n, probes, want).items()
 
     def test_norm_preserved_exactly(self):
         j = joint_of(hyper_product(bell_state("psi-", "P"), bell_state("phi+", "S")))

@@ -18,8 +18,7 @@ from hypersa.optics import (DetectorOutcome, PhotonRecord,
                             sample_outcome)
 from hypersa import cli, protocols
 from hypersa.rng import Stream, as_generator
-from hypersa.protocols import (RunConfig, decode_signs,
-                               hbsa_analyze, hgsa_n_analyze,
+from hypersa.protocols import (RunConfig, decode_signs, hgsa_n_analyze,
                                monte_carlo_misclassification,
                                predicted_error_rate, probe_ids,
                                run_parity_stage, sign_basis_transform, stream,
@@ -49,31 +48,32 @@ def bell_product(p, s):
 
 class TestTwoPhotonAnalysis:
     def test_odd_even_signature(self):
-        label, tr = hbsa_analyze(bell_product("psi+", "phi-"), RunConfig())
+        label, tr = hgsa_n_analyze(2, bell_product("psi+", "phi-"), RunConfig())
         assert [r.magnitude for r in tr.probe_readouts] == [1, 0]
         assert [r.probe for r in tr.probe_readouts] == ["alpha1", "beta1"]
         assert label == HyperLabel("+", "01", "-", "00")
 
     def test_even_even_full_roundtrip(self):
-        label, tr = hbsa_analyze(bell_product("phi+", "phi+"), RunConfig(seed=5))
+        label, tr = hgsa_n_analyze(2, bell_product("phi+", "phi+"), RunConfig(seed=5))
         assert [r.magnitude for r in tr.probe_readouts] == [0, 0]
         assert outcome_tokens(tr.detector_outcome) in PARITY_OUTCOMES[("+", "+")]
         assert label == HyperLabel("+", "00", "+", "00")
 
     def test_minus_minus_outcome_membership(self):
-        label, tr = hbsa_analyze(bell_product("phi-", "psi-"), RunConfig(seed=9))
+        label, tr = hgsa_n_analyze(2, bell_product("phi-", "psi-"), RunConfig(seed=9))
         assert outcome_tokens(tr.detector_outcome) in PARITY_OUTCOMES[("-", "-")]
         assert label == HyperLabel("-", "00", "-", "01")
 
     def test_all_sixteen_exact(self):
         for p in BELL:
             for s in BELL:
-                label, _ = hbsa_analyze(bell_product(p, s), RunConfig(seed=1))
+                label, _ = hgsa_n_analyze(2, bell_product(p, s), RunConfig(seed=1))
                 assert label.bell_names() == (p, s)
 
     def test_wrong_photon_count_rejected(self):
-        with pytest.raises(ValueError, match="2-photon"):
-            hbsa_analyze(ghz_state("+", "000", "P", 3), RunConfig())
+        state = hyper_product(ghz_state("+", "000", "P"), ghz_state("+", "000", "S"))
+        with pytest.raises(ValueError, match="state has 3 photons, expected 2"):
+            hgsa_n_analyze(2, state, RunConfig())
 
 
 class TestThreePhotonAnalysis:
@@ -99,13 +99,6 @@ class TestThreePhotonAnalysis:
 
 
 class TestNPhotonAnalysis:
-    def test_reduces_to_two_photon_pipeline(self):
-        for label in all_canonical_labels(2):
-            state = state_from_label(label)
-            via_n, _ = hgsa_n_analyze(2, state, RunConfig(seed=3))
-            via_2, _ = hbsa_analyze(state, RunConfig(seed=3))
-            assert via_n == via_2 == label
-
     def test_four_photon_example_against_xor_and_parity_oracles(self):
         p_bits, s_bits = "0110", "0000"
         state = hyper_product(ghz_state("-", p_bits, "P"),
@@ -541,17 +534,22 @@ class TestPlumbing:
     def test_runconfig_validation(self):
         for field, value in (("trials", 0), ("theta", 0.0), ("theta", 2.0),
                              ("theta", float("nan")), ("alpha", 0.0),
-                             ("alpha", float("inf")), ("seed", -1)):
+                             ("alpha", float("inf")), ("seed", -1),
+                             ("seed", 1.5), ("seed", "7"), ("trials", 2.5),
+                             ("trials", None)):
             with pytest.raises(ValueError, match=f"^{field} must be"):
                 RunConfig(**{field: value})
         assert RunConfig(model="gaussian").model is HomodyneModel.GAUSSIAN
 
     def test_transcript_json_records(self):
-        _, tr = hbsa_analyze(bell_product("psi+", "phi-"), RunConfig())
+        cfg = RunConfig(theta=0.2, alpha=60.0, seed=4)
+        _, tr = hgsa_n_analyze(2, bell_product("psi+", "phi-"), cfg)
+        assert tr.config is cfg
         doc = tr.to_json_dict()
         assert doc["probes"][0] == {"probe": "alpha1", "magnitude": 1,
                                     "p": pytest.approx(1.0)}
-        assert doc["model"] == "ideal"
+        assert {k: doc[k] for k in ("theta", "alpha", "model", "seed")} == {
+            "theta": 0.2, "alpha": 60.0, "model": "ideal", "seed": 4}
 
     def test_probe_ids_layout(self):
         assert probe_ids(2) == ["alpha1", "beta1"]

@@ -51,35 +51,31 @@ class TestBellStates:
 
 class TestGhzStates:
     def test_three_photon_plus(self):
-        s = ghz_state("+", "000", "P", 3)
+        s = ghz_state("+", "000", "P")
         assert s.amplitude(BasisKet("000", "000")) == pytest.approx(SQ)
         assert s.amplitude(BasisKet("111", "000")) == pytest.approx(SQ)
 
     def test_complement_representatives_identical_up_to_sign(self):
         # (|100>-|011>) equals -(|011>-|100>) amplitude for amplitude,
         # and the "+" pair needs no sign at all
-        a = ghz_state("-", "100", "P", 3)
-        b = ghz_state("-", "011", "P", 3).scaled(-1)
+        a = ghz_state("-", "100", "P")
+        b = PhotonState(3, {k: -amp for k, amp in ghz_state("-", "011", "P").items()})
         for ket, amp in a.items():
             assert abs(amp - b.amplitude(ket)) < 1e-12
-        c = ghz_state("+", "100", "P", 3)
-        d = ghz_state("+", "011", "P", 3)
+        c = ghz_state("+", "100", "P")
+        d = ghz_state("+", "011", "P")
         for ket, amp in c.items():
             assert abs(amp - d.amplitude(ket)) < 1e-12
 
     def test_two_photon_reduction_is_bell(self):
-        a = ghz_state("+", "00", "P", 2)
+        a = ghz_state("+", "00", "P")
         b = bell_state("phi+", "P")
         for ket, amp in a.items():
             assert amp == b.amplitude(ket)
 
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="length"):
-            ghz_state("+", "000", "P", 4)
-
     def test_single_photon_rejected(self):
         with pytest.raises(ValueError, match="at least 2"):
-            ghz_state("+", "0", "P", 1)
+            ghz_state("+", "0", "P")
 
 
 class TestHyperProduct:
@@ -102,7 +98,7 @@ class TestHyperProduct:
 
     def test_photon_count_mismatch_rejected(self):
         with pytest.raises(ValueError, match="photon counts"):
-            hyper_product(bell_state("phi+", "P"), ghz_state("+", "000", "S", 3))
+            hyper_product(bell_state("phi+", "P"), ghz_state("+", "000", "S"))
 
     def test_nontrivial_spatial_factor_rejected(self):
         with pytest.raises(ValueError, match="trivial"):
@@ -206,7 +202,7 @@ class TestApplyGate:
             apply_gate(bell_state("phi+", "P"), 0, "P", gate)
 
     def test_tuple_list_and_array_gates_agree(self):
-        s = ghz_state("-", "011", "S", 3)
+        s = ghz_state("-", "011", "S")
         want = list(apply_gate(s, 1, "S", HADAMARD).items())
         for gate in ([list(row) for row in HADAMARD], np.array(HADAMARD),
                      H_ARRAY):
@@ -215,8 +211,8 @@ class TestApplyGate:
 
 class TestGlobalPhase:
     def test_complement_pair_equal(self):
-        a = ghz_state("-", "100", "P", 3)
-        b = ghz_state("-", "011", "P", 3)
+        a = ghz_state("-", "100", "P")
+        b = ghz_state("-", "011", "P")
         assert equal_up_to_global_phase(a, b)
 
     def test_orthogonal_pair_not_equal(self):
@@ -226,7 +222,9 @@ class TestGlobalPhase:
     def test_phase_factor_ignored(self):
         rng = np.random.default_rng(5)
         s = random_state(2, rng)
-        assert equal_up_to_global_phase(s.scaled(np.exp(1j * np.pi / 3)), s)
+        phase = np.exp(1j * np.pi / 3)
+        rotated = PhotonState(2, {k: a * phase for k, a in s.items()})
+        assert equal_up_to_global_phase(rotated, s)
 
 
 class TestLabels:
@@ -304,7 +302,3 @@ class TestStateContainer:
     def test_tuple_key_accepted(self):
         s = PhotonState(2, {("01", "10"): 1.0})
         assert s.kets() == [BasisKet("01", "10")]
-
-    def test_normalized_unit_norm(self):
-        s = PhotonState(1, {BasisKet("0", "0"): 3.0, BasisKet("1", "1"): 4.0})
-        assert abs(s.normalized().norm() - 1.0) < 1e-10
