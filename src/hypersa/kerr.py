@@ -92,9 +92,6 @@ class JointState:
     def __len__(self) -> int:
         return len(self._amps)
 
-    def norm_sq(self) -> float:
-        return sum(abs(a) ** 2 for a in self._amps.values())
-
     def probe_index(self, probe: str) -> int:
         for i, p in enumerate(self.probes):
             if p.id == probe:

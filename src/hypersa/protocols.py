@@ -67,9 +67,8 @@ def check_photon_count(n: int, what: str) -> int:
 def stream(seed: int, name: str) -> Stream:
     """Named child generator: all randomness flows from one seed, split by
     purpose ("probe:alpha1", "detection", ...) so streams never collide.
-    Scalar draws are pure Python and numpy's generator is built only for
-    an array draw, so a point-mass readout, which draws nothing, and the
-    detector draw cost no numpy."""
+    A stream is seeded on its first draw, so a point-mass readout, which
+    draws nothing, costs no seeding."""
     digest = hashlib.sha256(name.encode("utf-8")).digest()
     return Stream(seed, tuple(int.from_bytes(digest[i:i + 4], "little")
                               for i in range(0, 16, 4)))
@@ -92,20 +91,20 @@ class RunConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("trials", "seed"):
+        # chained comparisons are False for NaN, so these also reject it; a
+        # non-number (a string, None) and a float count raise TypeError
+        for name, rule, check in (
+                ("theta", "finite and in (0, pi/2)", lambda v: 0 < v < math.pi / 2),
+                ("alpha", "finite and > 0", lambda v: 0 < v < math.inf),
+                ("trials", "an integer >= 1", lambda v: operator.index(v) >= 1),
+                ("seed", "an integer >= 0", lambda v: operator.index(v) >= 0)):
+            value = getattr(self, name)
             try:
-                operator.index(getattr(self, name))
+                ok = check(value)
             except TypeError:
-                raise ValueError(f"{name} must be an integer, "
-                                 f"got {getattr(self, name)!r}") from None
-        # chained comparisons are False for NaN, so these also reject it
-        for name, ok, rule in (
-                ("theta", 0 < self.theta < math.pi / 2, "finite and in (0, pi/2)"),
-                ("alpha", 0 < self.alpha < math.inf, "finite and > 0"),
-                ("trials", self.trials >= 1, ">= 1"),
-                ("seed", self.seed >= 0, ">= 0")):
+                ok = False
             if not ok:
-                raise ValueError(f"{name} must be {rule}, got {getattr(self, name)!r}")
+                raise ValueError(f"{name} must be {rule}, got {value!r}")
         object.__setattr__(self, "model", HomodyneModel(self.model))
 
     def feasibility(self) -> float:
@@ -408,9 +407,9 @@ def monte_carlo_misclassification(n: int, cfg: RunConfig) -> NoiseStats:
     flips_per = [0] * len(probes)
     for start in range(0, cfg.trials, MC_CHUNK):
         size = min(MC_CHUNK, cfg.trials - start)
-        picks = pick_rng.integers(0, len(labels), size=size).tolist()
-        flips = (flip_rng.random((size, len(probes))) < err).tolist()
-        for (pick, pattern), count in Counter(zip(picks, map(tuple, flips))).items():
+        flags = iter([u < err for u in flip_rng.random(size * len(probes))])
+        rows = zip(pick_rng.integers(0, len(labels), size), *[flags] * len(probes))
+        for (pick, *pattern), count in Counter(rows).items():
             if pick not in analysed:
                 analysed[pick] = analyse(pick)
             trials_per[pick] += count

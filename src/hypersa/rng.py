@@ -1,13 +1,13 @@
-"""Seeds and named random streams.
+"""Seeds and named random streams, in pure Python.
 
-A stream draws what numpy's ``Generator`` on ``PCG64(SeedSequence(entropy=
-seed, spawn_key=key))`` draws.  Scalar ``random()`` calls, the only draws
-``analyze`` makes, come from a pure-Python copy of numpy's ``SeedSequence``
-hash and of PCG64 (O'Neill 2014, XSL-RR output), so a process that draws
-only scalars never loads numpy.  Array draws (``montecarlo`` and the
-gaussian ``verify`` noise study) build the numpy generator, which takes
-over the stream's state.  The ideal verifier and the table emitters draw
-nothing.
+A :class:`Stream` draws what numpy's ``Generator`` on ``PCG64(SeedSequence(
+entropy=seed, spawn_key=key))`` draws, without numpy: it copies the
+``SeedSequence`` hash, PCG64 (O'Neill 2014, XSL-RR output) and the
+``random`` and ``integers`` rules of ``Generator``, the latter Lemire's
+(2019, "Fast random integer generation in an interval").  So no command
+loads numpy: ``analyze`` draws scalars, ``montecarlo`` and the gaussian
+``verify`` noise study draw lists, the ideal verifier and the tables draw
+nothing.  A caller's own ``numpy.random.Generator`` is accepted as a seed.
 """
 
 from __future__ import annotations
@@ -22,7 +22,8 @@ if TYPE_CHECKING:
 #: What a sampling function takes as its seed.
 Seed = Union[int, "np.random.Generator", "Stream"]
 
-_M32, _M64, _M128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
+_M32, _M53, _M64, _M128 = ((1 << b) - 1 for b in (32, 53, 64, 128))
+_ULP = 2.0 ** -53  # takes a 53-bit int to a double in [0, 1)
 _POOL = 4  # SeedSequence's default pool size, in 32-bit words
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
@@ -80,56 +81,63 @@ def _pcg64_seed(seed: int, key: tuple[int, ...]) -> tuple[int, int]:
 
 
 class Stream:
-    """A numpy ``Generator`` seeded by ``SeedSequence(entropy=seed,
-    spawn_key=key)``, without numpy until an array is drawn.
+    """What numpy's ``Generator`` on ``PCG64(SeedSequence(entropy=seed,
+    spawn_key=key))`` draws, for the draws the package makes.  The seed is
+    hashed on the first draw, so a stream that is never drawn costs
+    nothing.  It copies and pickles with its state."""
 
-    ``random()`` with no arguments steps a pure-Python PCG64.  Any other
-    attribute builds the numpy generator on that seed, hands it the current
-    PCG64 state and forwards to it; from then on every draw, scalars
-    included, goes to numpy.  Such a lookup builds it, ``hasattr`` included,
-    so code that only passes a stream on must not probe it."""
-
-    __slots__ = ("_seed", "_key", "_pcg", "_rng")
+    __slots__ = ("_seed", "_key", "_pcg", "_half")
 
     def __init__(self, seed: int, key: tuple[int, ...]):
         if seed < 0:
             raise ValueError(f"expected a non-negative seed, got {seed}")
-        self._seed, self._key, self._pcg, self._rng = seed, key, None, None
+        # _half: the unused high half of a word integers() split (numpy's uinteger)
+        self._seed, self._key, self._pcg, self._half = seed, key, None, None
 
-    def random(self, *args, **kwargs):
-        """A uniform double in [0, 1), or numpy's ``Generator.random``."""
-        if args or kwargs or self._rng is not None:
-            return self._generator().random(*args, **kwargs)
+    def random(self, count: int | None = None):
+        """A uniform double in [0, 1), or a list of ``count`` of them
+        (``Generator.random(count)``): one PCG64 step each, top 53 bits."""
         state, inc = self._pcg or _pcg64_seed(self._seed, self._key)
-        state = (state * _PCG_MULT + inc) & _M128
+        out = []
+        for _ in range(1 if count is None else count):
+            state = (state * _PCG_MULT + inc) & _M128
+            word = (state >> 64 ^ state) & _M64
+            # rotate right by the top 6 state bits, keep the top 53 bits
+            out.append((((word << 64 | word) >> (state >> 122) + 11) & _M53) * _ULP)
         self._pcg = state, inc
-        rot = state >> 122
-        word = (state >> 64 ^ state) & _M64
-        word = (word >> rot | word << (64 - rot)) & _M64
-        return (word >> 11) * 2.0 ** -53
+        return out[0] if count is None else out
 
-    def _generator(self):
-        if self._rng is None:
-            import numpy as np
-            rng = np.random.default_rng(
-                np.random.SeedSequence(entropy=self._seed, spawn_key=self._key))
-            if self._pcg is not None:
-                state, inc = self._pcg
-                rng.bit_generator.state = {
-                    "bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                    "has_uint32": 0, "uinteger": 0}
-            self._rng = rng
-        return self._rng
-
-    def __getattr__(self, name: str):  # reached only for names not in slots
-        if name.startswith("__"):  # copy and pickle probe for hooks; build nothing
-            raise AttributeError(name)
-        return getattr(self._generator(), name)
+    def integers(self, low: int, high: int, count: int) -> list[int]:
+        """``count`` ints uniform in [low, high), as ``Generator.integers``
+        draws them (int64) for a width up to 2**32: Lemire's multiply-shift
+        with rejection over 32-bit halves of PCG64 words, low half first.
+        A width of 1 draws nothing."""
+        width = high - low
+        if not 1 <= width <= 1 << 32:
+            raise ValueError(f"expected 1 <= high - low <= 2**32, got {width}")
+        if width == 1:
+            return [low] * count
+        state, inc = self._pcg or _pcg64_seed(self._seed, self._key)
+        half, threshold, out = self._half, (1 << 32) % width, []
+        for _ in range(count):
+            while True:
+                if half is None:
+                    state = (state * _PCG_MULT + inc) & _M128
+                    word = (state >> 64 ^ state) & _M64
+                    word = ((word << 64 | word) >> (state >> 122)) & _M64
+                    u, half = word & _M32, word >> 32
+                else:
+                    u, half = half, None
+                if (scaled := u * width) & _M32 >= threshold:
+                    break
+            out.append(low + (scaled >> 32))
+        self._pcg, self._half = (state, inc), half
+        return out
 
 
 def as_generator(seed: Seed | None):
     """The one seed-to-generator rule: ``None`` and a :class:`Stream` pass
-    through unbuilt, an int or numpy integer becomes the stream that
+    through, an int or numpy integer becomes the stream that
     ``numpy.random.default_rng(seed)`` stands for (``SeedSequence(seed)``,
     empty spawn key), and a ``Generator`` passes as it is; anything else
     goes to ``default_rng``."""

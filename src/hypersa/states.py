@@ -31,8 +31,7 @@ _SQRT_HALF = 1.0 / math.sqrt(2.0)
 HADAMARD = ((complex(_SQRT_HALF), complex(_SQRT_HALF)),
             (complex(_SQRT_HALF), complex(-_SQRT_HALF)))
 
-BELL_KINDS = ("phi+", "phi-", "psi+", "psi-")
-
+#: Bell kind -> (sign, bits) of the two-photon GHZ label it names.
 _BELL_BITS = {"phi+": ("+", "00"), "phi-": ("-", "00"),
               "psi+": ("+", "01"), "psi-": ("-", "01")}
 
@@ -115,9 +114,6 @@ class PhotonState:
     def items(self) -> list[tuple[BasisKet, complex]]:
         """Amplitudes in deterministic (lexicographic ket) order."""
         return sorted(self._amps.items())
-
-    def kets(self) -> list[BasisKet]:
-        return sorted(self._amps)
 
     def amplitude(self, ket: BasisKet) -> complex:
         return self._amps.get(ket, 0j)
@@ -242,7 +238,7 @@ def bell_state(kind: str, dof: Dof) -> PhotonState:
     the all-zero product configuration.
     """
     if kind not in _BELL_BITS:
-        raise ValueError(f"unknown Bell kind {kind!r}; expected one of {BELL_KINDS}")
+        raise ValueError(f"unknown Bell kind {kind!r}; expected one of {tuple(_BELL_BITS)}")
     sign, bits = _BELL_BITS[kind]
     return ghz_state(sign, bits, dof)
 

@@ -235,7 +235,8 @@ import contextlib, io, sys
 from hypersa import cli
 for argv in (["verify", "--n", "3"], ["tables", "--n", "3"], ["analyze", "P:+00;S:-01"],
              ["analyze", "P:-010;S:+011", "--model", "gaussian"],
-             ["montecarlo", "--n", "2", "--model", "gaussian", "--trials", "20"]):
+             ["montecarlo", "--n", "2", "--model", "gaussian", "--trials", "20"],
+             ["verify", "--n", "2", "--model", "gaussian", "--trials", "20"]):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         assert cli.main(argv) == 0, argv
     print(*argv, "numpy" in sys.modules)
@@ -243,9 +244,9 @@ for argv in (["verify", "--n", "3"], ["tables", "--n", "3"], ["analyze", "P:+00;
 
 
 def test_numpy_is_imported_on_the_first_draw():
-    # verify (ideal readout) and tables draw nothing, and analyze draws only
-    # scalars, which a stream makes without numpy, so none of them loads it;
-    # montecarlo draws its inputs and misreads as arrays, so it must
+    # verify (ideal readout) and tables draw nothing, analyze draws scalars
+    # and montecarlo and the gaussian verify noise study draw lists; streams
+    # make all of them without numpy, so no command loads it
     src = str(Path(hypersa.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     done = subprocess.run([sys.executable, "-c", FIRST_DRAW_SCRIPT],
@@ -255,7 +256,8 @@ def test_numpy_is_imported_on_the_first_draw():
     assert done.stdout.splitlines() == [
         "verify --n 3 False", "tables --n 3 False", "analyze P:+00;S:-01 False",
         "analyze P:-010;S:+011 --model gaussian False",
-        "montecarlo --n 2 --model gaussian --trials 20 True"]
+        "montecarlo --n 2 --model gaussian --trials 20 False",
+        "verify --n 2 --model gaussian --trials 20 False"]
 
 
 DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))

@@ -355,6 +355,13 @@ class TestNoiseStudy:
         assert wilson_interval(100, 100)[1] == pytest.approx(1.0, abs=1e-12)
 
 
+def numpy_generator(seed: int, name: str) -> np.random.Generator:
+    """The numpy generator that ``stream(seed, name)`` stands for."""
+    digest = hashlib.sha256(name.encode("utf-8")).digest()
+    key = tuple(int.from_bytes(digest[i:i + 4], "little") for i in range(0, 16, 4))
+    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=key))
+
+
 class ScriptedStream(np.random.Generator):
     """A generator whose ``random()`` returns one scripted value."""
 
@@ -410,7 +417,8 @@ class TestBatchedNoiseStudy:
         cfg = replace(GAUSSIAN_CFG, alpha=alpha)
         stats = monte_carlo_misclassification(3, cfg)
         err = gaussian_error_prob(cfg.alpha, cfg.theta)
-        flips = stream(cfg.seed, "montecarlo:misreads").random((cfg.trials, 4)) < err
+        draws = stream(cfg.seed, "montecarlo:misreads").random(cfg.trials * 4)
+        flips = np.array(draws).reshape(cfg.trials, 4) < err
         assert stats.per_probe_flips == dict(zip(probe_ids(3),
                                                  flips.sum(axis=0).tolist()))
         assert sum(stats.per_probe_flips.values()) == flips.sum()
@@ -442,6 +450,30 @@ class TestBatchedNoiseStudy:
         assert abs(statistics.fmean(z)) <= 4 / math.sqrt(seeds)
         assert abs(statistics.variance(z) - 1) <= 4 * math.sqrt(var_s2)
 
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_draws_equal_the_numpy_generator_across_a_chunk_boundary(self, n):
+        # the study as it drew with numpy: each stream's Generator, chunk by
+        # chunk, an integer array of inputs and a (size, probes) array of
+        # uniforms; a trial is wrong iff one of its probes misreads
+        cfg = replace(GAUSSIAN_CFG, trials=protocols.MC_CHUNK + 1, seed=61)
+        labels, width = all_canonical_labels(n), 2 * (n - 1)
+        err = gaussian_error_prob(cfg.alpha, cfg.theta)
+        pick_rng = numpy_generator(cfg.seed, "montecarlo:inputs")
+        flip_rng = numpy_generator(cfg.seed, "montecarlo:misreads")
+        picks, flips = [], []
+        for start in range(0, cfg.trials, protocols.MC_CHUNK):
+            size = min(protocols.MC_CHUNK, cfg.trials - start)
+            picks.append(pick_rng.integers(0, len(labels), size=size))
+            flips.append(flip_rng.random((size, width)) < err)
+        picks, flips = np.concatenate(picks), np.concatenate(flips)
+        wrong = picks[flips.any(axis=1)]
+        stats = monte_carlo_misclassification(n, cfg)
+        assert stats.per_state == {
+            lab.literal(): (int((picks == i).sum()), int((wrong == i).sum()))
+            for i, lab in enumerate(labels)}
+        assert stats.errors == len(wrong)
+        assert stats.per_probe_flips == dict(zip(probe_ids(n), flips.sum(axis=0).tolist()))
+
     def test_readout_not_a_point_mass_is_refused(self, monkeypatch):
         real = protocols.hgsa_n_analyze
 
@@ -465,18 +497,13 @@ class TestPlumbing:
 
     @staticmethod
     def assert_stream_equals_eager_generator(seed, name):
-        # the lazy stream must draw what the generator it stands for draws:
-        # k pure-Python scalars, then arrays from the numpy generator that
-        # takes over their state, then scalars from numpy
-        digest = hashlib.sha256(name.encode("utf-8")).digest()
-        key = tuple(int.from_bytes(digest[i:i + 4], "little") for i in range(0, 16, 4))
+        # a stream must draw what the generator it stands for draws: k
+        # scalars, then an integer and a double list, then scalars
         for k in (0, 1, 3):
-            eager = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=key))
-            lazy = stream(seed, name)
+            eager, lazy = numpy_generator(seed, name), stream(seed, name)
             assert [lazy.random() for _ in range(k)] == [eager.random() for _ in range(k)]
-            assert lazy._rng is None
-            assert np.array_equal(lazy.integers(0, 64, size=50), eager.integers(0, 64, size=50))
-            assert np.array_equal(lazy.random((3, 4)), eager.random((3, 4)))
+            assert lazy.integers(0, 64, 50) == eager.integers(0, 64, size=50).tolist()
+            assert lazy.random(12) == eager.random((3, 4)).ravel().tolist()
             assert [lazy.random() for _ in range(3)] == [eager.random() for _ in range(3)]
 
     @pytest.mark.parametrize("seed", [0, 7, 2 ** 32 - 1, 2 ** 32, 2 ** 64 + 3])
@@ -488,6 +515,40 @@ class TestPlumbing:
     def test_stream_draws_equal_an_eager_generator_for_any_seed(self, seed, name):
         self.assert_stream_equals_eager_generator(seed, name)
 
+    @pytest.mark.parametrize("width", [1, 3, 5, 16, 4 ** 10, 10 ** 6 + 3, 2 ** 31 + 1, 2 ** 32])
+    @pytest.mark.parametrize("seed", [0, 7, 2 ** 64 + 3])
+    def test_integers_equal_generator_integers(self, width, seed):
+        # 2**31 + 1 rejects about half of its 32-bit draws, 10**6 + 3 a few
+        # in 10^4, and a width of 1 draws nothing
+        eager, lazy = numpy_generator(seed, "inputs"), stream(seed, "inputs")
+        for low, count in ((0, 1), (-7, 3), (2 ** 40, 2000), (5, 0)):
+            assert (lazy.integers(low, low + width, count)
+                    == eager.integers(low, low + width, size=count).tolist())
+        assert lazy.random(3) == eager.random(3).tolist()
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 70), draws=st.lists(st.tuples(
+        st.sampled_from(["scalar", "doubles", "integers"]), st.integers(0, 9),
+        st.sampled_from([1, 2, 3, 5, 16, 4 ** 10, 10 ** 6 + 3, 2 ** 32])), max_size=12))
+    def test_interleaved_draws_equal_one_generator(self, seed, draws):
+        # integers take 32-bit halves of a 64-bit word and keep the other
+        # half for the next integer draw; scalar and double draws take whole
+        # words and leave that half where it is
+        eager, lazy = numpy_generator(seed, "mixed"), stream(seed, "mixed")
+        for kind, count, width in draws:
+            if kind == "scalar":
+                assert lazy.random() == eager.random()
+            elif kind == "doubles":
+                assert lazy.random(count) == eager.random(count).tolist()
+            else:
+                assert (lazy.integers(-1, width - 1, count)
+                        == eager.integers(-1, width - 1, size=count).tolist())
+
+    def test_integers_refuse_a_width_outside_one_to_two_to_the_32(self):
+        for high in (0, -3, 2 ** 32 + 1):
+            with pytest.raises(ValueError, match="high - low"):
+                stream(1, "inputs").integers(0, high, 4)
+
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2 ** 130))
     def test_int_seed_draws_equal_default_rng(self, seed):
@@ -495,9 +556,9 @@ class TestPlumbing:
         # spawn key; sampling functions take it without loading a Generator
         for as_int in (seed, np.uint64(seed % 2 ** 64)):
             eager, lazy = np.random.default_rng(as_int), as_generator(as_int)
-            assert isinstance(lazy, Stream) and lazy._rng is None
+            assert isinstance(lazy, Stream)
             assert [lazy.random() for _ in range(3)] == [eager.random() for _ in range(3)]
-            assert np.array_equal(lazy.random(5), eager.random(5))
+            assert lazy.random(5) == eager.random(5).tolist()
         state = random_state(2, np.random.default_rng(5))
         assert sample_outcome(state, seed) == sample_outcome(state, np.random.default_rng(seed))
 
@@ -514,29 +575,29 @@ class TestPlumbing:
         assert as_generator(None) is None
 
     def test_stream_copies_and_pickles_unbuilt(self):
+        def clones(s):
+            return copy.copy(s), copy.deepcopy(s), pickle.loads(pickle.dumps(s))
+
+        # clones made before the first draw draw what a fresh stream draws
         original = stream(7, "detection")
-        for clone in (copy.copy(original), copy.deepcopy(original),
-                      pickle.loads(pickle.dumps(original))):
-            assert clone._rng is None
-            assert np.array_equal(clone.random(3), stream(7, "detection").random(3))
-        assert original._rng is None
-        # a clone made after scalar draws continues where the original is
-        original.random(), original.random()
+        for clone in clones(original):
+            assert clone.random(3) == stream(7, "detection").random(3)
+        # clones made after scalar, double and odd-count integer draws, with
+        # half a word left over, continue where the original is
+        original.random(), original.random(2), original.integers(0, 6, 3)
         want = stream(7, "detection")
-        want = [want.random() for _ in range(5)][2:]
-        for clone in (copy.copy(original), copy.deepcopy(original),
-                      pickle.loads(pickle.dumps(original))):
-            assert clone._rng is None
-            assert [clone.random() for _ in range(3)] == want
-        assert original._rng is None
-        assert [original.random() for _ in range(3)] == want
+        want.random(), want.random(2), want.integers(0, 6, 3)
+        want = want.integers(0, 6, 5), want.random(3)
+        for clone in (*clones(original), original):
+            assert (clone.integers(0, 6, 5), clone.random(3)) == want
 
     def test_runconfig_validation(self):
         for field, value in (("trials", 0), ("theta", 0.0), ("theta", 2.0),
                              ("theta", float("nan")), ("alpha", 0.0),
                              ("alpha", float("inf")), ("seed", -1),
                              ("seed", 1.5), ("seed", "7"), ("trials", 2.5),
-                             ("trials", None)):
+                             ("trials", None), ("theta", "0.1"), ("theta", None),
+                             ("alpha", "60"), ("alpha", 1j)):
             with pytest.raises(ValueError, match=f"^{field} must be"):
                 RunConfig(**{field: value})
         assert RunConfig(model="gaussian").model is HomodyneModel.GAUSSIAN

@@ -301,4 +301,4 @@ class TestStateContainer:
 
     def test_tuple_key_accepted(self):
         s = PhotonState(2, {("01", "10"): 1.0})
-        assert s.kets() == [BasisKet("01", "10")]
+        assert s.items() == [(BasisKet("01", "10"), 1.0)]
