@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import os
 import sys
@@ -120,14 +119,12 @@ def cmd_analyze(args) -> int:
         doc["detection"] = outcome_json(transcript.detector_outcome)
         print(json.dumps(doc, allow_nan=False))
     elif args.fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf)
+        writer = csv.writer(sys.stdout)
         writer.writerow(["label"] + [r.probe for r in transcript.probe_readouts]
                         + ["detection"])
         writer.writerow([label.literal()]
                         + [r.magnitude for r in transcript.probe_readouts]
                         + [outcome_tokens(transcript.detector_outcome)])
-        print(buf.getvalue(), end="")
     else:
         names = label.bell_names()
         alias = f"  ({names[0]}_P {names[1]}_S)" if names else ""
@@ -154,13 +151,11 @@ def cmd_verify(args) -> int:
     if args.fmt == "json":
         print(json.dumps(report.to_json_dict(), allow_nan=False))
     elif args.fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf)
+        writer = csv.writer(sys.stdout)
         writer.writerow(["state"] + probe_ids(n) + ["branches", "ok"])
         for check in report.per_state:
             writer.writerow([check.label] + list(check.signature)
                             + [check.branches, int(check.ok)])
-        print(buf.getvalue(), end="")
     else:
         print(f"n={report.n_photons} total={report.total_states} "
               f"correct={report.correct} groups={report.group_count} "
@@ -177,26 +172,6 @@ def cmd_verify(args) -> int:
                     print(f"FAIL {check.label} signature={check.signature} "
                           f"broken={check.broken}")
     return EXIT_OK if report.all_correct else 1
-
-
-def _signature_csv(rows: list[SignatureRow], n: int) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["state"] + probe_ids(n))
-    for row in rows:
-        writer.writerow([f"P:{row.p_bits};S:{row.s_bits}"]
-                        + ["t" if s else "0" for s in row.shifts])
-    return buf.getvalue()
-
-
-def _detection_csv(rows: list[DetectionRow]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["group", "p_sign", "s_sign", "states", "outcomes"])
-    for row in rows:
-        writer.writerow([row.group, row.p_sign, row.s_sign,
-                         " ".join(row.members), " | ".join(row.outcomes)])
-    return buf.getvalue()
 
 
 def _signature_text(rows: list[SignatureRow], n: int) -> str:
@@ -230,9 +205,16 @@ def cmd_tables(args) -> int:
             "detection_table": [row._asdict() for row in det_rows],
         }, allow_nan=False))
     elif args.fmt == "csv":
-        print(_signature_csv(sig_rows, n), end="")
+        writer = csv.writer(sys.stdout)
+        writer.writerow(["state"] + probe_ids(n))
+        for row in sig_rows:
+            writer.writerow([f"P:{row.p_bits};S:{row.s_bits}"]
+                            + ["t" if s else "0" for s in row.shifts])
         print()
-        print(_detection_csv(det_rows), end="")
+        writer.writerow(["group", "p_sign", "s_sign", "states", "outcomes"])
+        for row in det_rows:
+            writer.writerow([row.group, row.p_sign, row.s_sign,
+                             " ".join(row.members), " | ".join(row.outcomes)])
     else:
         print(f"probe shift signatures ({len(sig_rows)} groups):")
         print(_signature_text(sig_rows, n))
@@ -255,13 +237,11 @@ def cmd_montecarlo(args) -> int:
         print(json.dumps({"n": n, "per_probe_error": per_probe,
                           **stats.to_json_dict()}, allow_nan=False))
     elif args.fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf)
+        writer = csv.writer(sys.stdout)
         writer.writerow(["state", "trials", "errors", "rate"])
         for literal, (t, e) in sorted(stats.per_state.items()):
             writer.writerow([literal, t, e, f"{e / t:.6f}" if t else ""])
         writer.writerow(["TOTAL", stats.trials, stats.errors, f"{stats.rate:.6f}"])
-        print(buf.getvalue(), end="")
     else:
         print(f"trials: {stats.trials}")
         print(f"aggregate error rate: {stats.rate:.6f} "

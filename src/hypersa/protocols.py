@@ -24,9 +24,10 @@ the wave plates and the alpha gadgets act on polarization only, the beam
 splitters and the beta gadgets on spatial mode only, and
 :func:`decode_signs` reads the polarization sign from the V count and the
 spatial sign from the path-2 count.  So a P-GHZ x S-GHZ input is
-classified correctly iff its polarization half and its spatial half are,
-and 2^N runs, each carrying one polarization and one spatial half, cover
-all 4^N inputs.
+classified correctly iff its polarization factor and its spatial factor
+are, and 2^N runs, each of one factor (the other DOF all 0s) through only
+its own DOF's stages, cover all 4^N inputs.  A separation check makes sure
+that no stage reads or moves the other DOF.
 """
 
 from __future__ import annotations
@@ -44,10 +45,12 @@ from .kerr import (HomodyneModel, JointState, ProbeRegister, attach_probes,
 from .optics import (DetectorOutcome, apply_bs, apply_wp,
                      detection_distribution, outcome_tokens, sample_outcome)
 from .rng import Stream
-from .states import (HyperLabel, PhotonState, all_canonical_labels,
-                     canonical_bit_strings, complement, state_from_label)
+from .states import (HyperLabel, PhotonState, _check_dof, all_canonical_labels,
+                     canonical_bit_strings, complement, equal_up_to_global_phase,
+                     ghz_state, hyper_product, state_from_label)
 
 VERIFY_MAX_PHOTONS = 10  # 4^N enumeration guard
+_PROBES = {"P": "alpha", "S": "beta"}  # each DOF's probe name prefix
 MC_CHUNK = 1 << 14  # Monte Carlo trials drawn at once; bounds its arrays
 
 
@@ -142,13 +145,9 @@ class Transcript:
         }
 
 
-def probe_ids(n: int) -> list[str]:
+def probe_ids(n: int, dofs: str = "PS") -> list[str]:
     """Probe names for an n-photon run: alpha1..alpha_{n-1}, beta1..beta_{n-1}."""
-    return [f"alpha{k}" for k in range(1, n)] + [f"beta{k}" for k in range(1, n)]
-
-
-def _registers(n: int, cfg: RunConfig) -> list[ProbeRegister]:
-    return [ProbeRegister(pid, cfg.theta, cfg.alpha) for pid in probe_ids(n)]
+    return [f"{_PROBES[_check_dof(dof)]}{k}" for dof in dofs for k in range(1, n)]
 
 
 def run_parity_stage(joint: JointState, dof: str, prefix: str,
@@ -169,27 +168,34 @@ def run_parity_stage(joint: JointState, dof: str, prefix: str,
     return joint, readouts
 
 
-def sign_basis_transform(state: PhotonState) -> PhotonState:
-    """Beam splitter plus wave plate on every photon: both DOFs rotate into
-    the basis where GHZ-sign information becomes a count parity.  The
-    elements commute; with every beam splitter first, the spatial DOF cancels
-    down to 2^(n-1) terms before the wave plates grow the polarization DOF."""
-    for photon in range(state.n_photons):
-        state = apply_bs(state, photon)
-    for photon in range(state.n_photons):
-        state = apply_wp(state, photon)
+def sign_basis_transform(state: PhotonState, dofs: str = "SP") -> PhotonState:
+    """Beam splitters ("S") and wave plates ("P") on every photon, in the
+    order named: the DOFs rotate into the basis where GHZ-sign information
+    becomes a count parity.  The elements commute; with every beam splitter
+    first, the spatial DOF cancels down to 2^(n-1) terms before the wave
+    plates grow the polarization DOF."""
+    for dof in dofs:
+        rotate = {"P": apply_wp, "S": apply_bs}[_check_dof(dof)]
+        for photon in range(state.n_photons):
+            state = rotate(state, photon)
     return state
 
 
-def pre_detection(state: PhotonState,
-                  cfg: RunConfig) -> tuple[PhotonState, list[ProbeReadout]]:
-    """Everything before the detectors: attach fresh probes, run the P and
-    then the S parity stage, and rotate into the sign basis.  Returns the
-    rotated photon state and the 2(n-1) readouts, alpha probes first."""
-    joint = attach_probes(state, _registers(state.n_photons, cfg))
-    joint, alpha_reads = run_parity_stage(joint, "P", "alpha", cfg)
-    joint, beta_reads = run_parity_stage(joint, "S", "beta", cfg)
-    return sign_basis_transform(joint.photon_state()), alpha_reads + beta_reads
+def pre_detection(state: PhotonState, cfg: RunConfig,
+                  dofs: str = "PS") -> tuple[PhotonState, list[ProbeReadout]]:
+    """Everything before the detectors, for the DOFs named: attach fresh
+    probes, run each DOF's parity stage in turn, and rotate those DOFs into
+    the sign basis.  Returns the rotated photon state and the readouts,
+    stage by stage; a DOF left out is not touched."""
+    joint = attach_probes(state, [ProbeRegister(pid, cfg.theta, cfg.alpha)
+                                  for pid in probe_ids(state.n_photons, dofs)])
+    readouts = []
+    for dof in dofs:
+        joint, reads = run_parity_stage(joint, dof, _PROBES[dof], cfg)
+        readouts += reads
+    # the last DOF read rotates first: by default the spatial one, which
+    # keeps the state small
+    return sign_basis_transform(joint.photon_state(), dofs[::-1]), readouts
 
 
 def decode_signs(outcome: DetectorOutcome) -> tuple[str, str]:
@@ -200,12 +206,15 @@ def decode_signs(outcome: DetectorOutcome) -> tuple[str, str]:
     return ("+" if v % 2 == 0 else "-", "+" if x2 % 2 == 0 else "-")
 
 
+def _bits(readouts: Sequence[ProbeReadout]) -> str:
+    """One DOF's bits: photon 0 is the leading 0, each magnitude the next."""
+    return "0" + "".join(str(r.magnitude) for r in readouts)
+
+
 def _decode_bits(readouts: Sequence[ProbeReadout]) -> tuple[str, str]:
-    """(polarization, spatial) bit-strings from the alpha-then-beta
-    readouts: photon 0 is the leading 0, each magnitude the next bit."""
-    bits = "".join(str(r.magnitude) for r in readouts)
-    half = len(bits) // 2
-    return "0" + bits[:half], "0" + bits[half:]
+    """(polarization, spatial) bits from the alpha-then-beta readouts."""
+    half = len(readouts) // 2
+    return _bits(readouts[:half]), _bits(readouts[half:])
 
 
 def hgsa_n_analyze(n: int, state: PhotonState,
@@ -243,55 +252,66 @@ class StateCheck(NamedTuple):
 
 
 #: What a verified input must satisfy, in the order a failure is named: the
-#: detector support is a P x S product, each DOF's readouts are point
-#: masses, decode to its bits, and every branch decodes to its sign.
-_INVARIANTS = ("product support", "P readout", "S readout", "P bits", "S bits",
+#: separation check, then each DOF's point-mass readouts, bits and signs.
+_INVARIANTS = ("separation", "P readout", "S readout", "P bits", "S bits",
                "P signs", "S signs")
 
 
 class _DofCheck(NamedTuple):
-    """One DOF's half of a verifier run: its probe magnitudes, how many
-    distinct detector strings it shows, and the invariants that broke."""
+    """One DOF's factor run: its probe magnitudes, how many detector
+    branches it has, and the invariants that broke."""
 
     magnitudes: tuple[int, ...]
     support: int
     broken: frozenset[str]
 
 
-def _partner(sign: str, bits: str) -> tuple[str, str]:
-    """The spatial label that runs beside polarization label (sign, bits):
-    the other sign and, after the leading 0, every bit complemented.  A
-    bijection on canonical labels, and the two halves never agree in sign
-    or in a non-leading bit, so a stage that reads the wrong DOF fails."""
-    return "-" if sign == "+" else "+", "0" + complement(bits[1:])
+def _run_dof(state: PhotonState, dof: str, cfg: RunConfig
+             ) -> tuple[PhotonState, list[ProbeReadout], set[str]]:
+    """``state`` through only ``dof``'s stages: the rotated state, the
+    readouts and the signs its detector branches decode to in ``dof``."""
+    rotated, readouts = pre_detection(state, cfg, dof)
+    i = "PS".index(dof)
+    return rotated, readouts, {decode_signs(o)[i]
+                               for o in detection_distribution(rotated)}
 
 
-def _check_pair(p_sign: str, p_bits: str,
-                cfg: RunConfig) -> tuple[_DofCheck, _DofCheck]:
-    """Run polarization label (p_sign, p_bits) beside its spatial partner
-    through the analyser's stages, walk every detector branch, and check
-    each DOF's half."""
-    s_sign, s_bits = _partner(p_sign, p_bits)
-    state = state_from_label(HyperLabel(p_sign, p_bits, s_sign, s_bits))
-    rotated, readouts = pre_detection(state, cfg)
-    branches = detection_distribution(rotated)
-    signs = [decode_signs(o) for o in branches]
-    supports = (len({tuple(r.pol for r in o.records) for o in branches}),
-                len({tuple(r.mode for r in o.records) for o in branches}))
-    product = len(branches) == supports[0] * supports[1]
-    decoded = _decode_bits(readouts)
-    half = len(readouts) // 2
-    checks = []
-    for i, (dof, reads, bits, sign) in enumerate(
-            (("P", readouts[:half], p_bits, p_sign),
-             ("S", readouts[half:], s_bits, s_sign))):
-        broken = {"product support": not product,
-                  f"{dof} readout": any(r.classes != 1 for r in reads),
-                  f"{dof} bits": decoded[i] != bits,
-                  f"{dof} signs": any(s[i] != sign for s in signs)}
-        checks.append(_DofCheck(tuple(r.magnitude for r in reads), supports[i],
-                                frozenset(k for k, bad in broken.items() if bad)))
-    return checks[0], checks[1]
+def _check_factor(sign: str, bits: str, dof: str, cfg: RunConfig,
+                  separated: bool) -> _DofCheck:
+    rotated, readouts, signs = _run_dof(ghz_state(sign, bits, dof), dof, cfg)
+    broken = {"separation": not separated,
+              f"{dof} readout": any(r.classes != 1 for r in readouts),
+              f"{dof} bits": _bits(readouts) != bits,
+              f"{dof} signs": signs != {sign}}
+    # the other DOF is all 0s, so each branch is one string of this DOF
+    return _DofCheck(tuple(r.magnitude for r in readouts), len(rotated),
+                     frozenset(k for k, bad in broken.items() if bad))
+
+
+def _separated(n: int, cfg: RunConfig) -> bool:
+    """The separation check: each DOF's stages, run on joint inputs whose
+    halves differ in sign and in every free bit, give the readouts and signs
+    of that DOF's factor run, and the rotated state is the factor's rotated
+    state tensored with the untouched other half."""
+    # 0..0 and 01..1 differ in every free bit, so each DOF's half runs as
+    # both, beside a half in which every photon takes both values
+    for bits in ("0" * n, "0" + "1" * (n - 1)):
+        for sign in "+-":
+            halves = {"P": (sign, bits),
+                      "S": ("-" if sign == "+" else "+", "0" + complement(bits[1:]))}
+            joint = state_from_label(HyperLabel(*halves["P"], *halves["S"]))
+            for dof in "PS":
+                rotated, readouts, signs = _run_dof(joint, dof, cfg)
+                parts = {d: ghz_state(*halves[d], d) for d in "PS"}
+                parts[dof], f_readouts, f_signs = _run_dof(parts[dof], dof, cfg)
+                try:  # a factor run that moved its other DOF is no factor
+                    expected = hyper_product(parts["P"], parts["S"])
+                except ValueError:
+                    return False
+                if ((readouts, signs) != (f_readouts, f_signs)
+                        or not equal_up_to_global_phase(rotated, expected)):
+                    return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -426,40 +446,37 @@ def monte_carlo_misclassification(n: int, cfg: RunConfig) -> NoiseStats:
 
 
 def verify_complete(n: int, cfg: RunConfig | None = None) -> VerificationReport:
-    """Run the analyser's pre-detection stage on every canonical
-    hyperentangled input, walk every detector branch symbolically, and
-    report the QND group partition.
+    """Check every canonical hyperentangled input: run the analyser's
+    pre-detection stage on each one-DOF factor, walk every detector branch
+    symbolically, and report the QND group partition.
 
     An input is correct when every probe readout was a point mass, the
     readouts decode to its bits and every branch decodes to its signs.
-    Those checks split by degree of freedom (see the module notes), so the
-    analyser runs 2^n times, once per polarization label beside its
-    spatial :func:`_partner`, and each run also checks that its detector
-    support is the product of the polarization and spatial supports.  The
-    4^n records are then assembled from the halves, in
-    :func:`all_canonical_labels` order: the signature is the polarization
-    magnitudes then the spatial ones, ``branches`` the product of the two
-    supports (the branches a joint run of that input would walk), and a
-    failure names the first broken invariant.  The exhaustive pass always
-    uses the ideal readout; with ``cfg.model == gaussian`` a sampled noise
-    study is attached on top.
+    Those checks split by degree of freedom (see the module notes): the
+    analyser runs once per (sign, bits) of each DOF through only that DOF's
+    stages, and if :func:`_separated` finds a stage that reads or moves the
+    other DOF, every input fails with ``separation``.  The 4^n records are
+    assembled from the factors in :func:`all_canonical_labels` order: the
+    signature is the polarization magnitudes then the spatial ones,
+    ``branches`` the product of the two supports, and a failure names the
+    first broken invariant.  The exhaustive pass always uses the ideal
+    readout; with ``cfg.model == gaussian`` a sampled noise study is
+    attached on top.
     """
     check_photon_count(n, "verification")
     if cfg is None:
         cfg = RunConfig()
     ideal = replace(cfg, model=HomodyneModel.IDEAL)
-    p_checks: dict[tuple[str, str], _DofCheck] = {}
-    s_checks: dict[tuple[str, str], _DofCheck] = {}
-    for bits in canonical_bit_strings(n):
-        for sign in "+-":
-            p_checks[sign, bits], s_checks[_partner(sign, bits)] = \
-                _check_pair(sign, bits, ideal)
+    separated = _separated(n, ideal)
+    p_checks, s_checks = ({(sign, bits): _check_factor(sign, bits, dof, ideal, separated)
+                           for bits in canonical_bit_strings(n) for sign in "+-"}
+                          for dof in "PS")
     per_state = []
     for label in all_canonical_labels(n):
         p = p_checks[label.p_sign, label.p_bits]
         s = s_checks[label.s_sign, label.s_bits]
-        broken = next((name for name in _INVARIANTS
-                       if name in p.broken or name in s.broken), "")
+        broken = (min(p.broken | s.broken, key=_INVARIANTS.index)
+                  if p.broken or s.broken else "")
         per_state.append(StateCheck(label.literal(), p.magnitudes + s.magnitudes,
                                     p.support * s.support, not broken, broken))
     noise = (monte_carlo_misclassification(n, cfg)

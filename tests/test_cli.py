@@ -104,8 +104,9 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--n", "2")
         fails = [line for line in out.splitlines() if line.startswith("FAIL ")]
         assert code == 1 and len(fails) == 16
-        assert fails[0] == "FAIL P:+00;S:+00 signature=(0, 0) broken=S signs"
-        assert all(line.endswith(" broken=S signs") for line in fails)
+        # a spatial sign read from the V count shows only on joint inputs
+        assert fails[0] == "FAIL P:+00;S:+00 signature=(0, 0) broken=separation"
+        assert all(line.endswith(" broken=separation") for line in fails)
 
 
 class TestTables:

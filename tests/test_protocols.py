@@ -24,9 +24,8 @@ from hypersa.protocols import (RunConfig, decode_signs, hgsa_n_analyze,
                                run_parity_stage, sign_basis_transform, stream,
                                verify_complete, wilson_interval)
 from hypersa.states import (BasisKet, HyperLabel, PhotonState,
-                            all_canonical_labels, bell_state,
-                            canonical_bit_strings, ghz_state, hyper_product,
-                            state_from_label)
+                            all_canonical_labels, bell_state, ghz_state,
+                            hyper_product, state_from_label)
 
 from oracle import (assert_matches_dense, dense_vector, hadamard_everywhere,
                     joint_verify, random_state)
@@ -228,16 +227,20 @@ class TestCompleteness:
             return joint, readouts[::-1]
 
         monkeypatch.setattr(protocols, "run_parity_stage", reversed_readouts)
-        assert verify_complete(3).correct < 64
+        report = verify_complete(3)
+        assert report.correct < 64
+        # joint and factor runs read alike, so the factor invariants are named
+        assert {c.broken for c in report.per_state if not c.ok} == {"P bits", "S bits"}
         assert cli.main(["verify", "--n", "3"]) == 1
 
-    def test_verify_six_photons_within_budget(self):
+    @pytest.mark.parametrize("n", [6, 8])
+    def test_verify_six_photons_within_budget(self, n):
         start = time.perf_counter()
-        report = verify_complete(6)
+        report = verify_complete(n)
         elapsed = time.perf_counter() - start
-        assert (report.total_states, report.correct) == (4096, 4096)
-        assert report.group_count == 1024
-        assert elapsed < 20.0, f"verify_complete(6) took {elapsed:.2f}s, budget 20s"
+        assert (report.total_states, report.correct) == (4 ** n, 4 ** n)
+        assert report.group_count == 4 ** (n - 1)
+        assert elapsed < 20.0, f"verify_complete({n}) took {elapsed:.2f}s, budget 20s"
 
     def test_verify_guard(self):
         with pytest.raises(ValueError, match="2 <= n <= 10"):
@@ -264,51 +267,93 @@ class TestPerDofVerifier:
         assert [c[:4] for c in report.per_state] == [c[:4] for c in joint_verify(n)]
         assert all(c.broken == "" for c in report.per_state)
 
-    @pytest.mark.parametrize("n", [2, 3, 5])
-    def test_partner_is_a_bijection_that_differs_in_every_free_bit(self, n):
-        halves = [(sign, bits) for bits in canonical_bit_strings(n) for sign in "+-"]
-        partners = [protocols._partner(sign, bits) for sign, bits in halves]
-        assert sorted(partners) == sorted(halves)
-        for (sign, bits), (p_sign, p_bits) in zip(halves, partners):
-            assert sign != p_sign and p_bits[0] == "0"
-            assert all(a != b for a, b in zip(bits[1:], p_bits[1:]))
-
     @staticmethod
     def failures(report):
-        assert report.correct < 64
+        assert report.correct < report.total_states
         return {c.broken for c in report.per_state if not c.ok}
 
-    def test_spatial_gadget_reading_polarization_breaks_s_bits(self, monkeypatch):
+    # a stage that reads or moves the other DOF must fail the separation
+    # check, and with it every input
+
+    @pytest.mark.parametrize("n", [3, 6])
+    def test_spatial_gadget_reading_polarization_fails_separation(self, monkeypatch, n):
         real = protocols.parity_gadget
 
         def reads_polarization(joint, probe, ref, other, dof):
             return real(joint, probe, ref, other, "P")
 
         monkeypatch.setattr(protocols, "parity_gadget", reads_polarization)
-        report = verify_complete(3)
-        assert self.failures(report) == {"S bits"}
-        assert report.correct == 0  # the partner differs in every free bit
+        report = verify_complete(n)
+        assert self.failures(report) == {"separation"}
+        assert report.correct == 0
 
-    def test_spatial_sign_from_the_v_count_breaks_s_signs(self, monkeypatch):
+    @pytest.mark.parametrize("n", [3, 6])
+    def test_spatial_sign_from_the_v_count_fails_separation(self, monkeypatch, n):
         real = protocols.decode_signs
         monkeypatch.setattr(protocols, "decode_signs",
                             lambda outcome: (real(outcome)[0],) * 2)
-        report = verify_complete(3)
-        assert self.failures(report) == {"S signs"}
-        assert report.correct == 0  # the partner always has the other sign
+        report = verify_complete(n)
+        assert self.failures(report) == {"separation"}
+        assert report.correct == 0
 
-    def test_rotation_coupling_the_dofs_breaks_product_support(self, monkeypatch):
+    @pytest.mark.parametrize("n", [3, 6])
+    def test_rotation_coupling_the_dofs_fails_separation(self, monkeypatch, n):
         real = protocols.sign_basis_transform
 
-        def coupled(state):
+        def coupled(state, dofs="SP"):
             # after the rotation, photon 0's path flips wherever it is V
             return PhotonState(state.n_photons, {
                 BasisKet(pol, spa if pol[0] == "0" else "10"[int(spa[0])] + spa[1:]): amp
-                for (pol, spa), amp in real(state).items()})
+                for (pol, spa), amp in real(state, dofs).items()})
 
         monkeypatch.setattr(protocols, "sign_basis_transform", coupled)
-        report = verify_complete(3)
-        assert self.failures(report) == {"product support"}
+        report = verify_complete(n)
+        assert self.failures(report) == {"separation"}
+        assert report.correct == 0
+
+    @pytest.mark.parametrize("n", [3, 6])
+    def test_wave_plate_only_in_path_1_fails_separation(self, monkeypatch, n):
+        real = protocols.apply_wp
+
+        def path_1_only(state, photon):
+            # a polarization factor is all in path 1, so only joint runs see this
+            moved = {ket: amp for ket, amp in state.items()
+                     if ket.spa_bits[photon] == "1"}
+            rotated = real(PhotonState(state.n_photons, {
+                ket: amp for ket, amp in state.items() if ket not in moved}), photon)
+            return PhotonState(state.n_photons, {**dict(rotated.items()), **moved})
+
+        monkeypatch.setattr(protocols, "apply_wp", path_1_only)
+        report = verify_complete(n)
+        assert self.failures(report) == {"separation"}
+        assert report.correct == 0
+
+    @pytest.mark.parametrize("n", [3, 6])
+    def test_beam_splitter_with_a_polarization_phase_fails_separation(self, monkeypatch, n):
+        real = protocols.apply_bs
+
+        def with_phase(state, photon):
+            # photon 0's beam splitter also flips the sign where photon 0 is V:
+            # readouts and spatial signs stay right, the rotated state does not
+            rotated = real(state, photon)
+            return rotated if photon else PhotonState(state.n_photons, {
+                ket: -amp if ket.pol_bits[0] == "1" else amp
+                for ket, amp in rotated.items()})
+
+        monkeypatch.setattr(protocols, "apply_bs", with_phase)
+        report = verify_complete(n)
+        assert self.failures(report) == {"separation"}
+        assert report.correct == 0
+
+    @pytest.mark.parametrize("n", [3, 6])
+    def test_inverted_spatial_sign_breaks_s_signs(self, monkeypatch, n):
+        # wrong alike on factor and joint runs, so the factor check names it
+        real = protocols.decode_signs
+        monkeypatch.setattr(protocols, "decode_signs", lambda outcome: (
+            real(outcome)[0], {"+": "-", "-": "+"}[real(outcome)[1]]))
+        report = verify_complete(n)
+        assert self.failures(report) == {"S signs"}
+        assert report.correct == 0
 
 
 @st.composite
