@@ -17,7 +17,7 @@ import os
 import sys
 
 from .kerr import HomodyneModel, gaussian_error_prob
-from .optics import outcome_json, outcome_tokens
+from .optics import outcome_tokens
 from .protocols import (DetectionRow, NoiseStats, PhotonCountError,
                         RunConfig, SignatureRow, check_photon_count,
                         emit_detection_table, emit_signature_table,
@@ -116,7 +116,6 @@ def cmd_analyze(args) -> int:
     if args.fmt == "json":
         doc = transcript.to_json_dict()
         doc["label"] = _label_json(label)
-        doc["detection"] = outcome_json(transcript.detector_outcome)
         print(json.dumps(doc, allow_nan=False))
     elif args.fmt == "csv":
         writer = csv.writer(sys.stdout)

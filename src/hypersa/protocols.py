@@ -37,13 +37,14 @@ import math
 import operator
 from collections import Counter
 from dataclasses import dataclass, replace
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .kerr import (HomodyneModel, JointState, ProbeRegister, attach_probes,
                    gaussian_error_prob, homodyne_measure, misread,
                    parity_gadget)
 from .optics import (DetectorOutcome, apply_bs, apply_wp,
-                     detection_distribution, outcome_tokens, sample_outcome)
+                     detection_distribution, outcome_json, outcome_tokens,
+                     sample_outcome)
 from .rng import Stream
 from .states import (HyperLabel, PhotonState, _check_dof, all_canonical_labels,
                      canonical_bit_strings, complement, equal_up_to_global_phase,
@@ -61,6 +62,11 @@ class PhotonCountError(ValueError):
 def check_photon_count(n: int, what: str) -> int:
     """The enumeration guard for everything that walks all 4^n inputs (and
     for the CLI, which applies it to every subcommand); returns ``n``."""
+    try:
+        n = operator.index(n)
+    except TypeError:
+        raise PhotonCountError(f"{what} needs an integer photon count, "
+                               f"got {n!r}") from None
     if not 2 <= n <= VERIFY_MAX_PHOTONS:
         raise PhotonCountError(f"{what} supports 2 <= n <= {VERIFY_MAX_PHOTONS}, "
                                f"got {n}")
@@ -137,7 +143,7 @@ class Transcript:
         return {
             "probes": [{"probe": r.probe, "magnitude": r.magnitude, "p": r.p}
                        for r in self.probe_readouts],
-            "detection": outcome_tokens(self.detector_outcome),
+            "detection": outcome_json(self.detector_outcome),
             "theta": self.config.theta,
             "alpha": self.config.alpha,
             "model": self.config.model.value,
@@ -338,17 +344,49 @@ class NoiseStats:
 
 @dataclass(frozen=True)
 class VerificationReport:
+    """What :func:`verify_complete` established: each DOF's factor runs,
+    ``factors[dof][sign, bits]``.  Every count is derived from them."""
+
     n_photons: int
-    total_states: int
-    correct: int
-    group_count: int
     model: HomodyneModel
-    per_state: tuple[StateCheck, ...]
+    factors: dict[str, dict[tuple[str, str], _DofCheck]]
     noise: NoiseStats | None = None
+
+    @property
+    def total_states(self) -> int:
+        return 4 ** self.n_photons
+
+    @property
+    def correct(self) -> int:
+        """An input is correct iff both its factors are."""
+        return math.prod(sum(not c.broken for c in table.values())
+                         for table in self.factors.values())
+
+    @property
+    def group_count(self) -> int:
+        """Signatures join P and S magnitudes: distinct P times distinct S."""
+        return math.prod(len({c.magnitudes for c in table.values()})
+                         for table in self.factors.values())
 
     @property
     def all_correct(self) -> bool:
         return self.correct == self.total_states
+
+    @property
+    def per_state(self) -> Iterator[StateCheck]:
+        """The per-input records, built afresh on each read, in
+        :func:`all_canonical_labels` order.  Each is assembled from the
+        input's two factors: the signature is the polarization magnitudes
+        then the spatial ones, ``branches`` the product of the two supports,
+        and a failure names the first broken invariant of either factor."""
+        p_checks, s_checks = self.factors["P"], self.factors["S"]
+        for label in all_canonical_labels(self.n_photons):
+            p = p_checks[label.p_sign, label.p_bits]
+            s = s_checks[label.s_sign, label.s_bits]
+            broken = (min(p.broken | s.broken, key=_INVARIANTS.index)
+                      if p.broken or s.broken else "")
+            yield StateCheck(label.literal(), p.magnitudes + s.magnitudes,
+                             p.support * s.support, not broken, broken)
 
     def to_json_dict(self) -> dict:
         out = {"n": self.n_photons, "total": self.total_states,
@@ -404,6 +442,7 @@ def monte_carlo_misclassification(n: int, cfg: RunConfig) -> NoiseStats:
     chunked draws equal one draw of every trial, so the result does not
     depend on the chunk size and memory does not grow with the trial count.
     """
+    check_photon_count(n, "Monte Carlo study")
     labels = all_canonical_labels(n)
     probes = probe_ids(n)
     err = (gaussian_error_prob(cfg.alpha, cfg.theta)
@@ -455,35 +494,23 @@ def verify_complete(n: int, cfg: RunConfig | None = None) -> VerificationReport:
     Those checks split by degree of freedom (see the module notes): the
     analyser runs once per (sign, bits) of each DOF through only that DOF's
     stages, and if :func:`_separated` finds a stage that reads or moves the
-    other DOF, every input fails with ``separation``.  The 4^n records are
-    assembled from the factors in :func:`all_canonical_labels` order: the
-    signature is the polarization magnitudes then the spatial ones,
-    ``branches`` the product of the two supports, and a failure names the
-    first broken invariant.  The exhaustive pass always uses the ideal
-    readout; with ``cfg.model == gaussian`` a sampled noise study is
-    attached on top.
+    other DOF, every input fails with ``separation``.  The report keeps the
+    two tables of factor runs; the per-input records are assembled from
+    them only when read (:attr:`VerificationReport.per_state`).  The
+    exhaustive pass always uses the ideal readout; with
+    ``cfg.model == gaussian`` a sampled noise study is attached on top.
     """
     check_photon_count(n, "verification")
     if cfg is None:
         cfg = RunConfig()
     ideal = replace(cfg, model=HomodyneModel.IDEAL)
     separated = _separated(n, ideal)
-    p_checks, s_checks = ({(sign, bits): _check_factor(sign, bits, dof, ideal, separated)
-                           for bits in canonical_bit_strings(n) for sign in "+-"}
-                          for dof in "PS")
-    per_state = []
-    for label in all_canonical_labels(n):
-        p = p_checks[label.p_sign, label.p_bits]
-        s = s_checks[label.s_sign, label.s_bits]
-        broken = (min(p.broken | s.broken, key=_INVARIANTS.index)
-                  if p.broken or s.broken else "")
-        per_state.append(StateCheck(label.literal(), p.magnitudes + s.magnitudes,
-                                    p.support * s.support, not broken, broken))
+    factors = {dof: {(sign, bits): _check_factor(sign, bits, dof, ideal, separated)
+                     for bits in canonical_bit_strings(n) for sign in "+-"}
+               for dof in "PS"}
     noise = (monte_carlo_misclassification(n, cfg)
              if cfg.model is HomodyneModel.GAUSSIAN else None)
-    return VerificationReport(n, 4 ** n, sum(c.ok for c in per_state),
-                              len({c.signature for c in per_state}), cfg.model,
-                              tuple(per_state), noise)
+    return VerificationReport(n, cfg.model, factors, noise)
 
 
 # --- table emission -----------------------------------------------------------

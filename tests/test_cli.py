@@ -108,6 +108,14 @@ class TestVerify:
         assert fails[0] == "FAIL P:+00;S:+00 signature=(0, 0) broken=separation"
         assert all(line.endswith(" broken=separation") for line in fails)
 
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_passing_report_builds_no_per_input_records(self, monkeypatch, fmt):
+        def no_records(*args):
+            raise AssertionError("a per-input record was built")
+
+        monkeypatch.setattr(protocols, "StateCheck", no_records)
+        assert cli.main(["verify", "--n", "5", "--format", fmt]) == 0
+
 
 class TestTables:
     def test_csv_signature_header_contract(self, capsys):

@@ -1,12 +1,15 @@
 import copy
 import hashlib
 import itertools
+import json
 import math
 import pickle
 import statistics
 import time
 from dataclasses import replace
+from importlib import resources
 
+import jsonschema
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,12 +17,13 @@ from hypothesis import given, settings, strategies as st
 from hypersa.kerr import (HomodyneModel, ProbeRegister, attach_probes,
                           gaussian_error_prob)
 from hypersa.optics import (DetectorOutcome, PhotonRecord,
-                            detection_distribution, outcome_tokens,
-                            sample_outcome)
+                            detection_distribution, outcome_json,
+                            outcome_tokens, sample_outcome)
 from hypersa import cli, protocols
 from hypersa.rng import Stream, as_generator
-from hypersa.protocols import (RunConfig, decode_signs, hgsa_n_analyze,
-                               monte_carlo_misclassification,
+from hypersa.protocols import (PhotonCountError, RunConfig, decode_signs,
+                               emit_detection_table, emit_signature_table,
+                               hgsa_n_analyze, monte_carlo_misclassification,
                                predicted_error_rate, probe_ids,
                                run_parity_stage, sign_basis_transform, stream,
                                verify_complete, wilson_interval)
@@ -229,6 +233,8 @@ class TestCompleteness:
         monkeypatch.setattr(protocols, "run_parity_stage", reversed_readouts)
         report = verify_complete(3)
         assert report.correct < 64
+        assert report.correct == sum(c.ok for c in report.per_state)
+        assert report.group_count == len({c.signature for c in report.per_state})
         # joint and factor runs read alike, so the factor invariants are named
         assert {c.broken for c in report.per_state if not c.ok} == {"P bits", "S bits"}
         assert cli.main(["verify", "--n", "3"]) == 1
@@ -247,6 +253,12 @@ class TestCompleteness:
             verify_complete(1, RunConfig())
         with pytest.raises(ValueError, match="2 <= n <= 10"):
             verify_complete(11, RunConfig())
+
+    @pytest.mark.parametrize("run", [verify_complete, emit_signature_table,
+                                     emit_detection_table])
+    def test_float_photon_count_fails_the_guard(self, run):
+        with pytest.raises(PhotonCountError, match="integer photon count, got 3.0"):
+            run(3.0)
 
     def test_gaussian_verify_attaches_noise_stats(self):
         cfg = RunConfig(theta=0.2, alpha=150.0,
@@ -270,6 +282,9 @@ class TestPerDofVerifier:
     @staticmethod
     def failures(report):
         assert report.correct < report.total_states
+        # the counts come from the factor tables, the records from each input
+        assert report.correct == sum(c.ok for c in report.per_state)
+        assert report.group_count == len({c.signature for c in report.per_state})
         return {c.broken for c in report.per_state if not c.ok}
 
     # a stage that reads or moves the other DOF must fail the separation
@@ -392,6 +407,12 @@ class TestNoiseStudy:
         from hypersa.kerr import gaussian_error_prob
         p = gaussian_error_prob(30.0, 0.2)
         assert predicted_error_rate(3, cfg) == pytest.approx(1 - (1 - p) ** 4)
+
+    @pytest.mark.parametrize("n", [1, 11, 2.0])
+    def test_photon_count_guard(self, n):
+        cfg = RunConfig(model=HomodyneModel.GAUSSIAN, trials=10)
+        with pytest.raises(PhotonCountError, match="Monte Carlo study"):
+            monte_carlo_misclassification(n, cfg)
 
     def test_wilson_interval_brackets_rate(self):
         low, high = wilson_interval(50, 100)
@@ -656,6 +677,10 @@ class TestPlumbing:
                                     "p": pytest.approx(1.0)}
         assert {k: doc[k] for k in ("theta", "alpha", "model", "seed")} == {
             "theta": 0.2, "alpha": 60.0, "model": "ideal", "seed": 4}
+        analyze = json.loads(resources.files("hypersa.schemas")
+                             .joinpath("analyze.schema.json").read_text())
+        jsonschema.validate(doc["detection"], analyze["properties"]["detection"])
+        assert doc["detection"] == outcome_json(tr.detector_outcome)
 
     def test_probe_ids_layout(self):
         assert probe_ids(2) == ["alpha1", "beta1"]
