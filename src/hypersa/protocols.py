@@ -32,7 +32,7 @@ that no stage reads or moves the other DOF.
 
 from __future__ import annotations
 
-import hashlib
+import itertools
 import math
 import operator
 from collections import Counter
@@ -74,13 +74,12 @@ def check_photon_count(n: int, what: str) -> int:
 
 
 def stream(seed: int, name: str) -> Stream:
-    """Named child generator: all randomness flows from one seed, split by
-    purpose ("probe:alpha1", "detection", ...) so streams never collide.
-    A stream is seeded on its first draw, so a point-mass readout, which
-    draws nothing, costs no seeding."""
-    digest = hashlib.sha256(name.encode("utf-8")).digest()
-    return Stream(seed, tuple(int.from_bytes(digest[i:i + 4], "little")
-                              for i in range(0, 16, 4)))
+    """Named child stream, ``random.Random(f"{seed}:{name}")``: all
+    randomness flows from one seed, split by purpose ("probe:alpha1",
+    "detection", ...) so streams never collide.  A stream is seeded on its
+    first draw, so a point-mass readout, which draws nothing, costs no
+    seeding."""
+    return Stream(seed, name)
 
 
 @dataclass(frozen=True)
@@ -380,12 +379,13 @@ class VerificationReport:
         then the spatial ones, ``branches`` the product of the two supports,
         and a failure names the first broken invariant of either factor."""
         p_checks, s_checks = self.factors["P"], self.factors["S"]
-        for label in all_canonical_labels(self.n_photons):
-            p = p_checks[label.p_sign, label.p_bits]
-            s = s_checks[label.s_sign, label.s_bits]
+        bits = canonical_bit_strings(self.n_photons)
+        for p_bits, s_bits, p_sign, s_sign in itertools.product(bits, bits, "+-", "+-"):
+            p, s = p_checks[p_sign, p_bits], s_checks[s_sign, s_bits]
             broken = (min(p.broken | s.broken, key=_INVARIANTS.index)
                       if p.broken or s.broken else "")
-            yield StateCheck(label.literal(), p.magnitudes + s.magnitudes,
+            yield StateCheck(f"P:{p_sign}{p_bits};S:{s_sign}{s_bits}",
+                             p.magnitudes + s.magnitudes,
                              p.support * s.support, not broken, broken)
 
     def to_json_dict(self) -> dict:
@@ -570,7 +570,8 @@ def emit_detection_table(n: int) -> list[DetectionRow]:
     """The four detector-parity groups with their members and outcome sets.
 
     The outcome set is computed by actually transforming one member of the
-    group; it depends only on the sign pair.
+    group; it depends only on the sign pair.  No rotation couples the DOFs,
+    so the member's rotated state is the product of its two rotated factors.
     """
     check_photon_count(n, "detection table")
     rows = []
@@ -578,8 +579,9 @@ def emit_detection_table(n: int) -> list[DetectionRow]:
         members = tuple(_member_literal(p_sign, pb, s_sign, sb)
                         for pb in canonical_bit_strings(n)
                         for sb in canonical_bit_strings(n))
-        rep = state_from_label(HyperLabel(p_sign, "0" * n, s_sign, "0" * n))
-        support = detection_distribution(sign_basis_transform(rep))
+        rotated = hyper_product(*(sign_basis_transform(ghz_state(sign, "0" * n, dof), dof)
+                                  for sign, dof in ((p_sign, "P"), (s_sign, "S"))))
+        support = detection_distribution(rotated)
         rows.append(DetectionRow(gi, p_sign, s_sign, members,
                                  tuple(outcome_tokens(o) for o in support)))
     return rows

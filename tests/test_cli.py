@@ -237,6 +237,57 @@ class TestUsage:
         assert doc["groups"] == 16
 
 
+# The exact stdout of three seeded commands that draw: gaussian readouts and
+# a detection event, a Monte Carlo study, and the gaussian verify noise
+# study.  Every stream is random.Random(f"{seed}:{name}"), which draws the
+# same numbers on every supported Python, so a change here is a change to
+# the streams.
+PINNED_STDOUT = {
+    ("analyze", "P:-010;S:+011", "--model", "gaussian", "--seed", "3"):
+        "label: P:-001;S:+011\n"
+        "probe alpha1: magnitude 0 p=0.401294\n"
+        "probe alpha2: magnitude 1 p=0.401294\n"
+        "probe beta1: magnitude 1 p=0.598706\n"
+        "probe beta2: magnitude 1 p=0.598706\n"
+        "detection: A2- B2- C1-\n",
+    ("montecarlo", "--n", "2", "--model", "gaussian", "--trials", "2000",
+     "--seed", "5", "--format", "json"):
+        '{"n": 2, "per_probe_error": 0.40129447987314965, "trials": 2000, '
+        '"errors": 1284, "rate": 0.642, "wilson_low": 0.620734990771311, '
+        '"wilson_high": 0.6627205478301433, "predicted": 0.6415517001696376, '
+        '"per_state": {"P:+00;S:+00": {"trials": 120, "errors": 73}, '
+        '"P:+00;S:-00": {"trials": 128, "errors": 80}, '
+        '"P:-00;S:+00": {"trials": 115, "errors": 75}, '
+        '"P:-00;S:-00": {"trials": 128, "errors": 78}, '
+        '"P:+00;S:+01": {"trials": 107, "errors": 71}, '
+        '"P:+00;S:-01": {"trials": 111, "errors": 76}, '
+        '"P:-00;S:+01": {"trials": 134, "errors": 90}, '
+        '"P:-00;S:-01": {"trials": 124, "errors": 71}, '
+        '"P:+01;S:+00": {"trials": 124, "errors": 80}, '
+        '"P:+01;S:-00": {"trials": 130, "errors": 86}, '
+        '"P:-01;S:+00": {"trials": 122, "errors": 83}, '
+        '"P:-01;S:-00": {"trials": 120, "errors": 79}, '
+        '"P:+01;S:+01": {"trials": 137, "errors": 87}, '
+        '"P:+01;S:-01": {"trials": 138, "errors": 89}, '
+        '"P:-01;S:+01": {"trials": 143, "errors": 89}, '
+        '"P:-01;S:-01": {"trials": 119, "errors": 77}}, '
+        '"per_probe_flips": {"alpha1": 777, "beta1": 830}}\n',
+    ("verify", "--n", "2", "--model", "gaussian", "--trials", "2000",
+     "--seed", "8", "--format", "text"):
+        "n=2 total=16 correct=16 groups=4 model=gaussian\n"
+        "noise: rate=0.643000 wilson95=[0.621746, 0.663706] predicted=0.641552 trials=2000\n"
+        "probe alpha1: misread rate 0.406000 (gaussian_error_prob 0.401294)\n"
+        "probe beta1: misread rate 0.391000 (gaussian_error_prob 0.401294)\n",
+}
+
+
+@pytest.mark.parametrize("argv", PINNED_STDOUT, ids=lambda argv: argv[0])
+def test_seeded_draws_print_the_pinned_stdout(capsys, argv):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out == PINNED_STDOUT[argv]
+
+
 # runs subcommands through cli.main in one fresh interpreter and reports,
 # after each, whether numpy has been imported
 FIRST_DRAW_SCRIPT = """

@@ -1,9 +1,10 @@
 import copy
-import hashlib
 import itertools
 import json
 import math
 import pickle
+import random
+import re
 import statistics
 import time
 from dataclasses import replace
@@ -421,11 +422,9 @@ class TestNoiseStudy:
         assert wilson_interval(100, 100)[1] == pytest.approx(1.0, abs=1e-12)
 
 
-def numpy_generator(seed: int, name: str) -> np.random.Generator:
-    """The numpy generator that ``stream(seed, name)`` stands for."""
-    digest = hashlib.sha256(name.encode("utf-8")).digest()
-    key = tuple(int.from_bytes(digest[i:i + 4], "little") for i in range(0, 16, 4))
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=key))
+def named_generator(seed: int, name: str) -> random.Random:
+    """The generator that ``stream(seed, name)`` stands for, seeded now."""
+    return random.Random(f"{seed}:{name}")
 
 
 class ScriptedStream(np.random.Generator):
@@ -517,28 +516,28 @@ class TestBatchedNoiseStudy:
         assert abs(statistics.variance(z) - 1) <= 4 * math.sqrt(var_s2)
 
     @pytest.mark.parametrize("n", [2, 3])
-    def test_draws_equal_the_numpy_generator_across_a_chunk_boundary(self, n):
-        # the study as it drew with numpy: each stream's Generator, chunk by
-        # chunk, an integer array of inputs and a (size, probes) array of
-        # uniforms; a trial is wrong iff one of its probes misreads
+    def test_draws_equal_a_trial_loop_across_a_chunk_boundary(self, n):
+        # the study one trial at a time over the same two named generators:
+        # an input from one, a uniform per probe from the other; a trial is
+        # wrong iff one of its probes misreads
         cfg = replace(GAUSSIAN_CFG, trials=protocols.MC_CHUNK + 1, seed=61)
-        labels, width = all_canonical_labels(n), 2 * (n - 1)
+        labels, probes = all_canonical_labels(n), probe_ids(n)
         err = gaussian_error_prob(cfg.alpha, cfg.theta)
-        pick_rng = numpy_generator(cfg.seed, "montecarlo:inputs")
-        flip_rng = numpy_generator(cfg.seed, "montecarlo:misreads")
-        picks, flips = [], []
-        for start in range(0, cfg.trials, protocols.MC_CHUNK):
-            size = min(protocols.MC_CHUNK, cfg.trials - start)
-            picks.append(pick_rng.integers(0, len(labels), size=size))
-            flips.append(flip_rng.random((size, width)) < err)
-        picks, flips = np.concatenate(picks), np.concatenate(flips)
-        wrong = picks[flips.any(axis=1)]
+        pick_rng = named_generator(cfg.seed, "montecarlo:inputs")
+        flip_rng = named_generator(cfg.seed, "montecarlo:misreads")
+        per_state = {lab.literal(): (0, 0) for lab in labels}
+        flips = dict.fromkeys(probes, 0)
+        for _ in range(cfg.trials):
+            literal = labels[pick_rng.randrange(len(labels))].literal()
+            pattern = [flip_rng.random() < err for _ in probes]
+            trials, errors = per_state[literal]
+            per_state[literal] = trials + 1, errors + any(pattern)
+            for probe, flip in zip(probes, pattern):
+                flips[probe] += flip
         stats = monte_carlo_misclassification(n, cfg)
-        assert stats.per_state == {
-            lab.literal(): (int((picks == i).sum()), int((wrong == i).sum()))
-            for i, lab in enumerate(labels)}
-        assert stats.errors == len(wrong)
-        assert stats.per_probe_flips == dict(zip(probe_ids(n), flips.sum(axis=0).tolist()))
+        assert stats.per_state == per_state
+        assert stats.errors == sum(e for _, e in per_state.values())
+        assert stats.per_probe_flips == flips
 
     def test_readout_not_a_point_mass_is_refused(self, monkeypatch):
         real = protocols.hgsa_n_analyze
@@ -561,15 +560,26 @@ class TestPlumbing:
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
+    def test_streams_differ_by_name_and_by_seed(self):
+        # the key joins the seed and the name at the first colon, which no
+        # seed has, so no two (seed, name) pairs share a generator
+        names = ("", "detection", "probe:alpha1", "probe:beta1",
+                 "montecarlo:inputs", "montecarlo:misreads", "1:detection")
+        draws = {(seed, name): tuple(stream(seed, name).random(4))
+                 for seed in (0, 1, 10, 2 ** 64 + 3) for name in names}
+        assert len(set(draws.values())) == len(draws)
+        assert tuple(as_generator(10).random(4)) == draws[10, ""]
+
     @staticmethod
     def assert_stream_equals_eager_generator(seed, name):
-        # a stream must draw what the generator it stands for draws: k
-        # scalars, then an integer and a double list, then scalars
+        # a stream must draw what the generator it stands for, seeded before
+        # the first draw, draws: k scalars, then an integer and a double
+        # list, then scalars
         for k in (0, 1, 3):
-            eager, lazy = numpy_generator(seed, name), stream(seed, name)
+            eager, lazy = named_generator(seed, name), stream(seed, name)
             assert [lazy.random() for _ in range(k)] == [eager.random() for _ in range(k)]
-            assert lazy.integers(0, 64, 50) == eager.integers(0, 64, size=50).tolist()
-            assert lazy.random(12) == eager.random((3, 4)).ravel().tolist()
+            assert lazy.integers(0, 64, 50) == [eager.randrange(64) for _ in range(50)]
+            assert lazy.random(12) == [eager.random() for _ in range(12)]
             assert [lazy.random() for _ in range(3)] == [eager.random() for _ in range(3)]
 
     @pytest.mark.parametrize("seed", [0, 7, 2 ** 32 - 1, 2 ** 32, 2 ** 64 + 3])
@@ -584,31 +594,32 @@ class TestPlumbing:
     @pytest.mark.parametrize("width", [1, 3, 5, 16, 4 ** 10, 10 ** 6 + 3, 2 ** 31 + 1, 2 ** 32])
     @pytest.mark.parametrize("seed", [0, 7, 2 ** 64 + 3])
     def test_integers_equal_generator_integers(self, width, seed):
-        # 2**31 + 1 rejects about half of its 32-bit draws, 10**6 + 3 a few
-        # in 10^4, and a width of 1 draws nothing
-        eager, lazy = numpy_generator(seed, "inputs"), stream(seed, "inputs")
+        # each integer is low + randrange(width), and a width of 1 draws
+        # nothing, so the doubles after it are the generator's first ones
+        eager, lazy = named_generator(seed, "inputs"), stream(seed, "inputs")
         for low, count in ((0, 1), (-7, 3), (2 ** 40, 2000), (5, 0)):
-            assert (lazy.integers(low, low + width, count)
-                    == eager.integers(low, low + width, size=count).tolist())
-        assert lazy.random(3) == eager.random(3).tolist()
+            want = ([low] * count if width == 1
+                    else [low + eager.randrange(width) for _ in range(count)])
+            assert lazy.integers(low, low + width, count) == want
+        assert lazy.random(3) == [eager.random() for _ in range(3)]
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2 ** 70), draws=st.lists(st.tuples(
         st.sampled_from(["scalar", "doubles", "integers"]), st.integers(0, 9),
         st.sampled_from([1, 2, 3, 5, 16, 4 ** 10, 10 ** 6 + 3, 2 ** 32])), max_size=12))
     def test_interleaved_draws_equal_one_generator(self, seed, draws):
-        # integers take 32-bit halves of a 64-bit word and keep the other
-        # half for the next integer draw; scalar and double draws take whole
-        # words and leave that half where it is
-        eager, lazy = numpy_generator(seed, "mixed"), stream(seed, "mixed")
+        # scalar, double and integer draws all come from one generator, in
+        # the order they are made
+        eager, lazy = named_generator(seed, "mixed"), stream(seed, "mixed")
         for kind, count, width in draws:
             if kind == "scalar":
                 assert lazy.random() == eager.random()
             elif kind == "doubles":
-                assert lazy.random(count) == eager.random(count).tolist()
+                assert lazy.random(count) == [eager.random() for _ in range(count)]
             else:
-                assert (lazy.integers(-1, width - 1, count)
-                        == eager.integers(-1, width - 1, size=count).tolist())
+                want = ([-1] * count if width == 1
+                        else [eager.randrange(width) - 1 for _ in range(count)])
+                assert lazy.integers(-1, width - 1, count) == want
 
     def test_integers_refuse_a_width_outside_one_to_two_to_the_32(self):
         for high in (0, -3, 2 ** 32 + 1):
@@ -617,16 +628,25 @@ class TestPlumbing:
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2 ** 130))
-    def test_int_seed_draws_equal_default_rng(self, seed):
-        # an int seed is the stream default_rng(seed) stands for: an empty
-        # spawn key; sampling functions take it without loading a Generator
+    def test_int_seed_draws_equal_the_unnamed_stream(self, seed):
+        # an int seed, or a numpy integer, is the stream with the empty name;
+        # a random.Random passes as it is
         for as_int in (seed, np.uint64(seed % 2 ** 64)):
-            eager, lazy = np.random.default_rng(as_int), as_generator(as_int)
+            eager, lazy = named_generator(int(as_int), ""), as_generator(as_int)
             assert isinstance(lazy, Stream)
             assert [lazy.random() for _ in range(3)] == [eager.random() for _ in range(3)]
-            assert lazy.random(5) == eager.random(5).tolist()
+            assert lazy.random(5) == [eager.random() for _ in range(5)]
+        generator = named_generator(seed, "")
+        assert as_generator(generator) is generator
         state = random_state(2, np.random.default_rng(5))
-        assert sample_outcome(state, seed) == sample_outcome(state, np.random.default_rng(seed))
+        assert sample_outcome(state, seed) == sample_outcome(state, generator)
+
+    @pytest.mark.parametrize("seed", [1.5, 2.0, "7"])
+    def test_non_integer_seed_raises_naming_it(self, seed):
+        for draw in (lambda: Stream(seed, "detection"), lambda: as_generator(seed),
+                     lambda: sample_outcome(bell_state("phi+", "P"), seed)):
+            with pytest.raises(ValueError, match=f"integer seed, got {re.escape(repr(seed))}$"):
+                draw()
 
     def test_negative_seed_raises_and_a_generator_passes_through(self):
         with pytest.raises(ValueError):

@@ -1,7 +1,9 @@
 import pytest
 
+from hypersa.optics import detection_distribution, outcome_tokens
 from hypersa.protocols import (display_bits, emit_detection_table,
-                               emit_signature_table)
+                               emit_signature_table, sign_basis_transform)
+from hypersa.states import HyperLabel, state_from_label
 
 # Golden two-photon signature rows: bit-class pair -> probe shift pattern
 # (0 = no shift, 1 = a +-theta shift), transcribed row by row.
@@ -124,6 +126,15 @@ class TestDetectionTable:
                 x2 = sum(1 for t in records if t[1] == "2")
                 assert (v % 2 == 0) == (row.p_sign == "+")
                 assert (x2 % 2 == 0) == (row.s_sign == "+")
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_outcomes_are_the_joint_rotation_of_a_member(self, n):
+        # the table rotates the two factors apart; rotating the joint state
+        # of the group's all-zeros member gives the same tokens in order
+        for row in emit_detection_table(n):
+            joint = state_from_label(HyperLabel(row.p_sign, "0" * n, row.s_sign, "0" * n))
+            support = detection_distribution(sign_basis_transform(joint))
+            assert row.outcomes == tuple(outcome_tokens(o) for o in support)
 
     def test_guard(self):
         with pytest.raises(ValueError, match="2 <= n"):
