@@ -54,22 +54,27 @@ def _choice(options: tuple[str, ...]):
     return cast
 
 
+MODELS = tuple(m.value for m in HomodyneModel)
+FORMATS = ("text", "json", "csv")
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
+    cfg = RunConfig()  # the defaults
     parser.add_argument("--n", type=int, default=_env("N", int, None),
                         help="photon count")
-    parser.add_argument("--theta", type=float, default=_env("THETA", float, 0.01),
+    parser.add_argument("--theta", type=float, default=_env("THETA", float, cfg.theta),
                         help="cross-Kerr phase shift per pass (radians)")
-    parser.add_argument("--alpha", type=float, default=_env("ALPHA", float, 5000.0),
+    parser.add_argument("--alpha", type=float, default=_env("ALPHA", float, cfg.alpha),
                         help="coherent probe amplitude")
-    parser.add_argument("--model", choices=[m.value for m in HomodyneModel],
-                        default=_env("MODEL", _choice(("ideal", "gaussian")), "ideal"),
+    parser.add_argument("--model", choices=MODELS,
+                        default=_env("MODEL", _choice(MODELS), cfg.model.value),
                         help="homodyne readout model")
-    parser.add_argument("--trials", type=int, default=_env("TRIALS", int, 10000),
+    parser.add_argument("--trials", type=int, default=_env("TRIALS", int, cfg.trials),
                         help="Monte Carlo trial count")
-    parser.add_argument("--seed", type=int, default=_env("SEED", int, 0),
+    parser.add_argument("--seed", type=int, default=_env("SEED", int, cfg.seed),
                         help="master seed; all streams derive from it")
-    parser.add_argument("--format", choices=["text", "json", "csv"],
-                        default=_env("FORMAT", _choice(("text", "json", "csv")), "text"),
+    parser.add_argument("--format", choices=FORMATS,
+                        default=_env("FORMAT", _choice(FORMATS), "text"),
                         dest="fmt", help="output format")
 
 
@@ -80,9 +85,8 @@ def _photon_count(command: str, n: int | None) -> int:
 
 def _config(args) -> RunConfig:
     try:
-        return RunConfig(theta=args.theta, alpha=args.alpha,
-                         model=HomodyneModel(args.model), trials=args.trials,
-                         seed=args.seed)
+        return RunConfig(theta=args.theta, alpha=args.alpha, model=args.model,
+                         trials=args.trials, seed=args.seed)
     except ValueError as exc:
         # RunConfig names the field first, and each field has a flag of that name
         raise ValueError(f"--{exc}") from None
@@ -256,24 +260,16 @@ def build_parser() -> argparse.ArgumentParser:
         prog="hypersa",
         description="Hyperentangled Bell/GHZ state analysis simulator")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_analyze = sub.add_parser("analyze", help="analyze one hyperentangled input")
-    p_analyze.add_argument("state", help="state literal, e.g. 'P:+00;S:-01'")
-    _add_common(p_analyze)
-    p_analyze.set_defaults(func=cmd_analyze)
-
-    p_verify = sub.add_parser("verify", help="exhaustively verify all 4^n inputs")
-    _add_common(p_verify)
-    p_verify.set_defaults(func=cmd_verify)
-
-    p_tables = sub.add_parser("tables", help="emit signature and detection tables")
-    _add_common(p_tables)
-    p_tables.set_defaults(func=cmd_tables)
-
-    p_mc = sub.add_parser("montecarlo", help="sampled noise study (gaussian model)")
-    _add_common(p_mc)
-    p_mc.set_defaults(func=cmd_montecarlo)
-
+    for name, help_, func in (
+            ("analyze", "analyze one hyperentangled input", cmd_analyze),
+            ("verify", "exhaustively verify all 4^n inputs", cmd_verify),
+            ("tables", "emit signature and detection tables", cmd_tables),
+            ("montecarlo", "sampled noise study (gaussian model)", cmd_montecarlo)):
+        command = sub.add_parser(name, help=help_)
+        if func is cmd_analyze:
+            command.add_argument("state", help="state literal, e.g. 'P:+00;S:-01'")
+        _add_common(command)
+        command.set_defaults(func=func)
     return parser
 
 

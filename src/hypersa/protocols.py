@@ -4,20 +4,18 @@ The discrimination of an N-photon hyperentangled input runs in three steps:
 
 1. N-1 parity gadgets couple photon 0 with each other photon in the
    polarization DOF; homodyne magnitudes spell the polarization bit-string
-   (with a leading 0 for the canonical representative).
-2. The same with fresh probes in the spatial DOF.
-3. Every photon passes a beam splitter and a wave plate, rotating both DOFs
-   into the parity-readout basis; detector counts decode the two signs:
-   an even number of V clicks means the polarization superposition was "+",
-   an even number of path-2 clicks the same for the spatial DOF.  All beam
-   splitters act before all wave plates; the elements commute, so this is
-   the same operator as any other order, and the state stays smaller.
+   (with a leading 0 for the canonical representative).  A wave plate on
+   every photon then rotates polarization into the parity-readout basis.
+2. The same with fresh probes and beam splitters in the spatial DOF.
+3. Detector counts decode the two signs: an even number of V clicks means
+   the polarization superposition was "+", an even number of path-2 clicks
+   the same for the spatial DOF.
 
 The QND step splits the 4^N inputs into 4^(N-1) groups of four, and the
 detector parities separate each group, so the map from input to readout is a
 bijection.  ``verify_complete`` checks that claim by enumeration: it runs the
-analyser's own steps 1-3 (:func:`pre_detection`) and walks every detector
-branch symbolically where the analyser samples one.
+analyser's own per-DOF pass (:func:`pre_detection`) and bit decoder, and
+walks every detector branch symbolically where the analyser samples one.
 
 It does so one degree of freedom at a time.  No stage couples the two DOFs:
 the wave plates and the alpha gadgets act on polarization only, the beam
@@ -100,16 +98,19 @@ class RunConfig:
 
     def __post_init__(self):
         # chained comparisons are False for NaN, so these also reject it; a
-        # non-number (a string, None) and a float count raise TypeError
+        # non-number, a float count and an unknown model raise; a bool is no count
         for name, rule, check in (
                 ("theta", "finite and in (0, pi/2)", lambda v: 0 < v < math.pi / 2),
                 ("alpha", "finite and > 0", lambda v: 0 < v < math.inf),
-                ("trials", "an integer >= 1", lambda v: operator.index(v) >= 1),
-                ("seed", "an integer >= 0", lambda v: operator.index(v) >= 0)):
+                ("model", f"one of {', '.join(HomodyneModel)}", HomodyneModel),
+                ("trials", "an integer >= 1",
+                 lambda v: not isinstance(v, bool) and operator.index(v) >= 1),
+                ("seed", "an integer >= 0",
+                 lambda v: not isinstance(v, bool) and operator.index(v) >= 0)):
             value = getattr(self, name)
             try:
                 ok = check(value)
-            except TypeError:
+            except (TypeError, ValueError):
                 ok = False
             if not ok:
                 raise ValueError(f"{name} must be {rule}, got {value!r}")
@@ -176,9 +177,9 @@ def run_parity_stage(joint: JointState, dof: str, prefix: str,
 def sign_basis_transform(state: PhotonState, dofs: str = "SP") -> PhotonState:
     """Beam splitters ("S") and wave plates ("P") on every photon, in the
     order named: the DOFs rotate into the basis where GHZ-sign information
-    becomes a count parity.  The elements commute; with every beam splitter
-    first, the spatial DOF cancels down to 2^(n-1) terms before the wave
-    plates grow the polarization DOF."""
+    becomes a count parity.  The elements commute; the two-DOF default puts
+    every beam splitter first, so the spatial DOF cancels down to 2^(n-1)
+    terms before the wave plates grow the polarization DOF."""
     for dof in dofs:
         rotate = {"P": apply_wp, "S": apply_bs}[_check_dof(dof)]
         for photon in range(state.n_photons):
@@ -188,19 +189,18 @@ def sign_basis_transform(state: PhotonState, dofs: str = "SP") -> PhotonState:
 
 def pre_detection(state: PhotonState, cfg: RunConfig,
                   dofs: str = "PS") -> tuple[PhotonState, list[ProbeReadout]]:
-    """Everything before the detectors, for the DOFs named: attach fresh
-    probes, run each DOF's parity stage in turn, and rotate those DOFs into
-    the sign basis.  Returns the rotated photon state and the readouts,
-    stage by stage; a DOF left out is not touched."""
-    joint = attach_probes(state, [ProbeRegister(pid, cfg.theta, cfg.alpha)
-                                  for pid in probe_ids(state.n_photons, dofs)])
+    """Everything before the detectors, one DOF at a time in the order
+    named: attach that DOF's fresh probes, run its parity stage and rotate
+    it into the sign basis.  Returns the rotated photon state and the
+    readouts, DOF by DOF; a DOF left out is not touched."""
     readouts = []
     for dof in dofs:
+        joint = attach_probes(state, [ProbeRegister(pid, cfg.theta, cfg.alpha)
+                                      for pid in probe_ids(state.n_photons, dof)])
         joint, reads = run_parity_stage(joint, dof, _PROBES[dof], cfg)
         readouts += reads
-    # the last DOF read rotates first: by default the spatial one, which
-    # keeps the state small
-    return sign_basis_transform(joint.photon_state(), dofs[::-1]), readouts
+        state = sign_basis_transform(joint.photon_state(), dof)
+    return state, readouts
 
 
 def decode_signs(outcome: DetectorOutcome) -> tuple[str, str]:
@@ -211,20 +211,18 @@ def decode_signs(outcome: DetectorOutcome) -> tuple[str, str]:
     return ("+" if v % 2 == 0 else "-", "+" if x2 % 2 == 0 else "-")
 
 
-def _bits(readouts: Sequence[ProbeReadout]) -> str:
-    """One DOF's bits: photon 0 is the leading 0, each magnitude the next."""
-    return "0" + "".join(str(r.magnitude) for r in readouts)
-
-
 def _decode_bits(readouts: Sequence[ProbeReadout]) -> tuple[str, str]:
-    """(polarization, spatial) bits from the alpha-then-beta readouts."""
-    half = len(readouts) // 2
-    return _bits(readouts[:half]), _bits(readouts[half:])
+    """(polarization, spatial) bits, each DOF's from its own probes (alpha
+    then beta) in order: photon 0 is the leading 0, each magnitude the next."""
+    return tuple("0" + "".join(str(r.magnitude) for r in readouts
+                               if r.probe.startswith(_PROBES[dof]))
+                 for dof in "PS")
 
 
 def hgsa_n_analyze(n: int, state: PhotonState,
                    cfg: RunConfig) -> tuple[HyperLabel, Transcript]:
-    """Full N-photon analysis: two QND parity stages, then the sign readout.
+    """Full N-photon analysis: each DOF's QND parity stage and rotation in
+    turn (:func:`pre_detection`), then the sign readout.
 
     Returns the decoded canonical label and the run transcript.  Under the
     ideal model the label is exact for any hyperentangled GHZ-class product
@@ -286,7 +284,7 @@ def _check_factor(sign: str, bits: str, dof: str, cfg: RunConfig,
     rotated, readouts, signs = _run_dof(ghz_state(sign, bits, dof), dof, cfg)
     broken = {"separation": not separated,
               f"{dof} readout": any(r.classes != 1 for r in readouts),
-              f"{dof} bits": _bits(readouts) != bits,
+              f"{dof} bits": _decode_bits(readouts)["PS".index(dof)] != bits,
               f"{dof} signs": signs != {sign}}
     # the other DOF is all 0s, so each branch is one string of this DOF
     return _DofCheck(tuple(r.magnitude for r in readouts), len(rotated),
@@ -486,8 +484,11 @@ def monte_carlo_misclassification(n: int, cfg: RunConfig) -> NoiseStats:
 
 def verify_complete(n: int, cfg: RunConfig | None = None) -> VerificationReport:
     """Check every canonical hyperentangled input: run the analyser's
-    pre-detection stage on each one-DOF factor, walk every detector branch
-    symbolically, and report the QND group partition.
+    per-DOF pass (:func:`pre_detection`) and bit decoder on each one-DOF
+    factor, walk every detector branch symbolically, and report the QND
+    group partition.  What the analyser adds to that pass, running it for
+    both DOFs in one call and assembling the label, is not run here; the
+    tests cover it.
 
     An input is correct when every probe readout was a point mass, the
     readouts decode to its bits and every branch decodes to its signs.

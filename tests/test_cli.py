@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import asdict, fields
 from importlib import resources
 from pathlib import Path
 
@@ -229,6 +230,15 @@ class TestEnvironmentOverrides:
 class TestUsage:
     def test_unknown_command_exits_2(self, capsys):
         assert run(capsys, "frobnicate")[0] == 2
+
+    @pytest.mark.parametrize("argv", [["analyze", "P:+00;S:+00"], ["verify"],
+                                      ["tables"], ["montecarlo"]])
+    def test_parser_defaults_are_the_runconfig_defaults(self, monkeypatch, argv):
+        for name in ("THETA", "ALPHA", "MODEL", "TRIALS", "SEED"):
+            monkeypatch.delenv(cli.ENV_PREFIX + name, raising=False)
+        args = cli.build_parser().parse_args(argv)
+        assert ({f.name: getattr(args, f.name) for f in fields(protocols.RunConfig)}
+                == asdict(protocols.RunConfig()))
 
     def test_verify_exit_zero_only_when_all_correct(self, capsys):
         code, out, _ = run(capsys, "verify", "--n", "3", "--format", "json")

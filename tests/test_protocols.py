@@ -29,7 +29,8 @@ from hypersa.protocols import (PhotonCountError, RunConfig, decode_signs,
                                run_parity_stage, sign_basis_transform, stream,
                                verify_complete, wilson_interval)
 from hypersa.states import (BasisKet, HyperLabel, PhotonState,
-                            all_canonical_labels, bell_state, ghz_state,
+                            all_canonical_labels, bell_state,
+                            equal_up_to_global_phase, ghz_state,
                             hyper_product, state_from_label)
 
 from oracle import (assert_matches_dense, dense_vector, hadamard_everywhere,
@@ -388,6 +389,50 @@ class TestAnalyseDecodes:
         decoded, _ = hgsa_n_analyze(n, state_from_label(label), RunConfig(seed=seed))
         assert decoded == label
 
+    @settings(max_examples=25, deadline=None)
+    @given(label=canonical_label(max_n=6))
+    def test_the_analyser_pass_is_the_two_factor_passes(self, label):
+        # what verify_complete runs on each factor is what the analyser runs
+        cfg = RunConfig()
+        rotated, readouts = protocols.pre_detection(state_from_label(label), cfg)
+        p_rotated, p_readouts = protocols.pre_detection(
+            ghz_state(label.p_sign, label.p_bits, "P"), cfg, "P")
+        s_rotated, s_readouts = protocols.pre_detection(
+            ghz_state(label.s_sign, label.s_bits, "S"), cfg, "S")
+        assert readouts == p_readouts + s_readouts
+        assert equal_up_to_global_phase(rotated, hyper_product(p_rotated, s_rotated))
+
+
+def swapped_bits(real):
+    return lambda readouts: real(readouts)[::-1]
+
+
+def last_dof_only(real):
+    return lambda state, dofs="SP": real(state, dofs[-1:])
+
+
+def reversed_readouts(real):
+    def run(joint, dof, prefix, cfg):
+        joint, readouts = real(joint, dof, prefix, cfg)
+        return joint, readouts[::-1]
+    return run
+
+
+class TestVerifyProvesTheAnalyser:
+    """``verify_complete`` is the proof that the analyser is complete, so a
+    mutant of the code they share must either fail it or leave every
+    analysis right."""
+
+    @pytest.mark.parametrize("name, mutant", [("_decode_bits", swapped_bits),
+                                              ("sign_basis_transform", last_dof_only),
+                                              ("run_parity_stage", reversed_readouts)])
+    def test_a_passing_verify_means_right_labels(self, monkeypatch, name, mutant):
+        monkeypatch.setattr(protocols, name, mutant(getattr(protocols, name)))
+        if verify_complete(3).all_correct:
+            wrong = [label.literal() for label in all_canonical_labels(3)
+                     if hgsa_n_analyze(3, state_from_label(label), RunConfig())[0] != label]
+            assert wrong == []
+
 
 class TestNoiseStudy:
     def test_ideal_model_never_errs(self):
@@ -676,6 +721,15 @@ class TestPlumbing:
         want = want.integers(0, 6, 5), want.random(3)
         for clone in (*clones(original), original):
             assert (clone.integers(0, 6, 5), clone.random(3)) == want
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("model", "bogus", "model must be one of ideal, gaussian, got 'bogus'"),
+        ("model", None, "model must be one of ideal, gaussian, got None"),
+        ("trials", True, "trials must be an integer >= 1, got True"),
+        ("seed", False, "seed must be an integer >= 0, got False")])
+    def test_runconfig_names_the_field(self, field, value, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            RunConfig(**{field: value})
 
     def test_runconfig_validation(self):
         for field, value in (("trials", 0), ("theta", 0.0), ("theta", 2.0),
