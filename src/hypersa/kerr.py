@@ -19,7 +19,6 @@ variance quadrature Gaussians separated by ``2*alpha*(1 - cos(theta))``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping, NamedTuple, Sequence
 
@@ -36,21 +35,22 @@ class HomodyneModel(str, Enum):
     GAUSSIAN = "gaussian"
 
 
-@dataclass(frozen=True)
-class ProbeRegister:
+class ProbeRegister(NamedTuple("ProbeRegister", [("id", str), ("theta", float),
+                                                 ("alpha", float)])):
     """A coherent probe: its id, single-pass phase shift theta (radians) and
     real amplitude alpha.  Both parameters must be finite and positive."""
 
-    id: str
-    theta: float
-    alpha: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        # chained comparisons are False for NaN, so these also reject it
-        for name in ("theta", "alpha"):
-            value = getattr(self, name)
-            if not 0 < value < math.inf:
+    def __new__(cls, id: str, theta: float, alpha: float):
+        # NaN fails the chained comparison, and a bool is no number
+        for name, value in (("theta", theta), ("alpha", alpha)):
+            if isinstance(value, bool) or not 0 < value < math.inf:
                 raise ValueError(f"probe {name} must be finite and > 0, got {value}")
+        return super().__new__(cls, id, theta, alpha)
+
+    # _replace builds with _make, so a changed copy is validated again
+    _make = classmethod(lambda cls, values: cls(*values))
 
 
 JointKey = tuple[BasisKet, tuple[int, ...]]

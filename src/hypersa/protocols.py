@@ -34,7 +34,6 @@ import itertools
 import math
 import operator
 from collections import Counter
-from dataclasses import dataclass, replace
 from typing import Iterator, NamedTuple, Sequence
 
 from .kerr import (HomodyneModel, JointState, ProbeRegister, attach_probes,
@@ -80,41 +79,44 @@ def stream(seed: int, name: str) -> Stream:
     return Stream(seed, name)
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple("RunConfig", [("theta", float), ("alpha", float),
+                                          ("model", HomodyneModel), ("trials", int),
+                                          ("seed", int)])):
     """Knobs for a pipeline run.
 
     ``alpha * theta**2`` is the weak-probe feasibility figure: magnitude
     discrimination is reliable when it is large.  Defaults are illustrative.
     ``trials`` sizes the Monte Carlo study, and the noise study that
-    ``verify_complete`` attaches under the gaussian model.
+    ``verify_complete`` attaches under the gaussian model.  A config is an
+    immutable tuple: it iterates and equals a plain tuple of the same values;
+    ``cfg._replace(seed=1)`` returns a changed copy, validated again.
     """
 
-    theta: float = 0.01
-    alpha: float = 5000.0
-    model: HomodyneModel = HomodyneModel.IDEAL
-    trials: int = 10000
-    seed: int = 0
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, theta: float = 0.01, alpha: float = 5000.0,
+                model: HomodyneModel = HomodyneModel.IDEAL, trials: int = 10000,
+                seed: int = 0):
+        self = super().__new__(cls, theta, alpha, model, trials, seed)
         # chained comparisons are False for NaN, so these also reject it; a
-        # non-number, a float count and an unknown model raise; a bool is no count
+        # non-number, a float count, a bool and an unknown model raise
         for name, rule, check in (
                 ("theta", "finite and in (0, pi/2)", lambda v: 0 < v < math.pi / 2),
                 ("alpha", "finite and > 0", lambda v: 0 < v < math.inf),
                 ("model", f"one of {', '.join(HomodyneModel)}", HomodyneModel),
-                ("trials", "an integer >= 1",
-                 lambda v: not isinstance(v, bool) and operator.index(v) >= 1),
-                ("seed", "an integer >= 0",
-                 lambda v: not isinstance(v, bool) and operator.index(v) >= 0)):
+                ("trials", "an integer >= 1", lambda v: operator.index(v) >= 1),
+                ("seed", "an integer >= 0", lambda v: operator.index(v) >= 0)):
             value = getattr(self, name)
             try:
-                ok = check(value)
+                ok = not isinstance(value, bool) and check(value)
             except (TypeError, ValueError):
                 ok = False
             if not ok:
                 raise ValueError(f"{name} must be {rule}, got {value!r}")
-        object.__setattr__(self, "model", HomodyneModel(self.model))
+        return super().__new__(cls, theta, alpha, HomodyneModel(model), trials, seed)
+
+    # _replace builds with _make, so a changed copy is validated again
+    _make = classmethod(lambda cls, values: cls(*values))
 
     def feasibility(self) -> float:
         return self.alpha * self.theta ** 2
@@ -131,8 +133,7 @@ class ProbeReadout(NamedTuple):
     classes: int
 
 
-@dataclass(frozen=True)
-class Transcript:
+class Transcript(NamedTuple):
     """What a single analysis run observed, plus the config that drove it."""
 
     probe_readouts: tuple[ProbeReadout, ...]
@@ -317,8 +318,7 @@ def _separated(n: int, cfg: RunConfig) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class NoiseStats:
+class NoiseStats(NamedTuple):
     """Sampled misclassification statistics under the gaussian model."""
 
     trials: int
@@ -339,8 +339,7 @@ class NoiseStats:
                 "per_probe_flips": self.per_probe_flips}
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     """What :func:`verify_complete` established: each DOF's factor runs,
     ``factors[dof][sign, bits]``.  Every count is derived from them."""
 
@@ -445,7 +444,7 @@ def monte_carlo_misclassification(n: int, cfg: RunConfig) -> NoiseStats:
     probes = probe_ids(n)
     err = (gaussian_error_prob(cfg.alpha, cfg.theta)
            if cfg.model is HomodyneModel.GAUSSIAN else 0.0)
-    ideal = replace(cfg, model=HomodyneModel.IDEAL)
+    ideal = cfg._replace(model=HomodyneModel.IDEAL)
 
     def analyse(pick: int) -> tuple[HyperLabel, tuple[ProbeReadout, ...]]:
         label, transcript = hgsa_n_analyze(n, state_from_label(labels[pick]), ideal)
@@ -504,7 +503,7 @@ def verify_complete(n: int, cfg: RunConfig | None = None) -> VerificationReport:
     check_photon_count(n, "verification")
     if cfg is None:
         cfg = RunConfig()
-    ideal = replace(cfg, model=HomodyneModel.IDEAL)
+    ideal = cfg._replace(model=HomodyneModel.IDEAL)
     separated = _separated(n, ideal)
     factors = {dof: {(sign, bits): _check_factor(sign, bits, dof, ideal, separated)
                      for bits in canonical_bit_strings(n) for sign in "+-"}

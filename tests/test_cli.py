@@ -2,7 +2,6 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import asdict, fields
 from importlib import resources
 from pathlib import Path
 
@@ -237,8 +236,8 @@ class TestUsage:
         for name in ("THETA", "ALPHA", "MODEL", "TRIALS", "SEED"):
             monkeypatch.delenv(cli.ENV_PREFIX + name, raising=False)
         args = cli.build_parser().parse_args(argv)
-        assert ({f.name: getattr(args, f.name) for f in fields(protocols.RunConfig)}
-                == asdict(protocols.RunConfig()))
+        assert ({name: getattr(args, name) for name in protocols.RunConfig._fields}
+                == protocols.RunConfig()._asdict())
 
     def test_verify_exit_zero_only_when_all_correct(self, capsys):
         code, out, _ = run(capsys, "verify", "--n", "3", "--format", "json")
@@ -299,7 +298,7 @@ def test_seeded_draws_print_the_pinned_stdout(capsys, argv):
 
 
 # runs subcommands through cli.main in one fresh interpreter and reports,
-# after each, whether numpy has been imported
+# after each, whether numpy, dataclasses and inspect have been imported
 FIRST_DRAW_SCRIPT = """
 import contextlib, io, sys
 from hypersa import cli
@@ -309,25 +308,27 @@ for argv in (["verify", "--n", "3"], ["tables", "--n", "3"], ["analyze", "P:+00;
              ["verify", "--n", "2", "--model", "gaussian", "--trials", "20"]):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         assert cli.main(argv) == 0, argv
-    print(*argv, "numpy" in sys.modules)
+    print(*argv, *(name in sys.modules for name in ("numpy", "dataclasses", "inspect")))
 """
 
 
-def test_numpy_is_imported_on_the_first_draw():
+def test_no_command_imports_numpy_dataclasses_or_inspect():
     # verify (ideal readout) and tables draw nothing, analyze draws scalars
     # and montecarlo and the gaussian verify noise study draw lists; streams
-    # make all of them without numpy, so no command loads it
+    # make all of them without numpy, so no command loads it.  The records
+    # are NamedTuples, so no command loads dataclasses either, nor the
+    # inspect, ast and dis it imports, which would slow every start-up
     src = str(Path(hypersa.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     done = subprocess.run([sys.executable, "-c", FIRST_DRAW_SCRIPT],
                           env={**os.environ, "PYTHONPATH": path},
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines() == [
-        "verify --n 3 False", "tables --n 3 False", "analyze P:+00;S:-01 False",
-        "analyze P:-010;S:+011 --model gaussian False",
-        "montecarlo --n 2 --model gaussian --trials 20 False",
-        "verify --n 2 --model gaussian --trials 20 False"]
+    assert done.stdout.splitlines() == [f"{argv} False False False" for argv in (
+        "verify --n 3", "tables --n 3", "analyze P:+00;S:-01",
+        "analyze P:-010;S:+011 --model gaussian",
+        "montecarlo --n 2 --model gaussian --trials 20",
+        "verify --n 2 --model gaussian --trials 20")]
 
 
 DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))

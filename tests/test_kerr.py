@@ -40,10 +40,17 @@ class TestProbeRegister:
         (math.inf, 1.0, "theta"),
         (0.1, math.nan, "alpha"),
         (0.1, math.inf, "alpha"),
+        (True, 1.0, "theta"),
+        (0.1, True, "alpha"),
     ])
     def test_rejects_non_finite_parameters(self, theta, alpha, field):
         with pytest.raises(ValueError, match=f"probe {field} must be finite"):
             ProbeRegister("a", theta, alpha)
+
+    def test_replace_validates_again(self):
+        with pytest.raises(ValueError, match="probe theta must be finite"):
+            PROBE._replace(theta=-1.0)
+        assert PROBE._replace(alpha=60.0) == ProbeRegister("alpha1", 0.01, 60.0)
 
 
 class TestKerrInteract:

@@ -7,7 +7,6 @@ import random
 import re
 import statistics
 import time
-from dataclasses import replace
 from importlib import resources
 
 import jsonschema
@@ -493,7 +492,7 @@ class TestBatchedNoiseStudy:
         # every input and every misread pattern, run through the gaussian
         # pipeline with each probe's draw scripted below or above err
         err = gaussian_error_prob(GAUSSIAN_CFG.alpha, GAUSSIAN_CFG.theta)
-        ideal = replace(GAUSSIAN_CFG, model=HomodyneModel.IDEAL)
+        ideal = GAUSSIAN_CFG._replace(model=HomodyneModel.IDEAL)
         misreading: set[str] = set()
         real_stream = protocols.stream
 
@@ -517,14 +516,14 @@ class TestBatchedNoiseStudy:
                 assert (got != label) == any(pattern)
 
     def test_result_does_not_depend_on_the_chunk_size(self, monkeypatch):
-        cfg = replace(GAUSSIAN_CFG, trials=250)  # not a multiple of 7
+        cfg = GAUSSIAN_CFG._replace(trials=250)  # not a multiple of 7
         default = monte_carlo_misclassification(3, cfg)
         monkeypatch.setattr(protocols, "MC_CHUNK", 7)
         assert monte_carlo_misclassification(3, cfg) == default
 
     @pytest.mark.parametrize("alpha", [40.0, 1e6])
     def test_flip_counts_are_the_misreads_drawn(self, alpha):
-        cfg = replace(GAUSSIAN_CFG, alpha=alpha)
+        cfg = GAUSSIAN_CFG._replace(alpha=alpha)
         stats = monte_carlo_misclassification(3, cfg)
         err = gaussian_error_prob(cfg.alpha, cfg.theta)
         draws = stream(cfg.seed, "montecarlo:misreads").random(cfg.trials * 4)
@@ -547,12 +546,12 @@ class TestBatchedNoiseStudy:
         #   (mu4 - (K-3)/(K-1)) / K, where mu4 = 3 + (1 - 6pq)/(Tpq) is the
         #   fourth moment of a standardized binomial.
         # A few trials per seed keep the analyses (the cost) few.
-        cfg = replace(GAUSSIAN_CFG, trials=4)
+        cfg = GAUSSIAN_CFG._replace(trials=4)
         p = predicted_error_rate(n, cfg)
         tpq = cfg.trials * p * (1 - p)
         z = []
         for seed in range(seeds):
-            stats = monte_carlo_misclassification(n, replace(cfg, seed=seed))
+            stats = monte_carlo_misclassification(n, cfg._replace(seed=seed))
             assert stats.predicted == p
             z.append((stats.errors - cfg.trials * p) / math.sqrt(tpq))
         mu4 = 3 + (1 - 6 * p * (1 - p)) / tpq
@@ -565,7 +564,7 @@ class TestBatchedNoiseStudy:
         # the study one trial at a time over the same two named generators:
         # an input from one, a uniform per probe from the other; a trial is
         # wrong iff one of its probes misreads
-        cfg = replace(GAUSSIAN_CFG, trials=protocols.MC_CHUNK + 1, seed=61)
+        cfg = GAUSSIAN_CFG._replace(trials=protocols.MC_CHUNK + 1, seed=61)
         labels, probes = all_canonical_labels(n), probe_ids(n)
         err = gaussian_error_prob(cfg.alpha, cfg.theta)
         pick_rng = named_generator(cfg.seed, "montecarlo:inputs")
@@ -590,7 +589,7 @@ class TestBatchedNoiseStudy:
         def two_classes(*args):
             label, transcript = real(*args)
             readouts = tuple(r._replace(classes=2) for r in transcript.probe_readouts)
-            return label, replace(transcript, probe_readouts=readouts)
+            return label, transcript._replace(probe_readouts=readouts)
 
         monkeypatch.setattr(protocols, "hgsa_n_analyze", two_classes)
         with pytest.raises(ValueError, match="not a point mass"):
@@ -726,10 +725,21 @@ class TestPlumbing:
         ("model", "bogus", "model must be one of ideal, gaussian, got 'bogus'"),
         ("model", None, "model must be one of ideal, gaussian, got None"),
         ("trials", True, "trials must be an integer >= 1, got True"),
-        ("seed", False, "seed must be an integer >= 0, got False")])
+        ("seed", False, "seed must be an integer >= 0, got False"),
+        ("theta", True, "theta must be finite and in (0, pi/2), got True"),
+        ("alpha", False, "alpha must be finite and > 0, got False")])
     def test_runconfig_names_the_field(self, field, value, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             RunConfig(**{field: value})
+
+    def test_runconfig_replace_validates_again(self):
+        cfg = RunConfig()
+        for field, value in (("theta", -1), ("trials", True)):
+            with pytest.raises(ValueError, match=f"^{field} must be"):
+                cfg._replace(**{field: value})
+        changed = cfg._replace(model="gaussian")
+        assert type(changed) is RunConfig
+        assert changed.model is HomodyneModel.GAUSSIAN
 
     def test_runconfig_validation(self):
         for field, value in (("trials", 0), ("theta", 0.0), ("theta", 2.0),
