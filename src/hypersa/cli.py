@@ -11,18 +11,15 @@ defaulted through an environment variable with the ``HYPERSA_`` prefix
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
 
+from . import protocols
 from .kerr import HomodyneModel, gaussian_error_prob
 from .optics import outcome_tokens
-from .protocols import (DetectionRow, NoiseStats, PhotonCountError,
-                        RunConfig, SignatureRow, check_photon_count,
-                        emit_detection_table, emit_signature_table,
-                        hgsa_n_analyze, monte_carlo_misclassification,
-                        probe_ids, verify_complete)
+from .protocols import (PhotonCountError, RunConfig, check_photon_count,
+                        hgsa_n_analyze, probe_ids)
 from .states import HyperLabel, parse_state_literal, state_from_label
 
 ENV_PREFIX = "HYPERSA_"
@@ -58,8 +55,10 @@ MODELS = tuple(m.value for m in HomodyneModel)
 FORMATS = ("text", "json", "csv")
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _common_flags() -> argparse.ArgumentParser:
+    """The flags every subcommand takes, on a parent parser to share."""
     cfg = RunConfig()  # the defaults
+    parser = argparse.ArgumentParser(add_help=False)
     parser.add_argument("--n", type=int, default=_env("N", int, None),
                         help="photon count")
     parser.add_argument("--theta", type=float, default=_env("THETA", float, cfg.theta),
@@ -76,6 +75,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", choices=FORMATS,
                         default=_env("FORMAT", _choice(FORMATS), "text"),
                         dest="fmt", help="output format")
+    return parser
 
 
 def _photon_count(command: str, n: int | None) -> int:
@@ -95,6 +95,11 @@ def _config(args) -> RunConfig:
 def _feasibility_note(cfg: RunConfig) -> None:
     print(f"feasibility alpha*theta^2 = {cfg.feasibility():g} "
           "(weak-probe discrimination wants this large)", file=sys.stderr)
+
+
+def _csv_writer():
+    import csv  # only --format csv needs it
+    return csv.writer(sys.stdout)
 
 
 def _label_json(label: HyperLabel) -> dict:
@@ -122,7 +127,7 @@ def cmd_analyze(args) -> int:
         doc["label"] = _label_json(label)
         print(json.dumps(doc, allow_nan=False))
     elif args.fmt == "csv":
-        writer = csv.writer(sys.stdout)
+        writer = _csv_writer()
         writer.writerow(["label"] + [r.probe for r in transcript.probe_readouts]
                         + ["detection"])
         writer.writerow([label.literal()]
@@ -138,7 +143,7 @@ def cmd_analyze(args) -> int:
     return EXIT_OK
 
 
-def _print_probe_misreads(stats: NoiseStats, cfg: RunConfig) -> None:
+def _print_probe_misreads(stats: protocols.NoiseStats, cfg: RunConfig) -> None:
     """One line per probe: the misread rate drawn against the model's."""
     expected = gaussian_error_prob(cfg.alpha, cfg.theta)
     for probe, flips in stats.per_probe_flips.items():
@@ -150,11 +155,11 @@ def cmd_verify(args) -> int:
     n = _photon_count("verify", args.n)
     cfg = _config(args)
     _feasibility_note(cfg)
-    report = verify_complete(n, cfg)
+    report = protocols.verify_complete(n, cfg)
     if args.fmt == "json":
         print(json.dumps(report.to_json_dict(), allow_nan=False))
     elif args.fmt == "csv":
-        writer = csv.writer(sys.stdout)
+        writer = _csv_writer()
         writer.writerow(["state"] + probe_ids(n) + ["branches", "ok"])
         for check in report.per_state:
             writer.writerow([check.label] + list(check.signature)
@@ -177,7 +182,7 @@ def cmd_verify(args) -> int:
     return EXIT_OK if report.all_correct else 1
 
 
-def _signature_text(rows: list[SignatureRow], n: int) -> str:
+def _signature_text(rows: list[protocols.SignatureRow], n: int) -> str:
     head = ["state".ljust(12)] + [p.ljust(8) for p in probe_ids(n)]
     lines = ["".join(head)]
     for row in rows:
@@ -187,7 +192,7 @@ def _signature_text(rows: list[SignatureRow], n: int) -> str:
     return "\n".join(lines)
 
 
-def _detection_text(rows: list[DetectionRow]) -> str:
+def _detection_text(rows: list[protocols.DetectionRow]) -> str:
     lines = ["group  signs  outcomes"]
     for row in rows:
         lines.append(f"{row.group}      ({row.p_sign},{row.s_sign})  "
@@ -200,15 +205,15 @@ def cmd_tables(args) -> int:
     n = _photon_count("tables", args.n)
     cfg = _config(args)
     _feasibility_note(cfg)
-    sig_rows = emit_signature_table(n)
-    det_rows = emit_detection_table(n)
+    sig_rows = protocols.emit_signature_table(n)
+    det_rows = protocols.emit_detection_table(n)
     if args.fmt == "json":
         print(json.dumps({
             "signature_table": [row._asdict() for row in sig_rows],
             "detection_table": [row._asdict() for row in det_rows],
         }, allow_nan=False))
     elif args.fmt == "csv":
-        writer = csv.writer(sys.stdout)
+        writer = _csv_writer()
         writer.writerow(["state"] + probe_ids(n))
         for row in sig_rows:
             writer.writerow([f"P:{row.p_bits};S:{row.s_bits}"]
@@ -234,13 +239,13 @@ def cmd_montecarlo(args) -> int:
         return EXIT_PARSE
     cfg = _config(args)
     _feasibility_note(cfg)
-    stats = monte_carlo_misclassification(n, cfg)
+    stats = protocols.monte_carlo_misclassification(n, cfg)
     per_probe = gaussian_error_prob(cfg.alpha, cfg.theta)
     if args.fmt == "json":
         print(json.dumps({"n": n, "per_probe_error": per_probe,
                           **stats.to_json_dict()}, allow_nan=False))
     elif args.fmt == "csv":
-        writer = csv.writer(sys.stdout)
+        writer = _csv_writer()
         writer.writerow(["state", "trials", "errors", "rate"])
         for literal, (t, e) in sorted(stats.per_state.items()):
             writer.writerow([literal, t, e, f"{e / t:.6f}" if t else ""])
@@ -260,15 +265,15 @@ def build_parser() -> argparse.ArgumentParser:
         prog="hypersa",
         description="Hyperentangled Bell/GHZ state analysis simulator")
     sub = parser.add_subparsers(dest="command", required=True)
+    common = _common_flags()
     for name, help_, func in (
             ("analyze", "analyze one hyperentangled input", cmd_analyze),
             ("verify", "exhaustively verify all 4^n inputs", cmd_verify),
             ("tables", "emit signature and detection tables", cmd_tables),
             ("montecarlo", "sampled noise study (gaussian model)", cmd_montecarlo)):
-        command = sub.add_parser(name, help=help_)
+        command = sub.add_parser(name, help=help_, parents=[common])
         if func is cmd_analyze:
             command.add_argument("state", help="state literal, e.g. 'P:+00;S:-01'")
-        _add_common(command)
         command.set_defaults(func=func)
     return parser
 

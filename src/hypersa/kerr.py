@@ -103,6 +103,7 @@ class JointState:
         """Collapse-free view once every probe has been measured."""
         if self.probes:
             raise ValueError(f"probes {[p.id for p in self.probes]} are still attached")
+        # JointState does not check its kets, so this checked construction does
         return PhotonState(self.n_photons,
                            {ket: amp for (ket, _), amp in self._amps.items()})
 

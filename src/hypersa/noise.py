@@ -1,0 +1,128 @@
+"""The Monte Carlo noise study: misclassification under the gaussian
+homodyne model, against the analytic prediction.
+
+The study runs the analyser's own code: the analysis, the bit decoder and
+the named streams, each called through the :mod:`hypersa.protocols` module
+object.
+"""
+
+from __future__ import annotations
+
+import math
+from collections import Counter
+from typing import NamedTuple, Sequence
+
+from . import protocols, states
+from .kerr import HomodyneModel, gaussian_error_prob, misread
+from .protocols import ProbeReadout, RunConfig, check_photon_count, probe_ids
+from .states import HyperLabel, all_canonical_labels
+
+
+class NoiseStats(NamedTuple):
+    """Sampled misclassification statistics under the gaussian model."""
+
+    trials: int
+    errors: int
+    rate: float
+    wilson_low: float
+    wilson_high: float
+    predicted: float
+    per_state: dict[str, tuple[int, int]]  # literal -> (trials, errors)
+    per_probe_flips: dict[str, int]  # probe id -> misreads drawn
+
+    def to_json_dict(self) -> dict:
+        return {"trials": self.trials, "errors": self.errors, "rate": self.rate,
+                "wilson_low": self.wilson_low, "wilson_high": self.wilson_high,
+                "predicted": self.predicted,
+                "per_state": {k: {"trials": t, "errors": e}
+                              for k, (t, e) in self.per_state.items()},
+                "per_probe_flips": self.per_probe_flips}
+
+
+def wilson_interval(errors: int, trials: int, z: float = 1.96) -> tuple[float, float]:
+    """Wilson score interval for a binomial rate (default 95%)."""
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    p = errors / trials
+    denom = 1.0 + z * z / trials
+    center = (p + z * z / (2 * trials)) / denom
+    half = z * math.sqrt(p * (1 - p) / trials + z * z / (4 * trials ** 2)) / denom
+    return max(0.0, center - half), min(1.0, center + half)
+
+
+def predicted_error_rate(n: int, cfg: RunConfig) -> float:
+    """Chance that at least one of the 2(n-1) probes misreads: the binomial
+    composition of the per-probe gaussian error."""
+    if cfg.model is not HomodyneModel.GAUSSIAN:
+        return 0.0
+    p = gaussian_error_prob(cfg.alpha, cfg.theta)
+    return 1.0 - (1.0 - p) ** (2 * (n - 1))
+
+
+def _misread_label(label: HyperLabel, readouts: Sequence[ProbeReadout],
+                   pattern: Sequence[bool]) -> HyperLabel:
+    """The label the analyser decodes when exactly the probes flagged in
+    ``pattern`` (one flag per readout) misread: ``label``'s signs, with the
+    bits of the reported magnitudes."""
+    reported = [r._replace(magnitude=misread(r.magnitude)) if flip else r
+                for r, flip in zip(readouts, pattern)]
+    p_bits, s_bits = protocols._decode_bits(reported)
+    return label._replace(p_bits=p_bits, s_bits=s_bits)
+
+
+def monte_carlo_misclassification(n: int, cfg: RunConfig) -> NoiseStats:
+    """Analyse cfg.trials uniformly drawn canonical inputs under cfg.model
+    and tally wrong labels, with a Wilson 95% interval, the analytic
+    prediction and the misreads drawn per probe.
+
+    A trial differs from the ideal analysis of its input only in which
+    probes misread: every readout is a point mass, and every detector branch
+    decodes to the same signs (what :func:`~hypersa.verifier.verify_complete`
+    proves).  So each drawn input is analysed once under the ideal readout,
+    and each distinct misread pattern of it is decoded once per chunk.
+    Inputs and misreads are drawn from two named streams in chunks of
+    :data:`hypersa.protocols.MC_CHUNK` trials; chunked draws equal one draw
+    of every trial, so the result does not depend on the chunk size and
+    memory does not grow with the trial count.
+    """
+    check_photon_count(n, "Monte Carlo study")
+    labels = all_canonical_labels(n)
+    probes = probe_ids(n)
+    err = (gaussian_error_prob(cfg.alpha, cfg.theta)
+           if cfg.model is HomodyneModel.GAUSSIAN else 0.0)
+    ideal = cfg._replace(model=HomodyneModel.IDEAL)
+
+    def analyse(pick: int) -> tuple[HyperLabel, tuple[ProbeReadout, ...]]:
+        state = states.state_from_label(labels[pick])
+        label, transcript = protocols.hgsa_n_analyze(n, state, ideal)
+        readouts = transcript.probe_readouts
+        if any(r.classes != 1 or misread(r.magnitude) is None for r in readouts):
+            raise ValueError(f"{labels[pick].literal()}: a readout is not a point "
+                             f"mass at magnitude 0 or 1, so its trials cannot "
+                             f"share one analysis: {readouts}")
+        return label, readouts
+
+    pick_rng = protocols.stream(cfg.seed, "montecarlo:inputs")
+    flip_rng = protocols.stream(cfg.seed, "montecarlo:misreads")
+    analysed: dict[int, tuple[HyperLabel, tuple[ProbeReadout, ...]]] = {}
+    trials_per = [0] * len(labels)
+    errors_per = [0] * len(labels)
+    flips_per = [0] * len(probes)
+    for start in range(0, cfg.trials, protocols.MC_CHUNK):
+        size = min(protocols.MC_CHUNK, cfg.trials - start)
+        flags = iter([u < err for u in flip_rng.random(size * len(probes))])
+        rows = zip(pick_rng.integers(0, len(labels), size), *[flags] * len(probes))
+        for (pick, *pattern), count in Counter(rows).items():
+            if pick not in analysed:
+                analysed[pick] = analyse(pick)
+            trials_per[pick] += count
+            if _misread_label(*analysed[pick], pattern) != labels[pick]:
+                errors_per[pick] += count
+            flips_per = [f + count * flip for f, flip in zip(flips_per, pattern)]
+    errors = sum(errors_per)
+    low, high = wilson_interval(errors, cfg.trials)
+    return NoiseStats(cfg.trials, errors, errors / cfg.trials, low, high,
+                      predicted_error_rate(n, cfg),
+                      {lab.literal(): (t, e) for lab, t, e in
+                       zip(labels, trials_per, errors_per)},
+                      dict(zip(probes, flips_per)))

@@ -1,4 +1,4 @@
-"""Analysis pipelines, decoders, table emitters and the exhaustive verifier.
+"""The N-photon analysis pipeline and the sign and bit decoders.
 
 The discrimination of an N-photon hyperentangled input runs in three steps:
 
@@ -13,39 +13,25 @@ The discrimination of an N-photon hyperentangled input runs in three steps:
 
 The QND step splits the 4^N inputs into 4^(N-1) groups of four, and the
 detector parities separate each group, so the map from input to readout is a
-bijection.  ``verify_complete`` checks that claim by enumeration: it runs the
-analyser's own per-DOF pass (:func:`pre_detection`) and bit decoder, and
-walks every detector branch symbolically where the analyser samples one.
-
-It does so one degree of freedom at a time.  No stage couples the two DOFs:
-the wave plates and the alpha gadgets act on polarization only, the beam
-splitters and the beta gadgets on spatial mode only, and
-:func:`decode_signs` reads the polarization sign from the V count and the
-spatial sign from the path-2 count.  So a P-GHZ x S-GHZ input is
-classified correctly iff its polarization factor and its spatial factor
-are, and 2^N runs, each of one factor (the other DOF all 0s) through only
-its own DOF's stages, cover all 4^N inputs.  A separation check makes sure
-that no stage reads or moves the other DOF.
+bijection.  :mod:`hypersa.verifier` checks that claim by enumeration.  It,
+the noise study (:mod:`hypersa.noise`) and the tables (:mod:`hypersa.tables`)
+live apart so that a process loads only what its subcommand runs; their
+names resolve here on first use, and they call this module's functions
+through the module object, so a function replaced here is replaced there.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import operator
-from collections import Counter
-from typing import Iterator, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
+from . import _lazy_attributes
 from .kerr import (HomodyneModel, JointState, ProbeRegister, attach_probes,
-                   gaussian_error_prob, homodyne_measure, misread,
-                   parity_gadget)
-from .optics import (DetectorOutcome, apply_bs, apply_wp,
-                     detection_distribution, outcome_json, outcome_tokens,
-                     sample_outcome)
+                   homodyne_measure, parity_gadget)
+from .optics import DetectorOutcome, apply_bs, apply_wp, outcome_json, sample_outcome
 from .rng import Stream
-from .states import (HyperLabel, PhotonState, _check_dof, all_canonical_labels,
-                     canonical_bit_strings, complement, equal_up_to_global_phase,
-                     ghz_state, hyper_product, state_from_label)
+from .states import HyperLabel, PhotonState, _check_dof
 
 VERIFY_MAX_PHOTONS = 10  # 4^N enumeration guard
 _PROBES = {"P": "alpha", "S": "beta"}  # each DOF's probe name prefix
@@ -241,347 +227,17 @@ def hgsa_n_analyze(n: int, state: PhotonState,
     return label, Transcript(tuple(readouts), outcome, cfg)
 
 
-# --- exhaustive verification -------------------------------------------------
-
-class StateCheck(NamedTuple):
-    """Per-input verification record: the decoded signature, how many
-    detector branches the input has, whether every branch decoded right and,
-    if not, the first invariant of :data:`_INVARIANTS` that broke."""
-
-    label: str
-    signature: tuple[int, ...]
-    branches: int
-    ok: bool
-    broken: str = ""
-
-
-#: What a verified input must satisfy, in the order a failure is named: the
-#: separation check, then each DOF's point-mass readouts, bits and signs.
-_INVARIANTS = ("separation", "P readout", "S readout", "P bits", "S bits",
-               "P signs", "S signs")
-
-
-class _DofCheck(NamedTuple):
-    """One DOF's factor run: its probe magnitudes, how many detector
-    branches it has, and the invariants that broke."""
-
-    magnitudes: tuple[int, ...]
-    support: int
-    broken: frozenset[str]
-
-
-def _run_dof(state: PhotonState, dof: str, cfg: RunConfig
-             ) -> tuple[PhotonState, list[ProbeReadout], set[str]]:
-    """``state`` through only ``dof``'s stages: the rotated state, the
-    readouts and the signs its detector branches decode to in ``dof``."""
-    rotated, readouts = pre_detection(state, cfg, dof)
-    i = "PS".index(dof)
-    return rotated, readouts, {decode_signs(o)[i]
-                               for o in detection_distribution(rotated)}
-
-
-def _check_factor(sign: str, bits: str, dof: str, cfg: RunConfig,
-                  separated: bool) -> _DofCheck:
-    rotated, readouts, signs = _run_dof(ghz_state(sign, bits, dof), dof, cfg)
-    broken = {"separation": not separated,
-              f"{dof} readout": any(r.classes != 1 for r in readouts),
-              f"{dof} bits": _decode_bits(readouts)["PS".index(dof)] != bits,
-              f"{dof} signs": signs != {sign}}
-    # the other DOF is all 0s, so each branch is one string of this DOF
-    return _DofCheck(tuple(r.magnitude for r in readouts), len(rotated),
-                     frozenset(k for k, bad in broken.items() if bad))
-
-
-def _separated(n: int, cfg: RunConfig) -> bool:
-    """The separation check: each DOF's stages, run on joint inputs whose
-    halves differ in sign and in every free bit, give the readouts and signs
-    of that DOF's factor run, and the rotated state is the factor's rotated
-    state tensored with the untouched other half."""
-    # 0..0 and 01..1 differ in every free bit, so each DOF's half runs as
-    # both, beside a half in which every photon takes both values
-    for bits in ("0" * n, "0" + "1" * (n - 1)):
-        for sign in "+-":
-            halves = {"P": (sign, bits),
-                      "S": ("-" if sign == "+" else "+", "0" + complement(bits[1:]))}
-            joint = state_from_label(HyperLabel(*halves["P"], *halves["S"]))
-            for dof in "PS":
-                rotated, readouts, signs = _run_dof(joint, dof, cfg)
-                parts = {d: ghz_state(*halves[d], d) for d in "PS"}
-                parts[dof], f_readouts, f_signs = _run_dof(parts[dof], dof, cfg)
-                try:  # a factor run that moved its other DOF is no factor
-                    expected = hyper_product(parts["P"], parts["S"])
-                except ValueError:
-                    return False
-                if ((readouts, signs) != (f_readouts, f_signs)
-                        or not equal_up_to_global_phase(rotated, expected)):
-                    return False
-    return True
-
-
-class NoiseStats(NamedTuple):
-    """Sampled misclassification statistics under the gaussian model."""
-
-    trials: int
-    errors: int
-    rate: float
-    wilson_low: float
-    wilson_high: float
-    predicted: float
-    per_state: dict[str, tuple[int, int]]  # literal -> (trials, errors)
-    per_probe_flips: dict[str, int]  # probe id -> misreads drawn
-
-    def to_json_dict(self) -> dict:
-        return {"trials": self.trials, "errors": self.errors, "rate": self.rate,
-                "wilson_low": self.wilson_low, "wilson_high": self.wilson_high,
-                "predicted": self.predicted,
-                "per_state": {k: {"trials": t, "errors": e}
-                              for k, (t, e) in self.per_state.items()},
-                "per_probe_flips": self.per_probe_flips}
-
-
-class VerificationReport(NamedTuple):
-    """What :func:`verify_complete` established: each DOF's factor runs,
-    ``factors[dof][sign, bits]``.  Every count is derived from them."""
-
-    n_photons: int
-    model: HomodyneModel
-    factors: dict[str, dict[tuple[str, str], _DofCheck]]
-    noise: NoiseStats | None = None
-
-    @property
-    def total_states(self) -> int:
-        return 4 ** self.n_photons
-
-    @property
-    def correct(self) -> int:
-        """An input is correct iff both its factors are."""
-        return math.prod(sum(not c.broken for c in table.values())
-                         for table in self.factors.values())
-
-    @property
-    def group_count(self) -> int:
-        """Signatures join P and S magnitudes: distinct P times distinct S."""
-        return math.prod(len({c.magnitudes for c in table.values()})
-                         for table in self.factors.values())
-
-    @property
-    def all_correct(self) -> bool:
-        return self.correct == self.total_states
-
-    @property
-    def per_state(self) -> Iterator[StateCheck]:
-        """The per-input records, built afresh on each read, in
-        :func:`all_canonical_labels` order.  Each is assembled from the
-        input's two factors: the signature is the polarization magnitudes
-        then the spatial ones, ``branches`` the product of the two supports,
-        and a failure names the first broken invariant of either factor."""
-        p_checks, s_checks = self.factors["P"], self.factors["S"]
-        bits = canonical_bit_strings(self.n_photons)
-        for p_bits, s_bits, p_sign, s_sign in itertools.product(bits, bits, "+-", "+-"):
-            p, s = p_checks[p_sign, p_bits], s_checks[s_sign, s_bits]
-            broken = (min(p.broken | s.broken, key=_INVARIANTS.index)
-                      if p.broken or s.broken else "")
-            yield StateCheck(f"P:{p_sign}{p_bits};S:{s_sign}{s_bits}",
-                             p.magnitudes + s.magnitudes,
-                             p.support * s.support, not broken, broken)
-
-    def to_json_dict(self) -> dict:
-        out = {"n": self.n_photons, "total": self.total_states,
-               "correct": self.correct, "groups": self.group_count,
-               "model": self.model.value}
-        if self.noise is not None:
-            out["noise"] = self.noise.to_json_dict()
-        return out
-
-
-def wilson_interval(errors: int, trials: int, z: float = 1.96) -> tuple[float, float]:
-    """Wilson score interval for a binomial rate (default 95%)."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    p = errors / trials
-    denom = 1.0 + z * z / trials
-    center = (p + z * z / (2 * trials)) / denom
-    half = z * math.sqrt(p * (1 - p) / trials + z * z / (4 * trials ** 2)) / denom
-    return max(0.0, center - half), min(1.0, center + half)
-
-
-def predicted_error_rate(n: int, cfg: RunConfig) -> float:
-    """Chance that at least one of the 2(n-1) probes misreads: the binomial
-    composition of the per-probe gaussian error."""
-    if cfg.model is not HomodyneModel.GAUSSIAN:
-        return 0.0
-    p = gaussian_error_prob(cfg.alpha, cfg.theta)
-    return 1.0 - (1.0 - p) ** (2 * (n - 1))
-
-
-def _misread_label(label: HyperLabel, readouts: Sequence[ProbeReadout],
-                   pattern: Sequence[bool]) -> HyperLabel:
-    """The label the analyser decodes when exactly the probes flagged in
-    ``pattern`` (one flag per readout) misread: ``label``'s signs, with the
-    bits of the reported magnitudes."""
-    reported = [r._replace(magnitude=misread(r.magnitude)) if flip else r
-                for r, flip in zip(readouts, pattern)]
-    p_bits, s_bits = _decode_bits(reported)
-    return label._replace(p_bits=p_bits, s_bits=s_bits)
-
-
-def monte_carlo_misclassification(n: int, cfg: RunConfig) -> NoiseStats:
-    """Analyse cfg.trials uniformly drawn canonical inputs under cfg.model
-    and tally wrong labels, with a Wilson 95% interval, the analytic
-    prediction and the misreads drawn per probe.
-
-    A trial differs from the ideal analysis of its input only in which
-    probes misread: every readout is a point mass, and every detector branch
-    decodes to the same signs (what :func:`verify_complete` proves).  So
-    each drawn input is analysed once under the ideal readout, and each
-    distinct misread pattern of it is decoded once per chunk.  Inputs and
-    misreads are drawn from two named streams in chunks of ``MC_CHUNK`` trials;
-    chunked draws equal one draw of every trial, so the result does not
-    depend on the chunk size and memory does not grow with the trial count.
-    """
-    check_photon_count(n, "Monte Carlo study")
-    labels = all_canonical_labels(n)
-    probes = probe_ids(n)
-    err = (gaussian_error_prob(cfg.alpha, cfg.theta)
-           if cfg.model is HomodyneModel.GAUSSIAN else 0.0)
-    ideal = cfg._replace(model=HomodyneModel.IDEAL)
-
-    def analyse(pick: int) -> tuple[HyperLabel, tuple[ProbeReadout, ...]]:
-        label, transcript = hgsa_n_analyze(n, state_from_label(labels[pick]), ideal)
-        readouts = transcript.probe_readouts
-        if any(r.classes != 1 or misread(r.magnitude) is None for r in readouts):
-            raise ValueError(f"{labels[pick].literal()}: a readout is not a point "
-                             f"mass at magnitude 0 or 1, so its trials cannot "
-                             f"share one analysis: {readouts}")
-        return label, readouts
-
-    pick_rng = stream(cfg.seed, "montecarlo:inputs")
-    flip_rng = stream(cfg.seed, "montecarlo:misreads")
-    analysed: dict[int, tuple[HyperLabel, tuple[ProbeReadout, ...]]] = {}
-    trials_per = [0] * len(labels)
-    errors_per = [0] * len(labels)
-    flips_per = [0] * len(probes)
-    for start in range(0, cfg.trials, MC_CHUNK):
-        size = min(MC_CHUNK, cfg.trials - start)
-        flags = iter([u < err for u in flip_rng.random(size * len(probes))])
-        rows = zip(pick_rng.integers(0, len(labels), size), *[flags] * len(probes))
-        for (pick, *pattern), count in Counter(rows).items():
-            if pick not in analysed:
-                analysed[pick] = analyse(pick)
-            trials_per[pick] += count
-            if _misread_label(*analysed[pick], pattern) != labels[pick]:
-                errors_per[pick] += count
-            flips_per = [f + count * flip for f, flip in zip(flips_per, pattern)]
-    errors = sum(errors_per)
-    low, high = wilson_interval(errors, cfg.trials)
-    return NoiseStats(cfg.trials, errors, errors / cfg.trials, low, high,
-                      predicted_error_rate(n, cfg),
-                      {lab.literal(): (t, e) for lab, t, e in
-                       zip(labels, trials_per, errors_per)},
-                      dict(zip(probes, flips_per)))
-
-
-def verify_complete(n: int, cfg: RunConfig | None = None) -> VerificationReport:
-    """Check every canonical hyperentangled input: run the analyser's
-    per-DOF pass (:func:`pre_detection`) and bit decoder on each one-DOF
-    factor, walk every detector branch symbolically, and report the QND
-    group partition.  What the analyser adds to that pass, running it for
-    both DOFs in one call and assembling the label, is not run here; the
-    tests cover it.
-
-    An input is correct when every probe readout was a point mass, the
-    readouts decode to its bits and every branch decodes to its signs.
-    Those checks split by degree of freedom (see the module notes): the
-    analyser runs once per (sign, bits) of each DOF through only that DOF's
-    stages, and if :func:`_separated` finds a stage that reads or moves the
-    other DOF, every input fails with ``separation``.  The report keeps the
-    two tables of factor runs; the per-input records are assembled from
-    them only when read (:attr:`VerificationReport.per_state`).  The
-    exhaustive pass always uses the ideal readout; with
-    ``cfg.model == gaussian`` a sampled noise study is attached on top.
-    """
-    check_photon_count(n, "verification")
-    if cfg is None:
-        cfg = RunConfig()
-    ideal = cfg._replace(model=HomodyneModel.IDEAL)
-    separated = _separated(n, ideal)
-    factors = {dof: {(sign, bits): _check_factor(sign, bits, dof, ideal, separated)
-                     for bits in canonical_bit_strings(n) for sign in "+-"}
-               for dof in "PS"}
-    noise = (monte_carlo_misclassification(n, cfg)
-             if cfg.model is HomodyneModel.GAUSSIAN else None)
-    return VerificationReport(n, cfg.model, factors, noise)
-
-
-# --- table emission -----------------------------------------------------------
-
-class SignatureRow(NamedTuple):
-    """One QND group: its display bit pair, the four member state literals
-    in sign order (+,+), (+,-), (-,+), (-,-), and the probe shift pattern
-    (0 = no shift, 1 = a +-theta shift) for alpha then beta probes."""
-
-    p_bits: str
-    s_bits: str
-    members: tuple[str, ...]
-    shifts: tuple[int, ...]
-
-
-class DetectionRow(NamedTuple):
-    """One detector-parity group: its index, the sign pair, the member state
-    literals, and the outcome token strings the group can produce."""
-
-    group: int
-    p_sign: str
-    s_sign: str
-    members: tuple[str, ...]
-    outcomes: tuple[str, ...]
-
-
-def display_bits(bits: str) -> str:
-    """Display representative of a GHZ bit class: the lower-Hamming-weight
-    of the string and its complement (ties keep the leading-0 form)."""
-    comp = complement(bits)
-    return comp if comp.count("1") < bits.count("1") else bits
-
-
-_SIGN_ORDER = (("+", "+"), ("+", "-"), ("-", "+"), ("-", "-"))
-
-
-def _member_literal(p_sign: str, p_bits: str, s_sign: str, s_bits: str) -> str:
-    return f"P:{p_sign}{display_bits(p_bits)};S:{s_sign}{display_bits(s_bits)}"
-
-
-def emit_signature_table(n: int) -> list[SignatureRow]:
-    """The probe-shift signature of every QND group, 4^(n-1) rows, ordered by
-    (polarization, spatial) bit class."""
-    check_photon_count(n, "signature table")
-    rows = []
-    for p_bits in canonical_bit_strings(n):
-        for s_bits in canonical_bit_strings(n):
-            members = tuple(_member_literal(ps, p_bits, ss, s_bits)
-                            for ps, ss in _SIGN_ORDER)
-            shifts = tuple(int(c) for c in p_bits[1:] + s_bits[1:])
-            rows.append(SignatureRow(display_bits(p_bits), display_bits(s_bits),
-                                     members, shifts))
-    return rows
-
-
-def emit_detection_table(n: int) -> list[DetectionRow]:
-    """The four detector-parity groups with their members and outcome sets.
-
-    The outcome set is computed by actually transforming one member of the
-    group; it depends only on the sign pair.  No rotation couples the DOFs,
-    so the member's rotated state is the product of its two rotated factors.
-    """
-    check_photon_count(n, "detection table")
-    rows = []
-    for gi, (p_sign, s_sign) in enumerate(_SIGN_ORDER, start=1):
-        members = tuple(_member_literal(p_sign, pb, s_sign, sb)
-                        for pb in canonical_bit_strings(n)
-                        for sb in canonical_bit_strings(n))
-        rotated = hyper_product(*(sign_basis_transform(ghz_state(sign, "0" * n, dof), dof)
-                                  for sign, dof in ((p_sign, "P"), (s_sign, "S"))))
-        support = detection_distribution(rotated)
-        rows.append(DetectionRow(gi, p_sign, s_sign, members,
-                                 tuple(outcome_tokens(o) for o in support)))
-    return rows
+__getattr__, __dir__ = _lazy_attributes(globals(), {
+    name: module for module, names in (
+        ("verifier", "StateCheck _INVARIANTS _DofCheck _run_dof _check_factor "
+                     "_separated VerificationReport verify_complete"),
+        ("noise", "NoiseStats wilson_interval predicted_error_rate _misread_label "
+                  "monte_carlo_misclassification"),
+        ("tables", "SignatureRow DetectionRow display_bits _SIGN_ORDER "
+                   "_member_literal emit_signature_table emit_detection_table"),
+        # names this module imported for the moved code, and so exposed
+        ("kerr", "gaussian_error_prob misread"),
+        ("optics", "detection_distribution outcome_tokens"),
+        ("states", "all_canonical_labels canonical_bit_strings complement "
+                   "equal_up_to_global_phase ghz_state hyper_product state_from_label"))
+    for name in names.split()})

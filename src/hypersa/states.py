@@ -108,6 +108,17 @@ class PhotonState:
         object.__setattr__(self, "n_photons", n_photons)
         object.__setattr__(self, "_amps", amps)
 
+    @classmethod
+    def _derived(cls, n_photons: int, amplitudes: dict[BasisKet, complex]) -> PhotonState:
+        """A state that an operation built from a valid one, so every key is
+        already a :class:`BasisKet` of ``n_photons`` photons and every
+        amplitude a ``complex``: only the pruning of construction is left."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "n_photons", n_photons)
+        object.__setattr__(self, "_amps", {ket: a for ket, a in amplitudes.items()
+                                           if abs(a) >= PRUNE_EPS})
+        return self
+
     def __setattr__(self, name, value):  # pragma: no cover - defensive
         raise AttributeError("PhotonState is immutable")
 
@@ -312,7 +323,7 @@ def apply_gate(state: PhotonState, photon: int, dof: Dof,
             nbits = bits[:photon] + flipped + bits[photon + 1:]
             nk = new_ket(BasisKet, (nbits, spa) if on_pol else (pol, nbits))
             out[nk] = get(nk, 0j) + flip * amp
-    return PhotonState(state.n_photons, out)
+    return PhotonState._derived(state.n_photons, out)
 
 
 def equal_up_to_global_phase(a: PhotonState, b: PhotonState,

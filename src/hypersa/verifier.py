@@ -1,0 +1,193 @@
+"""The exhaustive verifier: :func:`verify_complete` runs the analyser's own
+per-DOF pass and bit decoder, called through the :mod:`hypersa.protocols`
+module object, and walks every detector branch where the analyser samples
+one.
+
+It does so one degree of freedom at a time.  No stage couples the two DOFs:
+the wave plates and the alpha gadgets act on polarization only, the beam
+splitters and the beta gadgets on spatial mode only, and
+:func:`hypersa.protocols.decode_signs` reads the polarization sign from the
+V count and the spatial sign from the path-2 count.  So a P-GHZ x S-GHZ
+input is classified correctly iff its polarization factor and its spatial
+factor are, and 2^N runs, each of one factor (the other DOF all 0s) through
+only its own DOF's stages, cover all 4^N inputs.  A separation check makes
+sure that no stage reads or moves the other DOF.
+"""
+
+from __future__ import annotations
+
+import itertools
+import math
+from typing import TYPE_CHECKING, Iterator, NamedTuple
+
+from . import optics, protocols, states
+from .kerr import HomodyneModel
+from .protocols import ProbeReadout, RunConfig, check_photon_count
+from .states import (PhotonState, canonical_bit_strings, complement,
+                     equal_up_to_global_phase, ghz_state, hyper_product)
+
+if TYPE_CHECKING:
+    from .noise import NoiseStats
+
+
+class StateCheck(NamedTuple):
+    """Per-input verification record: the decoded signature, how many
+    detector branches the input has, whether every branch decoded right and,
+    if not, the first invariant of :data:`_INVARIANTS` that broke."""
+
+    label: str
+    signature: tuple[int, ...]
+    branches: int
+    ok: bool
+    broken: str = ""
+
+
+#: What a verified input must satisfy, in the order a failure is named: the
+#: separation check, then each DOF's point-mass readouts, bits and signs.
+_INVARIANTS = ("separation", "P readout", "S readout", "P bits", "S bits",
+               "P signs", "S signs")
+
+
+class _DofCheck(NamedTuple):
+    """One DOF's factor run: its probe magnitudes, how many detector
+    branches it has, and the invariants that broke."""
+
+    magnitudes: tuple[int, ...]
+    support: int
+    broken: frozenset[str]
+
+
+def _run_dof(state: PhotonState, dof: str, cfg: RunConfig
+             ) -> tuple[PhotonState, list[ProbeReadout], set[str]]:
+    """``state`` through only ``dof``'s stages: the rotated state, the
+    readouts and the signs its detector branches decode to in ``dof``."""
+    rotated, readouts = protocols.pre_detection(state, cfg, dof)
+    i = "PS".index(dof)
+    return rotated, readouts, {protocols.decode_signs(o)[i]
+                               for o in optics.detection_distribution(rotated)}
+
+
+def _check_factor(sign: str, bits: str, dof: str, cfg: RunConfig,
+                  separated: bool) -> _DofCheck:
+    rotated, readouts, signs = _run_dof(ghz_state(sign, bits, dof), dof, cfg)
+    broken = {"separation": not separated,
+              f"{dof} readout": any(r.classes != 1 for r in readouts),
+              f"{dof} bits": protocols._decode_bits(readouts)["PS".index(dof)] != bits,
+              f"{dof} signs": signs != {sign}}
+    # the other DOF is all 0s, so each branch is one string of this DOF
+    return _DofCheck(tuple(r.magnitude for r in readouts), len(rotated),
+                     frozenset(k for k, bad in broken.items() if bad))
+
+
+def _separated(n: int, cfg: RunConfig) -> bool:
+    """The separation check: each DOF's stages, run on joint inputs whose
+    halves differ in sign and in every free bit, give the readouts and signs
+    of that DOF's factor run, and the rotated state is the factor's rotated
+    state tensored with the untouched other half."""
+    # 0..0 and 01..1 differ in every free bit, so each DOF's half runs as
+    # both, beside a half in which every photon takes both values
+    for bits in ("0" * n, "0" + "1" * (n - 1)):
+        for sign in "+-":
+            halves = {"P": (sign, bits),
+                      "S": ("-" if sign == "+" else "+", "0" + complement(bits[1:]))}
+            joint = states.state_from_label(states.HyperLabel(*halves["P"], *halves["S"]))
+            for dof in "PS":
+                rotated, readouts, signs = _run_dof(joint, dof, cfg)
+                parts = {d: ghz_state(*halves[d], d) for d in "PS"}
+                parts[dof], f_readouts, f_signs = _run_dof(parts[dof], dof, cfg)
+                try:  # a factor run that moved its other DOF is no factor
+                    expected = hyper_product(parts["P"], parts["S"])
+                except ValueError:
+                    return False
+                if ((readouts, signs) != (f_readouts, f_signs)
+                        or not equal_up_to_global_phase(rotated, expected)):
+                    return False
+    return True
+
+
+class VerificationReport(NamedTuple):
+    """What :func:`verify_complete` established: each DOF's factor runs,
+    ``factors[dof][sign, bits]``.  Every count is derived from them."""
+
+    n_photons: int
+    model: HomodyneModel
+    factors: dict[str, dict[tuple[str, str], _DofCheck]]
+    noise: NoiseStats | None = None
+
+    @property
+    def total_states(self) -> int:
+        return 4 ** self.n_photons
+
+    @property
+    def correct(self) -> int:
+        """An input is correct iff both its factors are."""
+        return math.prod(sum(not c.broken for c in table.values())
+                         for table in self.factors.values())
+
+    @property
+    def group_count(self) -> int:
+        """Signatures join P and S magnitudes: distinct P times distinct S."""
+        return math.prod(len({c.magnitudes for c in table.values()})
+                         for table in self.factors.values())
+
+    @property
+    def all_correct(self) -> bool:
+        return self.correct == self.total_states
+
+    @property
+    def per_state(self) -> Iterator[StateCheck]:
+        """The per-input records, built afresh on each read, in
+        :func:`all_canonical_labels` order.  Each is assembled from the
+        input's two factors: the signature is the polarization magnitudes
+        then the spatial ones, ``branches`` the product of the two supports,
+        and a failure names the first broken invariant of either factor."""
+        p_checks, s_checks = self.factors["P"], self.factors["S"]
+        bits = canonical_bit_strings(self.n_photons)
+        for p_bits, s_bits, p_sign, s_sign in itertools.product(bits, bits, "+-", "+-"):
+            p, s = p_checks[p_sign, p_bits], s_checks[s_sign, s_bits]
+            broken = (min(p.broken | s.broken, key=_INVARIANTS.index)
+                      if p.broken or s.broken else "")
+            yield StateCheck(f"P:{p_sign}{p_bits};S:{s_sign}{s_bits}",
+                             p.magnitudes + s.magnitudes,
+                             p.support * s.support, not broken, broken)
+
+    def to_json_dict(self) -> dict:
+        out = {"n": self.n_photons, "total": self.total_states,
+               "correct": self.correct, "groups": self.group_count,
+               "model": self.model.value}
+        if self.noise is not None:
+            out["noise"] = self.noise.to_json_dict()
+        return out
+
+
+def verify_complete(n: int, cfg: RunConfig | None = None) -> VerificationReport:
+    """Check every canonical hyperentangled input: run the analyser's
+    per-DOF pass (:func:`~hypersa.protocols.pre_detection`) and bit decoder
+    on each one-DOF factor, walk every detector branch symbolically, and
+    report the QND group partition.  What the analyser adds to that pass, running it for
+    both DOFs in one call and assembling the label, is not run here; the
+    tests cover it.
+
+    An input is correct when every probe readout was a point mass, the
+    readouts decode to its bits and every branch decodes to its signs.
+    Those checks split by degree of freedom (see the module notes): the
+    analyser runs once per (sign, bits) of each DOF through only that DOF's
+    stages, and if :func:`_separated` finds a stage that reads or moves the
+    other DOF, every input fails with ``separation``.  The report keeps the
+    two tables of factor runs; the per-input records are assembled from
+    them only when read (:attr:`VerificationReport.per_state`).  The
+    exhaustive pass always uses the ideal readout; with
+    ``cfg.model == gaussian`` a sampled noise study is attached on top; only
+    then is :mod:`hypersa.noise` imported.
+    """
+    check_photon_count(n, "verification")
+    if cfg is None:
+        cfg = RunConfig()
+    ideal = cfg._replace(model=HomodyneModel.IDEAL)
+    separated = _separated(n, ideal)
+    factors = {dof: {(sign, bits): _check_factor(sign, bits, dof, ideal, separated)
+                     for bits in canonical_bit_strings(n) for sign in "+-"}
+               for dof in "PS"}
+    noise = (protocols.monte_carlo_misclassification(n, cfg)
+             if cfg.model is HomodyneModel.GAUSSIAN else None)
+    return VerificationReport(n, cfg.model, factors, noise)

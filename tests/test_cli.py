@@ -9,7 +9,7 @@ import jsonschema
 import pytest
 
 import hypersa
-from hypersa import cli, protocols
+from hypersa import cli, protocols, verifier
 
 
 def run(capsys, *argv):
@@ -113,7 +113,7 @@ class TestVerify:
         def no_records(*args):
             raise AssertionError("a per-input record was built")
 
-        monkeypatch.setattr(protocols, "StateCheck", no_records)
+        monkeypatch.setattr(verifier, "StateCheck", no_records)
         assert cli.main(["verify", "--n", "5", "--format", fmt]) == 0
 
 
@@ -226,6 +226,66 @@ class TestEnvironmentOverrides:
         assert "HYPERSA_TRIALS" in err
 
 
+# every subcommand lists the same flags, from one parent parser
+_FLAGS_HELP = """
+options:
+  -h, --help            show this help message and exit
+  --n N                 photon count
+  --theta THETA         cross-Kerr phase shift per pass (radians)
+  --alpha ALPHA         coherent probe amplitude
+  --model {ideal,gaussian}
+                        homodyne readout model
+  --trials TRIALS       Monte Carlo trial count
+  --seed SEED           master seed; all streams derive from it
+  --format {text,json,csv}
+                        output format
+"""
+_TOP_USAGE = "usage: hypersa [-h] {analyze,verify,tables,montecarlo} ...\n"
+
+# (exit code, stdout, stderr) of --help and of an unknown flag, 80 columns wide
+HELP = {
+    ("--help",): (0, _TOP_USAGE + """
+Hyperentangled Bell/GHZ state analysis simulator
+
+positional arguments:
+  {analyze,verify,tables,montecarlo}
+    analyze             analyze one hyperentangled input
+    verify              exhaustively verify all 4^n inputs
+    tables              emit signature and detection tables
+    montecarlo          sampled noise study (gaussian model)
+
+options:
+  -h, --help            show this help message and exit
+""", ""),
+    ("analyze", "--help"): (0, """\
+usage: hypersa analyze [-h] [--n N] [--theta THETA] [--alpha ALPHA]
+                       [--model {ideal,gaussian}] [--trials TRIALS]
+                       [--seed SEED] [--format {text,json,csv}]
+                       state
+
+positional arguments:
+  state                 state literal, e.g. 'P:+00;S:-01'
+""" + _FLAGS_HELP, ""),
+    ("verify", "--help"): (0, """\
+usage: hypersa verify [-h] [--n N] [--theta THETA] [--alpha ALPHA]
+                      [--model {ideal,gaussian}] [--trials TRIALS]
+                      [--seed SEED] [--format {text,json,csv}]
+""" + _FLAGS_HELP, ""),
+    ("tables", "--help"): (0, """\
+usage: hypersa tables [-h] [--n N] [--theta THETA] [--alpha ALPHA]
+                      [--model {ideal,gaussian}] [--trials TRIALS]
+                      [--seed SEED] [--format {text,json,csv}]
+""" + _FLAGS_HELP, ""),
+    ("montecarlo", "--help"): (0, """\
+usage: hypersa montecarlo [-h] [--n N] [--theta THETA] [--alpha ALPHA]
+                          [--model {ideal,gaussian}] [--trials TRIALS]
+                          [--seed SEED] [--format {text,json,csv}]
+""" + _FLAGS_HELP, ""),
+    ("verify", "--bogus"): (2, "", _TOP_USAGE
+                            + "hypersa: error: unrecognized arguments: --bogus\n"),
+}
+
+
 class TestUsage:
     def test_unknown_command_exits_2(self, capsys):
         assert run(capsys, "frobnicate")[0] == 2
@@ -238,6 +298,12 @@ class TestUsage:
         args = cli.build_parser().parse_args(argv)
         assert ({name: getattr(args, name) for name in protocols.RunConfig._fields}
                 == protocols.RunConfig()._asdict())
+
+    @pytest.mark.parametrize("argv", HELP, ids=" ".join)
+    def test_help_and_unknown_flag_error_are_pinned(self, capsys, monkeypatch, argv):
+        monkeypatch.setenv("COLUMNS", "80")
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == HELP[argv]
 
     def test_verify_exit_zero_only_when_all_correct(self, capsys):
         code, out, _ = run(capsys, "verify", "--n", "3", "--format", "json")
@@ -297,6 +363,17 @@ def test_seeded_draws_print_the_pinned_stdout(capsys, argv):
     assert out == PINNED_STDOUT[argv]
 
 
+def run_python(*args):
+    """A fresh interpreter, run on ``args`` with this hypersa importable,
+    which must exit 0."""
+    src = str(Path(hypersa.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    done = subprocess.run([sys.executable, *args], env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done
+
+
 # runs subcommands through cli.main in one fresh interpreter and reports,
 # after each, whether numpy, dataclasses and inspect have been imported
 FIRST_DRAW_SCRIPT = """
@@ -318,12 +395,7 @@ def test_no_command_imports_numpy_dataclasses_or_inspect():
     # make all of them without numpy, so no command loads it.  The records
     # are NamedTuples, so no command loads dataclasses either, nor the
     # inspect, ast and dis it imports, which would slow every start-up
-    src = str(Path(hypersa.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    done = subprocess.run([sys.executable, "-c", FIRST_DRAW_SCRIPT],
-                          env={**os.environ, "PYTHONPATH": path},
-                          capture_output=True, text=True, timeout=120)
-    assert done.returncode == 0, done.stderr
+    done = run_python("-c", FIRST_DRAW_SCRIPT)
     assert done.stdout.splitlines() == [f"{argv} False False False" for argv in (
         "verify --n 3", "tables --n 3", "analyze P:+00;S:-01",
         "analyze P:-010;S:+011 --model gaussian",
@@ -331,14 +403,51 @@ def test_no_command_imports_numpy_dataclasses_or_inspect():
         "verify --n 2 --model gaussian --trials 20")]
 
 
+# runs one subcommand through cli.main in a fresh interpreter and reports
+# the hypersa modules it loaded, whether csv was loaded, and whether
+# protocols had imported the verifier's entry point
+IMPORT_GRAPH_SCRIPT = """
+import contextlib, io, json, sys
+from hypersa import cli
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    assert cli.main(sys.argv[1:]) == 0, sys.argv
+print(json.dumps({"modules": sorted(m for m in sys.modules if m.startswith("hypersa")),
+                  "csv": "csv" in sys.modules,
+                  "verify_complete": "verify_complete" in vars(sys.modules["hypersa.protocols"])}))
+"""
+
+ANALYSER = ["hypersa", "hypersa.cli", "hypersa.kerr", "hypersa.optics",
+            "hypersa.protocols", "hypersa.rng", "hypersa.states"]
+
+
+def loaded_by(*argv):
+    return json.loads(run_python("-c", IMPORT_GRAPH_SCRIPT, *argv).stdout)
+
+
+class TestImportGraph:
+    """A process loads only the modules its subcommand runs: the analyser
+    for analyze, the verifier or the noise study on top of it for the
+    others, and csv only for --format csv."""
+
+    def test_analyze_loads_only_the_analyser(self):
+        assert loaded_by("analyze", "P:+00;S:-01", "--format", "json") == {
+            "modules": ANALYSER, "csv": False, "verify_complete": False}
+
+    def test_ideal_verify_loads_no_noise_study_and_no_tables(self):
+        modules = loaded_by("verify", "--n", "3")["modules"]
+        assert "hypersa.verifier" in modules
+        assert not {"hypersa.noise", "hypersa.tables"} & set(modules)
+
+    def test_montecarlo_loads_no_verifier_and_no_tables(self):
+        modules = loaded_by("montecarlo", "--n", "2", "--model", "gaussian",
+                            "--trials", "20")["modules"]
+        assert "hypersa.noise" in modules
+        assert not {"hypersa.verifier", "hypersa.tables"} & set(modules)
+
+
 DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])
 def test_demo_runs(demo):
-    src = str(Path(hypersa.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    done = subprocess.run([sys.executable, str(demo)],
-                          env={**os.environ, "PYTHONPATH": path},
-                          capture_output=True, text=True, timeout=120)
-    assert done.returncode == 0, done.stderr
+    run_python(str(demo))

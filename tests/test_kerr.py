@@ -299,3 +299,8 @@ class TestJointState:
     def test_multiples_length_checked(self):
         with pytest.raises(ValueError, match="multiples"):
             JointState(2, (PROBE,), {(BasisKet("00", "00"), (0, 0)): 1.0})
+
+    def test_photon_state_checks_the_kets(self):
+        # photon_state is the only check a hand-built JointState's kets get
+        with pytest.raises(ValueError, match="pol_bits must be a nonempty string"):
+            JointState(2, (), {(BasisKet("0x", "00"), ()): 1.0}).photon_state()

@@ -1,4 +1,5 @@
 import copy
+import importlib
 import itertools
 import json
 import math
@@ -19,7 +20,8 @@ from hypersa.kerr import (HomodyneModel, ProbeRegister, attach_probes,
 from hypersa.optics import (DetectorOutcome, PhotonRecord,
                             detection_distribution, outcome_json,
                             outcome_tokens, sample_outcome)
-from hypersa import cli, protocols
+import hypersa
+from hypersa import cli, noise, protocols
 from hypersa.rng import Stream, as_generator
 from hypersa.protocols import (PhotonCountError, RunConfig, decode_signs,
                                emit_detection_table, emit_signature_table,
@@ -511,7 +513,7 @@ class TestBatchedNoiseStudy:
                 misreading.clear()
                 misreading.update(p for p, flip in zip(pids, pattern) if flip)
                 got, _ = hgsa_n_analyze(n, state, GAUSSIAN_CFG)
-                assert got == protocols._misread_label(
+                assert got == noise._misread_label(
                     ideal_label, transcript.probe_readouts, pattern)
                 assert (got != label) == any(pattern)
 
@@ -770,3 +772,68 @@ class TestPlumbing:
         assert probe_ids(2) == ["alpha1", "beta1"]
         assert probe_ids(4) == ["alpha1", "alpha2", "alpha3",
                                 "beta1", "beta2", "beta3"]
+
+
+# What each module exposed before the verifier, the noise study and the
+# tables moved out of protocols, by home module.  Each name still resolves
+# from both, imported on first use.
+HYPERSA_EXPORTS = {
+    "kerr": "HomodyneModel HomodyneResult JointState ProbeRegister attach_probes "
+            "gaussian_error_prob homodyne_measure magnitude_distribution parity_gadget",
+    "optics": "DetectorOutcome PhotonRecord apply_bs apply_wp detection_distribution "
+              "outcome_json outcome_tokens sample_outcome",
+    "protocols": "ProbeReadout RunConfig Transcript decode_signs hgsa_n_analyze "
+                 "probe_ids sign_basis_transform stream",
+    "verifier": "StateCheck VerificationReport verify_complete",
+    "noise": "NoiseStats monte_carlo_misclassification predicted_error_rate "
+             "wilson_interval",
+    "tables": "DetectionRow SignatureRow display_bits emit_detection_table "
+              "emit_signature_table",
+    "states": "BasisKet HyperLabel PhotonState all_canonical_labels apply_gate "
+              "bell_state canonical_bit_strings complement equal_up_to_global_phase "
+              "ghz_state hyper_product parse_state_literal state_from_label",
+}
+PROTOCOLS_EXPORTS = {
+    "protocols": "MC_CHUNK PhotonCountError ProbeReadout RunConfig Transcript "
+                 "VERIFY_MAX_PHOTONS _PROBES _decode_bits check_photon_count "
+                 "decode_signs hgsa_n_analyze pre_detection probe_ids "
+                 "run_parity_stage sign_basis_transform stream",
+    "verifier": "StateCheck VerificationReport _DofCheck _INVARIANTS _check_factor "
+                "_run_dof _separated verify_complete",
+    "noise": "NoiseStats _misread_label monte_carlo_misclassification "
+             "predicted_error_rate wilson_interval",
+    "tables": "DetectionRow SignatureRow _SIGN_ORDER _member_literal display_bits "
+              "emit_detection_table emit_signature_table",
+    "kerr": "HomodyneModel JointState ProbeRegister attach_probes gaussian_error_prob "
+            "homodyne_measure misread parity_gadget",
+    "optics": "DetectorOutcome apply_bs apply_wp detection_distribution outcome_json "
+              "outcome_tokens sample_outcome",
+    "states": "HyperLabel PhotonState _check_dof all_canonical_labels "
+              "canonical_bit_strings complement equal_up_to_global_phase ghz_state "
+              "hyper_product state_from_label",
+}
+
+
+class TestLazyExports:
+    @pytest.mark.parametrize("module, exports", [(hypersa, HYPERSA_EXPORTS),
+                                                 (protocols, PROTOCOLS_EXPORTS)],
+                             ids=["hypersa", "protocols"])
+    def test_every_name_resolves_to_its_home_object(self, module, exports):
+        for home, names in exports.items():
+            home_module = importlib.import_module(f"hypersa.{home}")
+            for name in names.split():
+                assert getattr(module, name) is getattr(home_module, name), name
+                assert name in dir(module), name
+
+    def test_star_import_binds_every_public_name(self):
+        namespace = {}
+        exec("from hypersa import *", namespace)
+        names = {name for names in HYPERSA_EXPORTS.values() for name in names.split()}
+        assert names <= namespace.keys()
+        assert all(namespace[name] is getattr(hypersa, name) for name in names)
+
+    @pytest.mark.parametrize("module", [hypersa, protocols], ids=["hypersa", "protocols"])
+    def test_an_unknown_name_raises_naming_it(self, module):
+        with pytest.raises(AttributeError, match=f"^module {module.__name__!r} has "
+                                                 "no attribute 'no_such_name'$"):
+            module.no_such_name

@@ -122,6 +122,17 @@ class TestOrthogonality:
                 assert abs(a.inner(b)) < 1e-10
 
 
+# exact zero entries (Pauli X, diagonal and anti-diagonal phase gates)
+# drive the gate kernel's skip-zero branch
+GATE_KINDS = ["random", "pauli-x", "phase", "phase-flip"]
+
+
+def gate_of(kind: str, rng: np.random.Generator) -> np.ndarray:
+    a, b = np.exp(2j * np.pi * rng.random(2))
+    return {"random": random_unitary(rng), "pauli-x": PAULI_X, "hadamard": H_ARRAY,
+            "phase": np.diag([a, b]), "phase-flip": np.array([[0, a], [b, 0]])}[kind]
+
+
 class TestApplyGate:
     def test_bit_flip(self):
         s = PhotonState(1, {BasisKet("0", "0"): 1.0})
@@ -157,21 +168,35 @@ class TestApplyGate:
 
     @settings(max_examples=80, deadline=None)
     @given(n=st.integers(1, 4), data=st.data(), seed=st.integers(0, 2 ** 32 - 1),
-           kind=st.sampled_from(["random", "pauli-x", "phase", "phase-flip"]))
+           kind=st.sampled_from(GATE_KINDS))
     def test_matches_dense_oracle_property(self, n, data, seed, kind):
-        # exact zero entries (Pauli X, diagonal and anti-diagonal phase gates)
-        # drive the kernel's skip-zero branch
         rng = np.random.default_rng(seed)
-        a, b = np.exp(2j * np.pi * rng.random(2))
-        gate = {"random": random_unitary(rng), "pauli-x": PAULI_X,
-                "phase": np.diag([a, b]),
-                "phase-flip": np.array([[0, a], [b, 0]])}[kind]
+        gate = gate_of(kind, rng)
         state = random_state(n, rng)
         photon = data.draw(st.integers(0, n - 1), label="photon")
         dof = data.draw(st.sampled_from("PS"), label="dof")
         out = apply_gate(state, photon, dof, gate)
         assert_matches_dense(out, gate_operator(n, photon, dof, gate)
                              @ dense_vector(state))
+
+    @settings(max_examples=80, deadline=None)
+    @given(n=st.integers(1, 4), data=st.data(), seed=st.integers(0, 2 ** 32 - 1),
+           kind=st.sampled_from(GATE_KINDS + ["hadamard"]))
+    def test_derived_states_pass_the_public_checks(self, n, data, seed, kind):
+        # apply_gate builds its result without the public checks; the
+        # checked constructor must give the same state
+        rng = np.random.default_rng(seed)
+        state = data.draw(st.sampled_from([random_state(n, rng),
+                                           PhotonState(n, {("0" * n, "0" * n): 1.0})]),
+                          label="state")  # a basis ket cancels exactly under HH
+        photon = data.draw(st.integers(0, n - 1), label="photon")
+        dof = data.draw(st.sampled_from("PS"), label="dof")
+        gate = gate_of(kind, rng)
+        out = apply_gate(apply_gate(state, photon, dof, gate), photon, dof, gate)
+        checked = PhotonState(n, dict(out.items()))
+        assert (out.n_photons, out.items()) == (n, checked.items())
+        assert all(type(ket) is BasisKet and type(amp) is complex
+                   for ket, amp in out.items())
 
     def test_non_unitary_rejected(self):
         with pytest.raises(ValueError, match="unitary"):
