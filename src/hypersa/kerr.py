@@ -22,7 +22,7 @@ import math
 from enum import Enum
 from typing import Mapping, NamedTuple, Sequence
 
-from .rng import Seed, as_generator
+from .rng import as_generator, pick
 from .states import Dof, PRUNE_EPS, BasisKet, PhotonState, _check_dof
 
 
@@ -187,7 +187,7 @@ def misread(magnitude: int) -> int | None:
 
 def homodyne_measure(joint: JointState, probe: str,
                      model: HomodyneModel | str = HomodyneModel.IDEAL,
-                     seed: Seed | None = None) -> HomodyneResult:
+                     seed=None) -> HomodyneResult:
     """Measure one probe's X quadrature and detach it.
 
     Branches are grouped by the magnitude of the probe's phase multiple; one
@@ -213,14 +213,7 @@ def homodyne_measure(joint: JointState, probe: str,
         if rng is None:
             raise ValueError("magnitude distribution is not deterministic; "
                              "a seed is required to sample it")
-        u = rng.random()
-        acc = 0.0
-        magnitude, weight = next(iter(classes.items()))
-        for m, w in classes.items():
-            acc += w
-            magnitude, weight = m, w
-            if u < acc:
-                break
+        magnitude, weight = pick(classes.items(), rng)
 
     reported = magnitude
     probability = weight if len(classes) > 1 else 1.0

@@ -110,8 +110,9 @@ def monte_carlo_misclassification(n: int, cfg: RunConfig) -> NoiseStats:
     flips_per = [0] * len(probes)
     for start in range(0, cfg.trials, protocols.MC_CHUNK):
         size = min(protocols.MC_CHUNK, cfg.trials - start)
-        flags = iter([u < err for u in flip_rng.random(size * len(probes))])
-        rows = zip(pick_rng.integers(0, len(labels), size), *[flags] * len(probes))
+        flags = iter([flip_rng.random() < err for _ in range(size * len(probes))])
+        picks = [pick_rng.randrange(len(labels)) for _ in range(size)]
+        rows = zip(picks, *[flags] * len(probes))
         for (pick, *pattern), count in Counter(rows).items():
             if pick not in analysed:
                 analysed[pick] = analyse(pick)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .rng import Seed, as_generator
+from .rng import as_generator, pick
 from .states import HADAMARD, NORM_TOL, PhotonState, apply_gate
 
 
@@ -65,7 +65,7 @@ def detection_distribution(state: PhotonState) -> list[DetectorOutcome]:
     return outcomes
 
 
-def sample_outcome(state: PhotonState, seed: Seed) -> DetectorOutcome:
+def sample_outcome(state: PhotonState, seed) -> DetectorOutcome:
     """Draw one detection event; reproducible for a given seed.
 
     Accepts an integer seed or an existing generator or stream (so callers
@@ -74,14 +74,7 @@ def sample_outcome(state: PhotonState, seed: Seed) -> DetectorOutcome:
     rng = as_generator(seed)
     if rng is None:
         raise ValueError("a seed is required to sample a detection event")
-    dist = detection_distribution(state)
-    u = rng.random()
-    acc = 0.0
-    for outcome in dist:
-        acc += outcome.probability
-        if u < acc:
-            return outcome
-    return dist[-1]  # u landed in the float-rounding tail
+    return pick(((o, o.probability) for o in detection_distribution(state)), rng)[0]
 
 
 def photon_name(index: int) -> str:

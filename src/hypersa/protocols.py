@@ -16,8 +16,10 @@ detector parities separate each group, so the map from input to readout is a
 bijection.  :mod:`hypersa.verifier` checks that claim by enumeration.  It,
 the noise study (:mod:`hypersa.noise`) and the tables (:mod:`hypersa.tables`)
 live apart so that a process loads only what its subcommand runs; their
-names resolve here on first use, and they call this module's functions
-through the module object, so a function replaced here is replaced there.
+public names resolve here on first use, and they call this module's
+functions through the module object, so a function replaced here is replaced
+there.  Patch a moved name on its home module: setting
+``protocols.StateCheck`` does not reach the verifier.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from . import _lazy_attributes
 from .kerr import (HomodyneModel, JointState, ProbeRegister, attach_probes,
                    homodyne_measure, parity_gadget)
 from .optics import DetectorOutcome, apply_bs, apply_wp, outcome_json, sample_outcome
-from .rng import Stream
+from .rng import stream
 from .states import HyperLabel, PhotonState, _check_dof
 
 VERIFY_MAX_PHOTONS = 10  # 4^N enumeration guard
@@ -54,15 +56,6 @@ def check_photon_count(n: int, what: str) -> int:
         raise PhotonCountError(f"{what} supports 2 <= n <= {VERIFY_MAX_PHOTONS}, "
                                f"got {n}")
     return n
-
-
-def stream(seed: int, name: str) -> Stream:
-    """Named child stream, ``random.Random(f"{seed}:{name}")``: all
-    randomness flows from one seed, split by purpose ("probe:alpha1",
-    "detection", ...) so streams never collide.  A stream is seeded on its
-    first draw, so a point-mass readout, which draws nothing, costs no
-    seeding."""
-    return Stream(seed, name)
 
 
 class RunConfig(NamedTuple("RunConfig", [("theta", float), ("alpha", float),
@@ -229,12 +222,11 @@ def hgsa_n_analyze(n: int, state: PhotonState,
 
 __getattr__, __dir__ = _lazy_attributes(globals(), {
     name: module for module, names in (
-        ("verifier", "StateCheck _INVARIANTS _DofCheck _run_dof _check_factor "
-                     "_separated VerificationReport verify_complete"),
-        ("noise", "NoiseStats wilson_interval predicted_error_rate _misread_label "
+        ("verifier", "StateCheck VerificationReport verify_complete"),
+        ("noise", "NoiseStats wilson_interval predicted_error_rate "
                   "monte_carlo_misclassification"),
-        ("tables", "SignatureRow DetectionRow display_bits _SIGN_ORDER "
-                   "_member_literal emit_signature_table emit_detection_table"),
+        ("tables", "SignatureRow DetectionRow display_bits emit_signature_table "
+                   "emit_detection_table"),
         # names this module imported for the moved code, and so exposed
         ("kerr", "gaussian_error_prob misread"),
         ("optics", "detection_distribution outcome_tokens"),

@@ -1,68 +1,48 @@
-"""Seeds and named random streams, from the standard library.
+"""Seeds, named random streams and the one weighted draw.
 
-A :class:`Stream` draws what ``random.Random(f"{seed}:{name}")``, the
-Mersenne Twister (Matsumoto & Nishimura 1998), draws.  ``random`` hashes a
-string seed with SHA-512, so a stream draws the same numbers on every Python
-version and under any ``PYTHONHASHSEED``.
+A stream is ``random.Random(f"{seed}:{name}")``, the Mersenne Twister
+(Matsumoto & Nishimura 1998).  ``random`` hashes a string seed with SHA-512,
+so a stream draws the same numbers on every Python version and under any
+``PYTHONHASHSEED``.  Copies and pickles continue from where it is.
 """
 
 from __future__ import annotations
 
-import copy
 import operator
 import random
-from typing import Union
 
 
-class Stream:
-    """The draws of ``random.Random(f"{seed}:{name}")``, seeded on the first
-    draw, so a stream that is never drawn costs nothing.  Copies and pickles
-    continue from where the stream is, apart from it."""
-
-    __slots__ = ("_key", "_rng")
-
-    def __init__(self, seed: int, name: str):
-        try:
-            seed = operator.index(seed)
-        except TypeError:
-            raise ValueError(f"expected an integer seed, got {seed!r}") from None
-        if seed < 0:
-            raise ValueError(f"expected a non-negative seed, got {seed}")
-        self._key, self._rng = f"{seed}:{name}", None
-
-    def __copy__(self) -> Stream:  # a shallow copy would share the generator
-        return copy.deepcopy(self)
-
-    def _generator(self) -> random.Random:
-        if self._rng is None:
-            self._rng = random.Random(self._key)
-        return self._rng
-
-    def random(self, count: int | None = None):
-        """A uniform double in [0, 1), or a list of ``count`` of them."""
-        draw = self._generator().random
-        return draw() if count is None else [draw() for _ in range(count)]
-
-    def integers(self, low: int, high: int, count: int) -> list[int]:
-        """``count`` ints ``low + randrange(high - low)``, for a width of 1 to
-        2**32; a width of 1 draws nothing."""
-        width = high - low
-        if not 1 <= width <= 1 << 32:
-            raise ValueError(f"expected 1 <= high - low <= 2**32, got {width}")
-        if width == 1:
-            return [low] * count
-        below = self._generator().randrange
-        return [low + below(width) for _ in range(count)]
+def stream(seed: int, name: str) -> random.Random:
+    """Named child stream, ``random.Random(f"{seed}:{name}")``: all
+    randomness flows from one seed, split by purpose ("probe:alpha1",
+    "detection", ...) so streams never collide."""
+    try:
+        seed = operator.index(seed)
+    except TypeError:
+        raise ValueError(f"expected an integer seed, got {seed!r}") from None
+    if seed < 0:
+        raise ValueError(f"expected a non-negative seed, got {seed}")
+    return random.Random(f"{seed}:{name}")
 
 
-#: A seed: an int, or a generator (anything with a ``random()`` method).
-Seed = Union[int, Stream, random.Random]
-
-
-def as_generator(seed: Seed | None):
-    """The one seed-to-generator rule: ``None`` and a generator (a
-    :class:`Stream`, a ``random.Random``, a numpy ``Generator``) pass
-    through, and an int becomes the stream with the empty name."""
+def as_generator(seed):
+    """The one seed-to-generator rule: ``None`` and a generator (anything
+    with a ``random()`` method: a ``random.Random``, a numpy ``Generator``)
+    pass through, and an int becomes the stream with the empty name."""
     if seed is None or hasattr(seed, "random"):
         return seed
-    return Stream(seed, "")
+    return stream(seed, "")
+
+
+def pick(weighted, rng):
+    """Inverse-CDF draw from ``(item, weight)`` pairs: the first pair whose
+    running weight sum exceeds one ``rng.random()``, or the last pair when
+    float rounding leaves the sum short of the draw."""
+    u, acc, pair = rng.random(), 0.0, None
+    for pair in weighted:
+        acc += pair[1]
+        if u < acc:
+            break
+    if pair is None:
+        raise ValueError("nothing to draw from: the distribution is empty")
+    return pair

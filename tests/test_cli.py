@@ -363,15 +363,25 @@ def test_seeded_draws_print_the_pinned_stdout(capsys, argv):
     assert out == PINNED_STDOUT[argv]
 
 
-def run_python(*args):
-    """A fresh interpreter, run on ``args`` with this hypersa importable,
-    which must exit 0."""
+def run_python(*args, **env):
+    """A fresh interpreter, run on ``args`` with this hypersa importable and
+    ``env`` added to its environment, which must exit 0."""
     src = str(Path(hypersa.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    done = subprocess.run([sys.executable, *args], env={**os.environ, "PYTHONPATH": path},
+    done = subprocess.run([sys.executable, *args],
+                          env={**os.environ, "PYTHONPATH": path, **env},
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     return done
+
+
+@pytest.mark.parametrize("hashseed", ["0", "4242"])
+@pytest.mark.parametrize("argv", PINNED_STDOUT, ids=lambda argv: argv[0])
+def test_pinned_stdout_holds_under_any_hash_seed(argv, hashseed):
+    # a string seed is hashed with SHA-512, not hash(), so str hash
+    # randomization cannot move a stream
+    done = run_python("-m", "hypersa.cli", *argv, PYTHONHASHSEED=hashseed)
+    assert done.stdout == PINNED_STDOUT[argv]
 
 
 # runs subcommands through cli.main in one fresh interpreter and reports,
@@ -390,11 +400,12 @@ for argv in (["verify", "--n", "3"], ["tables", "--n", "3"], ["analyze", "P:+00;
 
 
 def test_no_command_imports_numpy_dataclasses_or_inspect():
-    # verify (ideal readout) and tables draw nothing, analyze draws scalars
-    # and montecarlo and the gaussian verify noise study draw lists; streams
-    # make all of them without numpy, so no command loads it.  The records
-    # are NamedTuples, so no command loads dataclasses either, nor the
-    # inspect, ast and dis it imports, which would slow every start-up
+    # verify (ideal readout) and tables draw nothing, analyze draws a few
+    # doubles and montecarlo and the gaussian verify noise study draw some
+    # per trial; streams make all of them without numpy, so no command
+    # loads it.  The records are NamedTuples, so no command loads
+    # dataclasses either, nor the inspect, ast and dis it imports, which
+    # would slow every start-up
     done = run_python("-c", FIRST_DRAW_SCRIPT)
     assert done.stdout.splitlines() == [f"{argv} False False False" for argv in (
         "verify --n 3", "tables --n 3", "analyze P:+00;S:-01",
@@ -404,7 +415,7 @@ def test_no_command_imports_numpy_dataclasses_or_inspect():
 
 
 # runs one subcommand through cli.main in a fresh interpreter and reports
-# the hypersa modules it loaded, whether csv was loaded, and whether
+# the hypersa modules it loaded, whether csv and copy were loaded, and whether
 # protocols had imported the verifier's entry point
 IMPORT_GRAPH_SCRIPT = """
 import contextlib, io, json, sys
@@ -412,7 +423,7 @@ from hypersa import cli
 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
     assert cli.main(sys.argv[1:]) == 0, sys.argv
 print(json.dumps({"modules": sorted(m for m in sys.modules if m.startswith("hypersa")),
-                  "csv": "csv" in sys.modules,
+                  "csv": "csv" in sys.modules, "copy": "copy" in sys.modules,
                   "verify_complete": "verify_complete" in vars(sys.modules["hypersa.protocols"])}))
 """
 
@@ -427,11 +438,12 @@ def loaded_by(*argv):
 class TestImportGraph:
     """A process loads only the modules its subcommand runs: the analyser
     for analyze, the verifier or the noise study on top of it for the
-    others, and csv only for --format csv."""
+    others, and csv only for --format csv.  analyze loads no copy: its
+    streams are plain random.Random."""
 
     def test_analyze_loads_only_the_analyser(self):
         assert loaded_by("analyze", "P:+00;S:-01", "--format", "json") == {
-            "modules": ANALYSER, "csv": False, "verify_complete": False}
+            "modules": ANALYSER, "csv": False, "copy": False, "verify_complete": False}
 
     def test_ideal_verify_loads_no_noise_study_and_no_tables(self):
         modules = loaded_by("verify", "--n", "3")["modules"]
