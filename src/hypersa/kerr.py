@@ -23,7 +23,7 @@ from enum import Enum
 from typing import Mapping, NamedTuple, Sequence
 
 from .rng import as_generator, pick
-from .states import Dof, PRUNE_EPS, BasisKet, PhotonState, _check_dof
+from .states import Dof, PRUNE_EPS, BasisKet, PhotonState, _check_dof, _check_ket
 
 
 class HomodyneModel(str, Enum):
@@ -59,8 +59,8 @@ JointKey = tuple[BasisKet, tuple[int, ...]]
 class JointState:
     """Photon amplitudes extended with one integer phase multiple per probe.
 
-    Keys are ``(ket, multiples)`` pairs; construction prunes tiny amplitudes
-    and validates the multiples length against the probe list.  Immutable.
+    Keys are ``(ket, multiples)`` pairs; construction checks kets as
+    :class:`PhotonState` does and multiples lengths, and prunes.  Immutable.
     """
 
     __slots__ = ("n_photons", "probes", "_amps")
@@ -73,15 +73,25 @@ class JointState:
             raise ValueError(f"duplicate probe ids in {ids}")
         amps: dict[JointKey, complex] = {}
         for (ket, mults), amp in amplitudes.items():
+            ket = _check_ket(ket, n_photons)
             if len(mults) != len(probes):
                 raise ValueError(f"phase multiples {mults} do not match "
                                  f"{len(probes)} probes")
             a = complex(amp)
             if abs(a) >= PRUNE_EPS:
                 amps[(ket, tuple(mults))] = a
-        object.__setattr__(self, "n_photons", n_photons)
-        object.__setattr__(self, "probes", probes)
-        object.__setattr__(self, "_amps", amps)
+        for name, value in zip(self.__slots__, (n_photons, probes, amps)):
+            object.__setattr__(self, name, value)
+
+    @classmethod
+    def _derived(cls, n_photons: int, probes: tuple[ProbeRegister, ...],
+                 amplitudes: dict[JointKey, complex]) -> JointState:
+        """Built from valid kets, probes and ``complex`` amplitudes: only prunes."""
+        self = object.__new__(cls)
+        pruned = {key: a for key, a in amplitudes.items() if abs(a) >= PRUNE_EPS}
+        for name, value in zip(cls.__slots__, (n_photons, probes, pruned)):
+            object.__setattr__(self, name, value)
+        return self
 
     def __setattr__(self, name, value):  # pragma: no cover - defensive
         raise AttributeError("JointState is immutable")
@@ -103,9 +113,8 @@ class JointState:
         """Collapse-free view once every probe has been measured."""
         if self.probes:
             raise ValueError(f"probes {[p.id for p in self.probes]} are still attached")
-        # JointState does not check its kets, so this checked construction does
-        return PhotonState(self.n_photons,
-                           {ket: amp for (ket, _), amp in self._amps.items()})
+        return PhotonState._derived(self.n_photons,
+                                    {ket: amp for (ket, _), amp in self._amps.items()})
 
 
 class HomodyneResult(NamedTuple):
@@ -118,9 +127,10 @@ class HomodyneResult(NamedTuple):
 def attach_probes(state: PhotonState,
                   probes: Sequence[ProbeRegister]) -> JointState:
     """Couple fresh probes (all phase multiples zero) to a photon state."""
+    probes = JointState(state.n_photons, probes, {}).probes  # checks the probe list
     zeros = (0,) * len(probes)
-    return JointState(state.n_photons, probes,
-                      {(ket, zeros): amp for ket, amp in state.items()})
+    return JointState._derived(state.n_photons, probes,
+                               {(ket, zeros): amp for ket, amp in state.items()})
 
 
 def parity_gadget(joint: JointState, probe: str, ref_photon: int,
@@ -150,7 +160,7 @@ def parity_gadget(joint: JointState, probe: str, ref_photon: int,
         if shift:
             mults = mults[:idx] + (mults[idx] + shift,) + mults[idx + 1:]
         out[(ket, mults)] = amp  # the ket is kept, so no two branches collide
-    return JointState(joint.n_photons, joint.probes, out)
+    return JointState._derived(joint.n_photons, joint.probes, out)
 
 
 def magnitude_distribution(joint: JointState, probe: str) -> dict[int, float]:
@@ -237,4 +247,4 @@ def homodyne_measure(joint: JointState, probe: str,
         out[key] = out.get(key, 0j) + amp * scale
     probes = joint.probes[:idx] + joint.probes[idx + 1:]
     return HomodyneResult(reported, probability,
-                          JointState(joint.n_photons, probes, out), len(classes))
+                          JointState._derived(joint.n_photons, probes, out), len(classes))

@@ -33,7 +33,7 @@ from .kerr import (HomodyneModel, JointState, ProbeRegister, attach_probes,
                    homodyne_measure, parity_gadget)
 from .optics import DetectorOutcome, apply_bs, apply_wp, outcome_json, sample_outcome
 from .rng import stream
-from .states import HyperLabel, PhotonState, _check_dof
+from .states import HyperLabel, PhotonState, _check_dof, split_product
 
 VERIFY_MAX_PHOTONS = 10  # 4^N enumeration guard
 _PROBES = {"P": "alpha", "S": "beta"}  # each DOF's probe name prefix
@@ -201,19 +201,26 @@ def _decode_bits(readouts: Sequence[ProbeReadout]) -> tuple[str, str]:
 
 def hgsa_n_analyze(n: int, state: PhotonState,
                    cfg: RunConfig) -> tuple[HyperLabel, Transcript]:
-    """Full N-photon analysis: each DOF's QND parity stage and rotation in
-    turn (:func:`pre_detection`), then the sign readout.
+    """Full N-photon analysis: each factor (:func:`split_product`) runs its DOF's
+    :func:`pre_detection`; the event joins one ``detection`` draw per factor, P first.
 
     Returns the decoded canonical label and the run transcript.  Under the
     ideal model the label is exact for any hyperentangled GHZ-class product
-    input, whichever detector branch fires.
+    input, whichever branch fires; a non-product input raises ValueError.
     """
     if n < 2:
         raise ValueError(f"analysis needs at least 2 photons, got {n}")
     if state.n_photons != n:
         raise ValueError(f"state has {state.n_photons} photons, expected {n}")
-    rotated, readouts = pre_detection(state, cfg)
-    outcome = sample_outcome(rotated, stream(cfg.seed, "detection"))
+    rng, readouts, events = stream(cfg.seed, "detection"), [], []
+    for dof, factor in zip("PS", split_product(state)):
+        rotated, reads = pre_detection(factor, cfg, dof)
+        readouts += reads
+        events.append(sample_outcome(rotated, rng))
+    p, s = events
+    # photon i's record: its path from the S draw, its polarization from the P draw
+    records = tuple(r._replace(pol=q.pol) for r, q in zip(s.records, p.records))
+    outcome = DetectorOutcome(records, p.probability * s.probability)
     p_sign, s_sign = decode_signs(outcome)
     p_bits, s_bits = _decode_bits(readouts)
     label = HyperLabel(p_sign, p_bits, s_sign, s_bits)

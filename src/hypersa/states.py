@@ -78,6 +78,20 @@ class BasisKet(NamedTuple):
         return f"{pol}|{spa}"
 
 
+def _check_ket(ket, n_photons: int) -> BasisKet:
+    """``ket`` as a :class:`BasisKet` of ``n_photons`` photons, or a ValueError."""
+    if not isinstance(ket, BasisKet):
+        ket = BasisKet(*ket)
+    pol, spa = ket
+    if len(pol) != n_photons or len(spa) != n_photons:
+        raise ValueError(f"ket {ket!r} does not describe {n_photons} photons")
+    # strip leaves behind any character other than 0/1
+    if pol.strip("01") or spa.strip("01"):
+        _check_bits(pol, "pol_bits")
+        _check_bits(spa, "spa_bits")
+    return ket
+
+
 class PhotonState:
     """Sparse N-photon state: map from :class:`BasisKet` to complex amplitude.
 
@@ -93,15 +107,7 @@ class PhotonState:
             raise ValueError(f"n_photons must be >= 1, got {n_photons}")
         amps: dict[BasisKet, complex] = {}
         for ket, amp in amplitudes.items():
-            if not isinstance(ket, BasisKet):
-                ket = BasisKet(*ket)
-            pol, spa = ket
-            if len(pol) != n_photons or len(spa) != n_photons:
-                raise ValueError(f"ket {ket!r} does not describe {n_photons} photons")
-            # strip leaves behind any character other than 0/1
-            if pol.strip("01") or spa.strip("01"):
-                _check_bits(pol, "pol_bits")
-                _check_bits(spa, "spa_bits")
+            ket = _check_ket(ket, n_photons)
             a = complex(amp)
             if abs(a) >= PRUNE_EPS:
                 amps[ket] = a
@@ -275,6 +281,24 @@ def hyper_product(p_state: PhotonState, s_state: PhotonState) -> PhotonState:
         for ks, as_ in s_state.items():
             amps[BasisKet(kp.pol_bits, ks.spa_bits)] = ap * as_
     return PhotonState(p_state.n_photons, amps)
+
+
+def split_product(state: PhotonState) -> tuple[PhotonState, PhotonState]:
+    """Inverse of :func:`hyper_product`: the two normalized factors, read off the
+    first ket's column and row.  ValueError unless their product has the input's
+    support and is the input, rescaled to norm 1, up to a phase (NORM_TOL)."""
+    items, n = state.items(), state.n_photons
+    if items:
+        (ref_pol, ref_spa), zeros, factors = items[0][0], "0" * n, []
+        for row in ({BasisKet(pol, zeros): a for (pol, spa), a in items if spa == ref_spa},
+                    {BasisKet(zeros, spa): a for (pol, spa), a in items if pol == ref_pol}):
+            norm = math.sqrt(sum(abs(a) ** 2 for a in row.values()))
+            factors.append(PhotonState._derived(n, {k: a / norm for k, a in row.items()}))
+        product = hyper_product(*factors)
+        if ([k for k, _ in product.items()] == [k for k, _ in items]
+                and abs(product.inner(state)) >= (1.0 - NORM_TOL) * state.norm()):
+            return tuple(factors)
+    raise ValueError("the state is not a product of a polarization and a spatial factor")
 
 
 def state_from_label(label: HyperLabel) -> PhotonState:

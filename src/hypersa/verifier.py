@@ -164,9 +164,8 @@ def verify_complete(n: int, cfg: RunConfig | None = None) -> VerificationReport:
     """Check every canonical hyperentangled input: run the analyser's
     per-DOF pass (:func:`~hypersa.protocols.pre_detection`) and bit decoder
     on each one-DOF factor, walk every detector branch symbolically, and
-    report the QND group partition.  What the analyser adds to that pass, running it for
-    both DOFs in one call and assembling the label, is not run here; the
-    tests cover it.
+    report the QND group partition.  What the analyser adds, splitting its
+    input into the factors and joining their draws and labels, the tests cover.
 
     An input is correct when every probe readout was a point mass, the
     readouts decode to its bits and every branch decodes to its signs.

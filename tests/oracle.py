@@ -8,17 +8,21 @@ that oracle shares code with the sparse path.
 
 :func:`joint_verify` is the other reference here: the exhaustive verifier's
 joint walk over all 4^N inputs, which the per-DOF verifier replaced.
+:func:`joint_analyze` is the analyser's joint pipeline, which the per-factor
+analyser replaced, and :func:`rotated_ghz_factor` the closed form of every
+rotated one-DOF factor.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from hypersa.optics import detection_distribution
-from hypersa.protocols import (RunConfig, StateCheck, _decode_bits,
+from hypersa.optics import detection_distribution, sample_outcome
+from hypersa.protocols import (RunConfig, StateCheck, Transcript, _decode_bits,
                                decode_signs, pre_detection)
-from hypersa.states import (BasisKet, PhotonState, all_canonical_labels,
-                            state_from_label)
+from hypersa.rng import stream
+from hypersa.states import (BasisKet, HyperLabel, PhotonState,
+                            all_canonical_labels, state_from_label)
 
 
 def dense_vector(state: PhotonState) -> np.ndarray:
@@ -99,3 +103,35 @@ def joint_verify(n: int) -> list[StateCheck]:
                                     tuple(r.magnitude for r in readouts),
                                     len(branches), ok))
     return per_state
+
+
+def joint_analyze(state: PhotonState, cfg: RunConfig
+                  ) -> tuple[HyperLabel, Transcript, PhotonState]:
+    """The analyser on the joint state: both DOFs' pre-detection pass in one
+    call, then one draw of the joint detector distribution from the
+    ``detection`` stream.  Returns the label, the transcript and the rotated
+    joint state the event was drawn from."""
+    rotated, readouts = pre_detection(state, cfg)
+    outcome = sample_outcome(rotated, stream(cfg.seed, "detection"))
+    (p_sign, s_sign), (p_bits, s_bits) = decode_signs(outcome), _decode_bits(readouts)
+    return (HyperLabel(p_sign, p_bits, s_sign, s_bits),
+            Transcript(tuple(readouts), outcome, cfg), rotated)
+
+
+def rotated_ghz_factor(sign: str, bits: str, dof: str) -> dict[BasisKet, complex]:
+    """The one-DOF GHZ factor (|b> + s|~b>)/sqrt2 after a Hadamard on every
+    photon, in closed form:
+
+        H^n (|b> + s|~b>)/sqrt2 = sum_x (-1)^(b.x) (1 + s (-1)^|x|) |x> / 2^((n+1)/2)
+
+    so its support is the even-weight strings x for s = + and the odd-weight
+    ones for s = -, all of one magnitude.  The other DOF is all 0s."""
+    n, s, b, zeros = len(bits), 1 if sign == "+" else -1, int(bits, 2), "0" * len(bits)
+    out = {}
+    for x in range(2 ** n):
+        amp = ((-1) ** bin(b & x).count("1") * (1 + s * (-1) ** bin(x).count("1"))
+               / 2 ** ((n + 1) / 2))
+        if amp:
+            xs = format(x, f"0{n}b")
+            out[BasisKet(xs, zeros) if dof == "P" else BasisKet(zeros, xs)] = complex(amp)
+    return out

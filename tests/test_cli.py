@@ -312,11 +312,12 @@ class TestUsage:
         assert doc["groups"] == 16
 
 
-# The exact stdout of three seeded commands that draw: gaussian readouts and
-# a detection event, a Monte Carlo study, and the gaussian verify noise
-# study.  Every stream is random.Random(f"{seed}:{name}"), which draws the
-# same numbers on every supported Python, so a change here is a change to
-# the streams.
+# The exact stdout of four seeded commands that draw: gaussian readouts and
+# a detection event, an n=7 analysis in the benchmark's form, a Monte Carlo
+# study, and the gaussian verify noise study.  Every stream is
+# random.Random(f"{seed}:{name}"), which draws the same numbers on every
+# supported Python, so a change here is a change to the streams.  The
+# detector event is one draw per DOF factor, P then S, from one stream.
 PINNED_STDOUT = {
     ("analyze", "P:-010;S:+011", "--model", "gaussian", "--seed", "3"):
         "label: P:-001;S:+011\n"
@@ -324,7 +325,27 @@ PINNED_STDOUT = {
         "probe alpha2: magnitude 1 p=0.401294\n"
         "probe beta1: magnitude 1 p=0.598706\n"
         "probe beta2: magnitude 1 p=0.598706\n"
-        "detection: A2- B2- C1-\n",
+        "detection: A1- B1- C1-\n",
+    ("analyze", "P:+0110100;S:-0011011", "--format", "json", "--seed", "7"):
+        '{"probes": [{"probe": "alpha1", "magnitude": 1, "p": 1.0}, '
+        '{"probe": "alpha2", "magnitude": 1, "p": 1.0}, '
+        '{"probe": "alpha3", "magnitude": 0, "p": 1.0}, '
+        '{"probe": "alpha4", "magnitude": 1, "p": 1.0}, '
+        '{"probe": "alpha5", "magnitude": 0, "p": 1.0}, '
+        '{"probe": "alpha6", "magnitude": 0, "p": 1.0}, '
+        '{"probe": "beta1", "magnitude": 0, "p": 1.0}, '
+        '{"probe": "beta2", "magnitude": 1, "p": 1.0}, '
+        '{"probe": "beta3", "magnitude": 1, "p": 1.0}, '
+        '{"probe": "beta4", "magnitude": 0, "p": 1.0}, '
+        '{"probe": "beta5", "magnitude": 1, "p": 1.0}, '
+        '{"probe": "beta6", "magnitude": 1, "p": 1.0}], '
+        '"detection": [{"photon": "A", "mode": 2, "pol": "V"}, '
+        '{"photon": "B", "mode": 2, "pol": "V"}, {"photon": "C", "mode": 1, "pol": "H"}, '
+        '{"photon": "D", "mode": 2, "pol": "H"}, {"photon": "E", "mode": 2, "pol": "H"}, '
+        '{"photon": "F", "mode": 2, "pol": "V"}, {"photon": "G", "mode": 1, "pol": "V"}], '
+        '"theta": 0.01, "alpha": 5000.0, "model": "ideal", "seed": 7, '
+        '"label": {"p_sign": "+", "p_bits": "0110100", "s_sign": "-", '
+        '"s_bits": "0011011", "literal": "P:+0110100;S:-0011011"}}\n',
     ("montecarlo", "--n", "2", "--model", "gaussian", "--trials", "2000",
      "--seed", "5", "--format", "json"):
         '{"n": 2, "per_probe_error": 0.40129447987314965, "trials": 2000, '
@@ -356,7 +377,12 @@ PINNED_STDOUT = {
 }
 
 
-@pytest.mark.parametrize("argv", PINNED_STDOUT, ids=lambda argv: argv[0])
+def pin_id(argv):
+    """A pin's test id: its command, and "-json" for the JSON analyze pin."""
+    return argv[0] + ("-json" if argv[0] == "analyze" and "json" in argv else "")
+
+
+@pytest.mark.parametrize("argv", PINNED_STDOUT, ids=pin_id)
 def test_seeded_draws_print_the_pinned_stdout(capsys, argv):
     code, out, _ = run(capsys, *argv)
     assert code == 0
@@ -376,7 +402,7 @@ def run_python(*args, **env):
 
 
 @pytest.mark.parametrize("hashseed", ["0", "4242"])
-@pytest.mark.parametrize("argv", PINNED_STDOUT, ids=lambda argv: argv[0])
+@pytest.mark.parametrize("argv", PINNED_STDOUT, ids=pin_id)
 def test_pinned_stdout_holds_under_any_hash_seed(argv, hashseed):
     # a string seed is hashed with SHA-512, not hash(), so str hash
     # randomization cannot move a stream

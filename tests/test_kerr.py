@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -300,7 +301,41 @@ class TestJointState:
         with pytest.raises(ValueError, match="multiples"):
             JointState(2, (PROBE,), {(BasisKet("00", "00"), (0, 0)): 1.0})
 
+    @pytest.mark.parametrize("ket, message", [
+        (BasisKet("0x", "00"), "pol_bits must be a nonempty string of 0/1, got '0x'"),
+        (BasisKet("00", "0x"), "spa_bits must be a nonempty string of 0/1, got '0x'"),
+        (BasisKet("00", "2"),
+         "ket BasisKet(pol_bits='00', spa_bits='2') does not describe 2 photons"),
+    ])
+    def test_construction_checks_each_ket_as_photon_state_does(self, ket, message):
+        for build in (lambda: JointState(2, (), {(ket, ()): 1.0}),
+                      lambda: PhotonState(2, {ket: 1.0})):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                build()
+
+    def test_construction_coerces_a_tuple_ket(self):
+        joint = JointState(2, (PROBE,), {(("01", "10"), (1,)): 1})
+        [((ket, mults), amp)] = joint.items()
+        assert (type(ket), ket, mults, type(amp)) == (BasisKet, ("01", "10"), (1,), complex)
+
+    @settings(max_examples=30, deadline=None)
+    @given(n=st.integers(2, 4), dof=st.sampled_from("PS"), seed=st.integers(0, 2 ** 32 - 1))
+    def test_derived_states_equal_checked_construction(self, n, dof, seed):
+        # attach_probes, parity_gadget and homodyne_measure build their
+        # outputs unchecked: the checked constructor must give the same state
+        joint = attach_probes(random_state(n, np.random.default_rng(seed)), (PROBE,))
+        stages = [joint, parity_gadget(joint, "alpha1", 0, n - 1, dof)]
+        stages.append(homodyne_measure(stages[-1], "alpha1", seed=seed).collapsed)
+        for out in stages:
+            checked = JointState(n, out.probes, dict(out.items()))
+            assert checked.items() == out.items()
+            assert all(type(ket) is BasisKet and type(mults) is tuple
+                       and type(amp) is complex for (ket, mults), amp in out.items())
+        photons = stages[-1].photon_state()
+        assert photons.items() == PhotonState(n, dict(photons.items())).items()
+
     def test_photon_state_checks_the_kets(self):
-        # photon_state is the only check a hand-built JointState's kets get
+        # a hand-built JointState's kets are checked on construction, so
+        # photon_state is never reached with a bad one
         with pytest.raises(ValueError, match="pol_bits must be a nonempty string"):
             JointState(2, (), {(BasisKet("0x", "00"), ()): 1.0}).photon_state()

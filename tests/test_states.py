@@ -9,7 +9,7 @@ from hypersa.states import (BasisKet, HyperLabel, PhotonState,
                             all_canonical_labels, apply_gate, bell_state,
                             canonical_bit_strings, complement,
                             equal_up_to_global_phase, ghz_state,
-                            hyper_product, parse_state_literal,
+                            hyper_product, parse_state_literal, split_product,
                             state_from_label, HADAMARD)
 
 from oracle import (dense_vector, gate_operator, random_state,
@@ -103,6 +103,69 @@ class TestHyperProduct:
     def test_nontrivial_spatial_factor_rejected(self):
         with pytest.raises(ValueError, match="trivial"):
             hyper_product(bell_state("phi+", "S"), bell_state("phi+", "S"))
+
+
+def one_dof_state(n: int, dof: str, rng: np.random.Generator) -> PhotonState:
+    """A random normalized state of ``dof`` with the other DOF all 0s, on a
+    random support of at least one string."""
+    vec = rng.normal(size=2 ** n) + 1j * rng.normal(size=2 ** n)
+    vec[rng.random(2 ** n) < 0.5] = 0
+    vec[rng.integers(2 ** n)] = 1.0
+    vec /= np.linalg.norm(vec)
+    kets = [BasisKet(bits, "0" * n) if dof == "P" else BasisKet("0" * n, bits)
+            for bits in (format(x, f"0{n}b") for x in range(2 ** n))]
+    return PhotonState(n, {ket: a for ket, a in zip(kets, vec) if a})
+
+
+class TestSplitProduct:
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_inverts_hyper_product_on_every_label(self, n):
+        for label in all_canonical_labels(n):
+            p, s = split_product(state_from_label(label))
+            assert equal_up_to_global_phase(p, ghz_state(label.p_sign, label.p_bits, "P"))
+            assert equal_up_to_global_phase(s, ghz_state(label.s_sign, label.s_bits, "S"))
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 5), seed=st.integers(0, 2 ** 32 - 1),
+           phase=st.floats(0, 2 * math.pi))
+    def test_inverts_hyper_product_on_random_factors(self, n, seed, phase):
+        rng = np.random.default_rng(seed)
+        p_in, s_in = one_dof_state(n, "P", rng), one_dof_state(n, "S", rng)
+        product = hyper_product(p_in, s_in)
+        rotated = PhotonState(n, {k: a * complex(math.cos(phase), math.sin(phase))
+                                  for k, a in product.items()})
+        p, s = split_product(rotated)
+        assert abs(p.norm() - 1) < 1e-12 and abs(s.norm() - 1) < 1e-12
+        assert equal_up_to_global_phase(p, p_in) and equal_up_to_global_phase(s, s_in)
+        assert [k for k, _ in hyper_product(p, s).items()] == [k for k, _ in rotated.items()]
+
+    @pytest.mark.parametrize("first, second, weight", [
+        # different supports: 8 kets where a product of the two halves has 16
+        ("P:+00;S:+00", "P:+01;S:+01", 1.0),
+        # one support, but the 2x2 amplitude matrix has full rank
+        ("P:+00;S:+00", "P:-00;S:-00", 1j),
+    ])
+    def test_a_superposition_of_two_inputs_is_rejected(self, first, second, weight):
+        a, b = (state_from_label(parse_state_literal(t)) for t in (first, second))
+        norm = math.sqrt(2)
+        mixed = PhotonState(2, {k: (a.amplitude(k) + weight * b.amplitude(k)) / norm
+                                for k in sorted({k for k, _ in a.items() + b.items()})})
+        with pytest.raises(ValueError, match="^the state is not a product of "
+                                             "a polarization and a spatial factor$"):
+            split_product(mixed)
+
+    @pytest.mark.parametrize("scale", [0.5, 2.0])
+    def test_the_factors_of_a_scaled_input_are_normalized(self, scale):
+        # the analyser has always accepted a product of any norm: its first
+        # homodyne readout renormalized it
+        state = state_from_label(parse_state_literal("P:+010;S:-011"))
+        scaled = PhotonState(3, {k: scale * a for k, a in state.items()})
+        for got, want in zip(split_product(scaled), split_product(state)):
+            assert got.items() == want.items()
+
+    def test_an_empty_state_is_rejected(self):
+        with pytest.raises(ValueError, match="not a product"):
+            split_product(PhotonState(3, {}))
 
 
 class TestOrthogonality:
