@@ -17,6 +17,7 @@ from hypersa.states import (HyperLabel, all_canonical_labels, canonical_bit_stri
                             ghz_state, split_product, state_from_label)
 
 from oracle import joint_analyze, rotated_ghz_factor
+from test_protocols import canonical_label
 
 MODELS = (HomodyneModel.IDEAL, HomodyneModel.GAUSSIAN)
 
@@ -102,11 +103,10 @@ class TestAgainstTheJointPipeline:
                     assert abs(event.probability - support[event.records]) < 1e-12
 
     @settings(max_examples=40, deadline=None)
-    @given(n=st.integers(2, 6), label_seed=st.integers(0, 2 ** 32 - 1),
-           u1=st.floats(0, 1, exclude_max=True), u2=st.floats(0, 1, exclude_max=True))
-    def test_the_event_is_the_p_pick_at_u1_joined_with_the_s_pick_at_u2(
-            self, n, label_seed, u1, u2):
-        label, cfg = random_label(n, random.Random(label_seed)), RunConfig()
+    @given(label=canonical_label(max_n=6), u1=st.floats(0, 1, exclude_max=True),
+           u2=st.floats(0, 1, exclude_max=True))
+    def test_the_event_is_the_p_pick_at_u1_joined_with_the_s_pick_at_u2(self, label, u1, u2):
+        n, cfg = label.n_photons, RunConfig()
         state, real_stream = state_from_label(label), protocols.stream
         # the detection stream draws u1 then u2; the probes keep their streams
         protocols.stream = lambda seed, name: (Scripted(u1, u2) if name == "detection"
