@@ -127,3 +127,39 @@ def monte_carlo_misclassification(n: int, cfg: RunConfig) -> NoiseStats:
                       {lab.literal(): (t, e) for lab, t, e in
                        zip(labels, trials_per, errors_per)},
                       dict(zip(probes, flips_per)))
+
+
+def _print_probe_misreads(stats: NoiseStats, cfg: RunConfig) -> None:
+    """One line per probe: the misread rate drawn against the model's."""
+    expected = gaussian_error_prob(cfg.alpha, cfg.theta)
+    for probe, flips in stats.per_probe_flips.items():
+        print(f"probe {probe}: misread rate {flips / stats.trials:.6f} "
+              f"(gaussian_error_prob {expected:.6f})")
+
+
+def cmd_montecarlo(args) -> int:
+    """``hypersa montecarlo``: the study as text, JSON or one CSV row per input."""
+    from .cli import EXIT_OK, _config, _csv_writer, _photon_count, _print_json
+    n = _photon_count("montecarlo", args.n)
+    if args.model != HomodyneModel.GAUSSIAN.value:
+        raise ValueError("montecarlo requires --model gaussian")  # exit 2
+    cfg = _config(args)
+    # through protocols, where the package's callers (and tracers) find it
+    stats = protocols.monte_carlo_misclassification(n, cfg)
+    per_probe = gaussian_error_prob(cfg.alpha, cfg.theta)
+    if args.fmt == "json":
+        _print_json({"n": n, "per_probe_error": per_probe, **stats.to_json_dict()})
+    elif args.fmt == "csv":
+        writer = _csv_writer()
+        writer.writerow(["state", "trials", "errors", "rate"])
+        for literal, (t, e) in sorted(stats.per_state.items()):
+            writer.writerow([literal, t, e, f"{e / t:.6f}" if t else ""])
+        writer.writerow(["TOTAL", stats.trials, stats.errors, f"{stats.rate:.6f}"])
+    else:
+        print(f"trials: {stats.trials}")
+        print(f"aggregate error rate: {stats.rate:.6f} "
+              f"wilson95=[{stats.wilson_low:.6f}, {stats.wilson_high:.6f}]")
+        print(f"predicted: {stats.predicted:.6f} "
+              f"(per-probe {per_probe:.6f} over {2 * (n - 1)} probes)")
+        _print_probe_misreads(stats, cfg)
+    return EXIT_OK

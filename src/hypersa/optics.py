@@ -7,6 +7,7 @@ and spatial mode respectively.  Detection projects onto the per-photon
 
 from __future__ import annotations
 
+import functools
 from typing import NamedTuple
 
 from .rng import as_generator, pick
@@ -40,6 +41,13 @@ def apply_bs(state: PhotonState, photon: int) -> PhotonState:
     return apply_gate(state, photon, "S", HADAMARD)
 
 
+@functools.cache
+def _records(n: int) -> tuple[dict[tuple[str, str], PhotonRecord], ...]:
+    """Photon i's record for each (polarization, spatial) bit pair, i < n."""
+    return tuple({(p, s): PhotonRecord(i, int(s) + 1, "H" if p == "0" else "V")
+                  for p in "01" for s in "01"} for i in range(n))
+
+
 def detection_distribution(state: PhotonState) -> list[DetectorOutcome]:
     """Full support of the product-basis measurement, exact probabilities.
 
@@ -54,10 +62,7 @@ def detection_distribution(state: PhotonState) -> list[DetectorOutcome]:
     total = sum(abs(a) ** 2 for _, a in items)
     if abs(total - 1.0) > NORM_TOL:
         raise ValueError(f"state is not normalized (sum of probabilities {total!r})")
-    # photon i's record for each (polarization, spatial) bit pair
-    table = [{(p, s): PhotonRecord(i, int(s) + 1, "H" if p == "0" else "V")
-              for p in "01" for s in "01"}
-             for i in range(state.n_photons)]
+    table = _records(state.n_photons)
     outcomes = []
     for (pol, spa), amp in items:
         records = tuple(map(dict.__getitem__, table, zip(pol, spa)))

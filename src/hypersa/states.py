@@ -320,16 +320,17 @@ def apply_gate(state: PhotonState, photon: int, dof: Dof,
         raise ValueError(f"photon index {photon} out of range for "
                          f"{state.n_photons} photons")
     try:
-        (g00, g01), (g10, g11) = [[complex(x) for x in row] for row in gate]
+        (g00, g01), (g10, g11) = gate
+        g00, g01, g10, g11 = complex(g00), complex(g01), complex(g10), complex(g11)
     except (TypeError, ValueError):
         raise ValueError(f"gate must be 2x2 numbers, got {gate!r}") from None
-    # largest entry of |gate @ gate^dagger - 1| (the lower off-diagonal one is
-    # the conjugate of the upper); NaN ranks highest and fails the check
-    defect = max((abs(g00 * g00.conjugate() + g01 * g01.conjugate() - 1.0),
+    # the entries of |gate @ gate^dagger - 1| (the lower off-diagonal one is
+    # the conjugate of the upper); a NaN fails every comparison
+    d0, d1, d2 = (abs(g00 * g00.conjugate() + g01 * g01.conjugate() - 1.0),
                   abs(g00 * g10.conjugate() + g01 * g11.conjugate()),
-                  abs(g10 * g10.conjugate() + g11 * g11.conjugate() - 1.0)),
-                 key=lambda d: (math.isnan(d), d))
-    if not defect <= 1e-10:
+                  abs(g10 * g10.conjugate() + g11 * g11.conjugate() - 1.0))
+    if not (d0 <= 1e-10 and d1 <= 1e-10 and d2 <= 1e-10):
+        defect = max((d0, d1, d2), key=lambda d: (math.isnan(d), d))  # NaN ranks highest
         raise ValueError(f"gate is not unitary (defect {defect:.3g})")
     # old bit -> (coefficient keeping it, flipped bit, coefficient flipping to it)
     table = {"0": (g00, "1", g10), "1": (g11, "0", g01)}

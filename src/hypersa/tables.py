@@ -81,3 +81,52 @@ def emit_detection_table(n: int) -> list[DetectionRow]:
         rows.append(DetectionRow(gi, p_sign, s_sign, members,
                                  tuple(outcome_tokens(o) for o in support)))
     return rows
+
+
+def _signature_text(rows: list[SignatureRow], n: int) -> str:
+    head = ["state".ljust(12)] + [p.ljust(8) for p in protocols.probe_ids(n)]
+    lines = ["".join(head)]
+    for row in rows:
+        cells = [f"P:{row.p_bits};S:{row.s_bits}".ljust(12)]
+        cells += [("±θ" if s else "0").ljust(8) for s in row.shifts]
+        lines.append("".join(cells))
+    return "\n".join(lines)
+
+
+def _detection_text(rows: list[DetectionRow]) -> str:
+    lines = ["group  signs  outcomes"]
+    for row in rows:
+        lines.append(f"{row.group}      ({row.p_sign},{row.s_sign})  "
+                     + " | ".join(row.outcomes))
+        lines.append(f"       states: {', '.join(row.members)}")
+    return "\n".join(lines)
+
+
+def cmd_tables(args) -> int:
+    """``hypersa tables``: both tables as text, one JSON document or CSV."""
+    from .cli import EXIT_OK, _config, _csv_writer, _photon_count, _print_json
+    n = _photon_count("tables", args.n)
+    _config(args)  # checks the flags, though the tables depend on none
+    sig_rows = emit_signature_table(n)
+    det_rows = emit_detection_table(n)
+    if args.fmt == "json":
+        _print_json({"signature_table": [row._asdict() for row in sig_rows],
+                     "detection_table": [row._asdict() for row in det_rows]})
+    elif args.fmt == "csv":
+        writer = _csv_writer()
+        writer.writerow(["state"] + protocols.probe_ids(n))
+        for row in sig_rows:
+            writer.writerow([f"P:{row.p_bits};S:{row.s_bits}"]
+                            + ["t" if s else "0" for s in row.shifts])
+        print()
+        writer.writerow(["group", "p_sign", "s_sign", "states", "outcomes"])
+        for row in det_rows:
+            writer.writerow([row.group, row.p_sign, row.s_sign,
+                             " ".join(row.members), " | ".join(row.outcomes)])
+    else:
+        print(f"probe shift signatures ({len(sig_rows)} groups):")
+        print(_signature_text(sig_rows, n))
+        print()
+        print(f"detector parity groups ({len(det_rows)}):")
+        print(_detection_text(det_rows))
+    return EXIT_OK

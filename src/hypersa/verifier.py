@@ -57,8 +57,10 @@ class _DofCheck(NamedTuple):
     broken: frozenset[str]
 
 
-def _run_dof(state: PhotonState, dof: str, cfg: RunConfig
-             ) -> tuple[PhotonState, list[ProbeReadout], set[str]]:
+_Run = tuple[PhotonState, list[ProbeReadout], set[str]]
+
+
+def _run_dof(state: PhotonState, dof: str, cfg: RunConfig) -> _Run:
     """``state`` through only ``dof``'s stages: the rotated state, the
     readouts and the signs its detector branches decode to in ``dof``."""
     rotated, readouts = protocols.pre_detection(state, cfg, dof)
@@ -67,11 +69,9 @@ def _run_dof(state: PhotonState, dof: str, cfg: RunConfig
                                for o in optics.detection_distribution(rotated)}
 
 
-def _check_factor(sign: str, bits: str, dof: str, cfg: RunConfig,
-                  separated: bool) -> _DofCheck:
-    rotated, readouts, signs = _run_dof(ghz_state(sign, bits, dof), dof, cfg)
-    broken = {"separation": not separated,
-              f"{dof} readout": any(r.classes != 1 for r in readouts),
+def _check_factor(sign: str, bits: str, dof: str, run: _Run) -> _DofCheck:
+    rotated, readouts, signs = run
+    broken = {f"{dof} readout": any(r.classes != 1 for r in readouts),
               f"{dof} bits": protocols._decode_bits(readouts)["PS".index(dof)] != bits,
               f"{dof} signs": signs != {sign}}
     # the other DOF is all 0s, so each branch is one string of this DOF
@@ -79,29 +79,25 @@ def _check_factor(sign: str, bits: str, dof: str, cfg: RunConfig,
                      frozenset(k for k, bad in broken.items() if bad))
 
 
-def _separated(n: int, cfg: RunConfig) -> bool:
-    """The separation check: each DOF's stages, run on joint inputs whose
-    halves differ in sign and in every free bit, give the readouts and signs
-    of that DOF's factor run, and the rotated state is the factor's rotated
-    state tensored with the untouched other half."""
-    # 0..0 and 01..1 differ in every free bit, so each DOF's half runs as
-    # both, beside a half in which every photon takes both values
-    for bits in ("0" * n, "0" + "1" * (n - 1)):
-        for sign in "+-":
-            halves = {"P": (sign, bits),
-                      "S": ("-" if sign == "+" else "+", "0" + complement(bits[1:]))}
-            joint = states.state_from_label(states.HyperLabel(*halves["P"], *halves["S"]))
-            for dof in "PS":
-                rotated, readouts, signs = _run_dof(joint, dof, cfg)
-                parts = {d: ghz_state(*halves[d], d) for d in "PS"}
-                parts[dof], f_readouts, f_signs = _run_dof(parts[dof], dof, cfg)
-                try:  # a factor run that moved its other DOF is no factor
-                    expected = hyper_product(parts["P"], parts["S"])
-                except ValueError:
-                    return False
-                if ((readouts, signs) != (f_readouts, f_signs)
-                        or not equal_up_to_global_phase(rotated, expected)):
-                    return False
+def _separated(inputs: list[dict[str, tuple[str, str]]], cfg: RunConfig,
+               runs: dict[str, dict[tuple[str, str], _Run]]) -> bool:
+    """The separation check: each DOF's stages, run on the joint ``inputs``,
+    give the readouts and signs of that DOF's factor run, ``runs[dof][sign,
+    bits]``, and the rotated state is the factor's rotated state tensored
+    with the untouched other half."""
+    for halves in inputs:
+        joint = states.state_from_label(states.HyperLabel(*halves["P"], *halves["S"]))
+        for dof in "PS":
+            rotated, readouts, signs = _run_dof(joint, dof, cfg)
+            parts = {d: ghz_state(*halves[d], d) for d in "PS" if d != dof}
+            parts[dof], f_readouts, f_signs = runs[dof][halves[dof]]
+            try:  # a factor run that moved its other DOF is no factor
+                expected = hyper_product(parts["P"], parts["S"])
+            except ValueError:
+                return False
+            if ((readouts, signs) != (f_readouts, f_signs)
+                    or not equal_up_to_global_phase(rotated, expected)):
+                return False
     return True
 
 
@@ -183,10 +179,56 @@ def verify_complete(n: int, cfg: RunConfig | None = None) -> VerificationReport:
     if cfg is None:
         cfg = RunConfig()
     ideal = cfg._replace(model=HomodyneModel.IDEAL)
-    separated = _separated(n, ideal)
-    factors = {dof: {(sign, bits): _check_factor(sign, bits, dof, ideal, separated)
-                     for bits in canonical_bit_strings(n) for sign in "+-"}
-               for dof in "PS"}
+    # the separation check's joint inputs, as their DOFs' (sign, bits) halves:
+    # 0..0 and 01..1 differ in every free bit, so each DOF's half runs as both,
+    # beside a half in which every photon takes both values
+    inputs = [{"P": (sign, bits), "S": ("-" if sign == "+" else "+", "0" + complement(bits[1:]))}
+              for bits in ("0" * n, "0" + "1" * (n - 1)) for sign in "+-"]
+    # each factor runs once, and only the runs of those halves keep their rotated states
+    kept = {(dof, half) for halves in inputs for dof, half in halves.items()}
+    runs, factors = {"P": {}, "S": {}}, {"P": {}, "S": {}}
+    for dof, bits, sign in itertools.product("PS", canonical_bit_strings(n), "+-"):
+        run = _run_dof(ghz_state(sign, bits, dof), dof, ideal)
+        factors[dof][sign, bits] = _check_factor(sign, bits, dof, run)
+        if (dof, (sign, bits)) in kept:
+            runs[dof][sign, bits] = run
+    if not _separated(inputs, ideal, runs):
+        factors = {dof: {key: check._replace(broken=check.broken | {"separation"})
+                         for key, check in table.items()} for dof, table in factors.items()}
     noise = (protocols.monte_carlo_misclassification(n, cfg)
              if cfg.model is HomodyneModel.GAUSSIAN else None)
     return VerificationReport(n, cfg.model, factors, noise)
+
+
+def cmd_verify(args) -> int:
+    """``hypersa verify``: exit 0 only when every input is correct."""
+    from .cli import EXIT_OK, _config, _csv_writer, _photon_count, _print_json
+    n = _photon_count("verify", args.n)
+    cfg = _config(args)
+    # through protocols, where the package's callers (and tracers) find it
+    report = protocols.verify_complete(n, cfg)
+    if args.fmt == "json":
+        _print_json(report.to_json_dict())
+    elif args.fmt == "csv":
+        writer = _csv_writer()
+        writer.writerow(["state"] + protocols.probe_ids(n) + ["branches", "ok"])
+        for check in report.per_state:
+            writer.writerow([check.label] + list(check.signature)
+                            + [check.branches, int(check.ok)])
+    else:
+        print(f"n={report.n_photons} total={report.total_states} "
+              f"correct={report.correct} groups={report.group_count} "
+              f"model={report.model.value}")
+        if report.noise is not None:
+            from .noise import _print_probe_misreads
+            ns = report.noise
+            print(f"noise: rate={ns.rate:.6f} "
+                  f"wilson95=[{ns.wilson_low:.6f}, {ns.wilson_high:.6f}] "
+                  f"predicted={ns.predicted:.6f} trials={ns.trials}")
+            _print_probe_misreads(ns, cfg)
+        if not report.all_correct:
+            for check in report.per_state:
+                if not check.ok:
+                    print(f"FAIL {check.label} signature={check.signature} "
+                          f"broken={check.broken}")
+    return EXIT_OK if report.all_correct else 1

@@ -441,14 +441,18 @@ def test_no_command_imports_numpy_dataclasses_or_inspect():
 
 
 # runs one subcommand through cli.main in a fresh interpreter and reports
-# the hypersa modules it loaded, whether csv and copy were loaded, and whether
-# protocols had imported the verifier's entry point
+# the hypersa modules it loaded, the subcommand handlers they define, whether
+# csv and copy were loaded, and whether protocols had imported the verifier's
+# entry point
 IMPORT_GRAPH_SCRIPT = """
 import contextlib, io, json, sys
 from hypersa import cli
 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
     assert cli.main(sys.argv[1:]) == 0, sys.argv
-print(json.dumps({"modules": sorted(m for m in sys.modules if m.startswith("hypersa")),
+modules = sorted(m for m in sys.modules if m.startswith("hypersa"))
+print(json.dumps({"modules": modules,
+                  "handlers": sorted(name for m in modules for name in vars(sys.modules[m])
+                                     if name.startswith("cmd_")),
                   "csv": "csv" in sys.modules, "copy": "copy" in sys.modules,
                   "verify_complete": "verify_complete" in vars(sys.modules["hypersa.protocols"])}))
 """
@@ -464,23 +468,34 @@ def loaded_by(*argv):
 class TestImportGraph:
     """A process loads only the modules its subcommand runs: the analyser
     for analyze, the verifier or the noise study on top of it for the
-    others, and csv only for --format csv.  analyze loads no copy: its
-    streams are plain random.Random."""
+    others, and csv only for --format csv.  Each handler lives with what it
+    runs, so no other subcommand's handler is compiled.  analyze loads no
+    copy: its streams are plain random.Random."""
 
     def test_analyze_loads_only_the_analyser(self):
         assert loaded_by("analyze", "P:+00;S:-01", "--format", "json") == {
-            "modules": ANALYSER, "csv": False, "copy": False, "verify_complete": False}
+            "modules": ANALYSER, "handlers": ["cmd_analyze"], "csv": False,
+            "copy": False, "verify_complete": False}
 
     def test_ideal_verify_loads_no_noise_study_and_no_tables(self):
-        modules = loaded_by("verify", "--n", "3")["modules"]
-        assert "hypersa.verifier" in modules
-        assert not {"hypersa.noise", "hypersa.tables"} & set(modules)
+        loaded = loaded_by("verify", "--n", "3")
+        assert "hypersa.verifier" in loaded["modules"]
+        assert not {"hypersa.noise", "hypersa.tables"} & set(loaded["modules"])
+        assert loaded["handlers"] == ["cmd_analyze", "cmd_verify"]
 
     def test_montecarlo_loads_no_verifier_and_no_tables(self):
-        modules = loaded_by("montecarlo", "--n", "2", "--model", "gaussian",
-                            "--trials", "20")["modules"]
-        assert "hypersa.noise" in modules
-        assert not {"hypersa.verifier", "hypersa.tables"} & set(modules)
+        loaded = loaded_by("montecarlo", "--n", "2", "--model", "gaussian",
+                           "--trials", "20")
+        assert "hypersa.noise" in loaded["modules"]
+        assert not {"hypersa.verifier", "hypersa.tables"} & set(loaded["modules"])
+        assert loaded["handlers"] == ["cmd_analyze", "cmd_montecarlo"]
+
+    @pytest.mark.parametrize("module", ["verifier", "noise", "tables"])
+    def test_library_modules_load_no_argparse(self, module):
+        # the handlers reach the parser's helpers only when a command runs
+        done = run_python("-c", f"import sys, hypersa.{module}; "
+                                "print('argparse' in sys.modules)")
+        assert done.stdout == "False\n"
 
 
 DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))

@@ -283,6 +283,21 @@ class TestPerDofVerifier:
         assert [c[:4] for c in report.per_state] == [c[:4] for c in joint_verify(n)]
         assert all(c.broken == "" for c in report.per_state)
 
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_each_factor_runs_once(self, monkeypatch, n):
+        # 2 * 2^n factor runs, and the separation check's 8 joint runs (4
+        # inputs, each DOF) compare against factor runs already made
+        real, calls = protocols.pre_detection, []
+
+        def counted(state, cfg, dofs="PS"):
+            calls.append(dofs)
+            return real(state, cfg, dofs)
+
+        monkeypatch.setattr(protocols, "pre_detection", counted)
+        assert verify_complete(n).all_correct
+        assert len(calls) == 2 * 2 ** n + 8
+        assert calls.count("P") == calls.count("S") == 2 ** n + 4
+
     @staticmethod
     def failures(report):
         assert report.correct < report.total_states

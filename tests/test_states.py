@@ -275,6 +275,25 @@ class TestApplyGate:
         with pytest.raises(ValueError, match="unitary"):
             apply_gate(bell_state("phi+", "P"), 0, "P", gate)
 
+    @pytest.mark.parametrize("gate, message", [
+        ([[math.nan, 0], [0, 1]], "gate is not unitary (defect nan)"),
+        # defects (0, nan, inf): a NaN outranks the infinite one
+        ([[1, 0], [0, math.inf]], "gate is not unitary (defect nan)"),
+        ([[1, 1e-5], [0, 1]], "gate is not unitary (defect 1e-05)"),
+        ([[1, 0], [0, 1 + 1e-6]], "gate is not unitary (defect 2e-06)"),
+        ([[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+         "gate must be 2x2 numbers, got [[1, 0, 0], [0, 1, 0], [0, 0, 1]]"),
+    ], ids=["nan", "nan-beside-inf", "off-diagonal", "diagonal", "3x3"])
+    def test_refusal_names_the_largest_defect(self, gate, message):
+        with pytest.raises(ValueError) as refused:
+            apply_gate(bell_state("phi+", "P"), 0, "P", gate)
+        assert str(refused.value) == message
+
+    def test_defect_within_tolerance_accepted(self):
+        # defect 2e-11 on the diagonal, under the 1e-10 bound
+        out = apply_gate(bell_state("phi+", "P"), 0, "P", [[1, 0], [0, 1 + 1e-11]])
+        assert len(out) == 2
+
     def test_bad_photon_index_rejected(self):
         with pytest.raises(ValueError, match="out of range"):
             apply_gate(bell_state("phi+", "P"), 2, "P", PAULI_X)
