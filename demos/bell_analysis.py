@@ -36,7 +36,7 @@ for pid in ("alpha1", "beta1"):
 
 # --- the full pipeline in one call: the N-photon analyser at n=2 ----------
 
-label, transcript = hgsa_n_analyze(2, state, cfg)
+label, transcript = hgsa_n_analyze(state, cfg)
 print("\ndecoded label:", label.literal(), label.bell_names())
 for readout in transcript.probe_readouts:
     print(f"  probe {readout.probe}: magnitude {readout.magnitude} (p={readout.p:g})")

@@ -128,9 +128,9 @@ def cmd_analyze(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    n = _photon_count("analyze", query.n_photons)
+    _photon_count("analyze", query.n_photons)
     cfg = _config(args)
-    label, transcript = hgsa_n_analyze(n, state_from_label(query), cfg)
+    label, transcript = hgsa_n_analyze(state_from_label(query), cfg)
     if args.fmt == "json":
         doc = transcript.to_json_dict()
         doc["label"] = _label_json(label)

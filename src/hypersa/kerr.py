@@ -86,10 +86,9 @@ class JointState:
     @classmethod
     def _derived(cls, n_photons: int, probes: tuple[ProbeRegister, ...],
                  amplitudes: dict[JointKey, complex]) -> JointState:
-        """Built from valid kets, probes and ``complex`` amplitudes: only prunes."""
+        """Built from valid kets, probes and ``complex`` amplitudes, taken as they are."""
         self = object.__new__(cls)
-        pruned = {key: a for key, a in amplitudes.items() if abs(a) >= PRUNE_EPS}
-        for name, value in zip(cls.__slots__, (n_photons, probes, pruned)):
+        for name, value in zip(cls.__slots__, (n_photons, probes, amplitudes)):
             object.__setattr__(self, name, value)
         return self
 
@@ -127,10 +126,9 @@ class HomodyneResult(NamedTuple):
 def attach_probes(state: PhotonState,
                   probes: Sequence[ProbeRegister]) -> JointState:
     """Couple fresh probes (all phase multiples zero) to a photon state."""
-    probes = JointState(state.n_photons, probes, {}).probes  # checks the probe list
     zeros = (0,) * len(probes)
-    return JointState._derived(state.n_photons, probes,
-                               {(ket, zeros): amp for ket, amp in state.items()})
+    return JointState(state.n_photons, probes,
+                      {(ket, zeros): amp for ket, amp in state.items()})
 
 
 def parity_gadget(joint: JointState, probe: str, ref_photon: int,
@@ -245,6 +243,8 @@ def homodyne_measure(joint: JointState, probe: str,
             continue
         key = (ket, mults[:idx] + mults[idx + 1:])
         out[key] = out.get(key, 0j) + amp * scale
+    # the one operation that adds amplitudes, so the one that can cancel them
+    out = {key: a for key, a in out.items() if abs(a) >= PRUNE_EPS}
     probes = joint.probes[:idx] + joint.probes[idx + 1:]
     return HomodyneResult(reported, probability,
                           JointState._derived(joint.n_photons, probes, out), len(classes))

@@ -94,7 +94,7 @@ def monte_carlo_misclassification(n: int, cfg: RunConfig) -> NoiseStats:
 
     def analyse(pick: int) -> tuple[HyperLabel, tuple[ProbeReadout, ...]]:
         state = states.state_from_label(labels[pick])
-        label, transcript = protocols.hgsa_n_analyze(n, state, ideal)
+        label, transcript = protocols.hgsa_n_analyze(state, ideal)
         readouts = transcript.probe_readouts
         if any(r.classes != 1 or misread(r.magnitude) is None for r in readouts):
             raise ValueError(f"{labels[pick].literal()}: a readout is not a point "

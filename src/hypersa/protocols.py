@@ -199,8 +199,7 @@ def _decode_bits(readouts: Sequence[ProbeReadout]) -> tuple[str, str]:
                  for dof in "PS")
 
 
-def hgsa_n_analyze(n: int, state: PhotonState,
-                   cfg: RunConfig) -> tuple[HyperLabel, Transcript]:
+def hgsa_n_analyze(state: PhotonState, cfg: RunConfig) -> tuple[HyperLabel, Transcript]:
     """Full N-photon analysis: each factor (:func:`split_product`) runs its DOF's
     :func:`pre_detection`; the event joins one ``detection`` draw per factor, P first.
 
@@ -208,10 +207,8 @@ def hgsa_n_analyze(n: int, state: PhotonState,
     ideal model the label is exact for any hyperentangled GHZ-class product
     input, whichever branch fires; a non-product input raises ValueError.
     """
-    if n < 2:
-        raise ValueError(f"analysis needs at least 2 photons, got {n}")
-    if state.n_photons != n:
-        raise ValueError(f"state has {state.n_photons} photons, expected {n}")
+    if state.n_photons < 2:
+        raise ValueError(f"analysis needs at least 2 photons, got {state.n_photons}")
     rng, readouts, events = stream(cfg.seed, "detection"), [], []
     for dof, factor in zip("PS", split_product(state)):
         rotated, reads = pre_detection(factor, cfg, dof)
@@ -233,10 +230,5 @@ __getattr__, __dir__ = _lazy_attributes(globals(), {
         ("noise", "NoiseStats wilson_interval predicted_error_rate "
                   "monte_carlo_misclassification"),
         ("tables", "SignatureRow DetectionRow display_bits emit_signature_table "
-                   "emit_detection_table"),
-        # names this module imported for the moved code, and so exposed
-        ("kerr", "gaussian_error_prob misread"),
-        ("optics", "detection_distribution outcome_tokens"),
-        ("states", "all_canonical_labels canonical_bit_strings complement "
-                   "equal_up_to_global_phase ghz_state hyper_product state_from_label"))
+                   "emit_detection_table"))
     for name in names.split()})

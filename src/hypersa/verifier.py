@@ -10,8 +10,13 @@ splitters and the beta gadgets on spatial mode only, and
 V count and the spatial sign from the path-2 count.  So a P-GHZ x S-GHZ
 input is classified correctly iff its polarization factor and its spatial
 factor are, and 2^N runs, each of one factor (the other DOF all 0s) through
-only its own DOF's stages, cover all 4^N inputs.  A separation check makes
-sure that no stage reads or moves the other DOF.
+only its own DOF's stages, cover all 4^N inputs.  That no stage reads or
+moves the other DOF is checked on four fixed joint inputs only
+(:func:`_separated`): P:+0..0;S:-01..1, P:-0..0;S:+01..1, P:+01..1;S:-0..0
+and P:-01..1;S:+0..0, so a coupling keyed on an other-DOF pattern that none
+of them holds escapes it.  ``TestAgainstTheJointPipeline`` compares the
+analyser with the joint pipeline on every label at n <= 5 and a sample at
+n = 6, 7.
 """
 
 from __future__ import annotations
@@ -168,12 +173,13 @@ def verify_complete(n: int, cfg: RunConfig | None = None) -> VerificationReport:
     Those checks split by degree of freedom (see the module notes): the
     analyser runs once per (sign, bits) of each DOF through only that DOF's
     stages, and if :func:`_separated` finds a stage that reads or moves the
-    other DOF, every input fails with ``separation``.  The report keeps the
-    two tables of factor runs; the per-input records are assembled from
-    them only when read (:attr:`VerificationReport.per_state`).  The
-    exhaustive pass always uses the ideal readout; with
-    ``cfg.model == gaussian`` a sampled noise study is attached on top; only
-    then is :mod:`hypersa.noise` imported.
+    other DOF on one of its four joint inputs, every input fails with
+    ``separation`` (a coupling those inputs miss goes unseen; see the module
+    notes).  The report keeps the two tables of factor runs; the per-input
+    records are assembled from them only when read
+    (:attr:`VerificationReport.per_state`).  The exhaustive pass always uses
+    the ideal readout; with ``cfg.model == gaussian`` a sampled noise study
+    is attached on top; only then is :mod:`hypersa.noise` imported.
     """
     check_photon_count(n, "verification")
     if cfg is None:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hypersa import protocols
-from hypersa.kerr import HomodyneModel
+from hypersa.kerr import HomodyneModel, JointState
 from hypersa.optics import PhotonRecord, detection_distribution
 from hypersa.protocols import RunConfig, hgsa_n_analyze, pre_detection
 from hypersa.rng import pick
@@ -90,7 +90,7 @@ class TestAgainstTheJointPipeline:
                 # three seeds per input at n <= 3, one fresh seed each above
                 for seed in (rng.randrange(2 ** 31) for _ in range(3 if n <= 3 else 1)):
                     cfg = RunConfig(model=model, seed=seed)
-                    got, transcript = hgsa_n_analyze(n, state, cfg)
+                    got, transcript = hgsa_n_analyze(state, cfg)
                     want, joint, rotated = joint_analyze(state, cfg)
                     assert got == want
                     if model is HomodyneModel.IDEAL:
@@ -112,7 +112,7 @@ class TestAgainstTheJointPipeline:
         protocols.stream = lambda seed, name: (Scripted(u1, u2) if name == "detection"
                                                else real_stream(seed, name))
         try:
-            _, transcript = hgsa_n_analyze(n, state, cfg)
+            _, transcript = hgsa_n_analyze(state, cfg)
         finally:
             protocols.stream = real_stream
         p, s = (pick(((o, o.probability) for o in detection_distribution(
@@ -123,13 +123,40 @@ class TestAgainstTheJointPipeline:
         assert transcript.detector_outcome.probability == p.probability * s.probability
 
 
+def keyed_on_spatial_pattern(real):
+    """A parity gadget that also shifts its polarization probe by one
+    multiple on every branch whose spatial bits have photon 2 = 1 and
+    photon 3 = 0: a coupling of the DOFs."""
+    def gadget(joint, probe, ref, other, dof):
+        out = real(joint, probe, ref, other, dof)
+        if dof != "P":
+            return out
+        i = out.probe_index(probe)
+        return JointState(out.n_photons, out.probes, {
+            (ket, mults[:i] + (mults[i] + 1,) + mults[i + 1:]
+             if ket.spa_bits[2:4] == "10" else mults): amp
+            for (ket, mults), amp in out.items()})
+    return gadget
+
+
+class TestACouplingOnlyTheJointPipelineMeets:
+    def test_the_joint_pipeline_misreads_and_the_analyser_does_not(self, monkeypatch):
+        # the polarization factor's spatial bits are all 0s, so only a joint
+        # run holds the pattern; the joint reference is what catches it
+        monkeypatch.setattr(protocols, "parity_gadget",
+                            keyed_on_spatial_pattern(protocols.parity_gadget))
+        label = HyperLabel("+", "0000", "+", "0010")
+        state = state_from_label(label)
+        assert joint_analyze(state, RunConfig())[0].literal() == "P:+0111;S:+0010"
+        assert hgsa_n_analyze(state, RunConfig())[0] == label
+
+
 class TestTenPhotons:
     def test_labels_round_trip(self):
         rng = random.Random(1010)
         for seed in range(4):
             label = random_label(10, rng)
-            got, transcript = hgsa_n_analyze(10, state_from_label(label),
-                                             RunConfig(seed=seed))
+            got, transcript = hgsa_n_analyze(state_from_label(label), RunConfig(seed=seed))
             assert got == label
             assert len(transcript.probe_readouts) == 18
             assert len(transcript.detector_outcome.records) == 10

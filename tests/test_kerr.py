@@ -9,7 +9,7 @@ from hypersa.kerr import (HomodyneModel, JointState, ProbeRegister,
                           attach_probes, gaussian_error_prob,
                           homodyne_measure, magnitude_distribution, misread,
                           parity_gadget)
-from hypersa.states import (BasisKet, PhotonState, bell_state,
+from hypersa.states import (PRUNE_EPS, BasisKet, PhotonState, bell_state,
                             equal_up_to_global_phase, ghz_state,
                             hyper_product)
 
@@ -227,6 +227,17 @@ class TestHomodyne:
                 assert equal_up_to_global_phase(
                     result.collapsed.photon_state(), state, 1e-10)
 
+    @pytest.mark.parametrize("residue", [0.0, 1e-15])
+    def test_cancelling_branches_are_pruned(self, residue):
+        # one ket under multiples +1 and -1 falls in one magnitude class,
+        # where its two amplitudes add up to (nearly) nothing
+        ket, other = BasisKet("00", "00"), BasisKet("01", "00")
+        joint = JointState(2, (PROBE,), {(ket, (1,)): 0.5, (ket, (-1,)): residue - 0.5,
+                                         (other, (1,)): math.sqrt(0.5)})
+        result = homodyne_measure(joint, "alpha1")
+        assert [key for key, _ in result.collapsed.items()] == [(other, ())]
+        assert all(abs(amp) >= PRUNE_EPS for _, amp in result.collapsed.items())
+
     def test_photon_state_requires_all_probes_measured(self):
         j = joint_of(bell_state("phi+", "P"))
         with pytest.raises(ValueError, match="still attached"):
@@ -321,8 +332,8 @@ class TestJointState:
     @settings(max_examples=30, deadline=None)
     @given(n=st.integers(2, 4), dof=st.sampled_from("PS"), seed=st.integers(0, 2 ** 32 - 1))
     def test_derived_states_equal_checked_construction(self, n, dof, seed):
-        # attach_probes, parity_gadget and homodyne_measure build their
-        # outputs unchecked: the checked constructor must give the same state
+        # parity_gadget and homodyne_measure build their outputs unchecked:
+        # the checked constructor must give the same state
         joint = attach_probes(random_state(n, np.random.default_rng(seed)), (PROBE,))
         stages = [joint, parity_gadget(joint, "alpha1", 0, n - 1, dof)]
         stages.append(homodyne_measure(stages[-1], "alpha1", seed=seed).collapsed)

@@ -55,45 +55,40 @@ def bell_product(p, s):
 
 class TestTwoPhotonAnalysis:
     def test_odd_even_signature(self):
-        label, tr = hgsa_n_analyze(2, bell_product("psi+", "phi-"), RunConfig())
+        label, tr = hgsa_n_analyze(bell_product("psi+", "phi-"), RunConfig())
         assert [r.magnitude for r in tr.probe_readouts] == [1, 0]
         assert [r.probe for r in tr.probe_readouts] == ["alpha1", "beta1"]
         assert label == HyperLabel("+", "01", "-", "00")
 
     def test_even_even_full_roundtrip(self):
-        label, tr = hgsa_n_analyze(2, bell_product("phi+", "phi+"), RunConfig(seed=5))
+        label, tr = hgsa_n_analyze(bell_product("phi+", "phi+"), RunConfig(seed=5))
         assert [r.magnitude for r in tr.probe_readouts] == [0, 0]
         assert outcome_tokens(tr.detector_outcome) in PARITY_OUTCOMES[("+", "+")]
         assert label == HyperLabel("+", "00", "+", "00")
 
     def test_minus_minus_outcome_membership(self):
-        label, tr = hgsa_n_analyze(2, bell_product("phi-", "psi-"), RunConfig(seed=9))
+        label, tr = hgsa_n_analyze(bell_product("phi-", "psi-"), RunConfig(seed=9))
         assert outcome_tokens(tr.detector_outcome) in PARITY_OUTCOMES[("-", "-")]
         assert label == HyperLabel("-", "00", "-", "01")
 
     def test_all_sixteen_exact(self):
         for p in BELL:
             for s in BELL:
-                label, _ = hgsa_n_analyze(2, bell_product(p, s), RunConfig(seed=1))
+                label, _ = hgsa_n_analyze(bell_product(p, s), RunConfig(seed=1))
                 assert label.bell_names() == (p, s)
-
-    def test_wrong_photon_count_rejected(self):
-        state = hyper_product(ghz_state("+", "000", "P"), ghz_state("+", "000", "S"))
-        with pytest.raises(ValueError, match="state has 3 photons, expected 2"):
-            hgsa_n_analyze(2, state, RunConfig())
 
 
 class TestThreePhotonAnalysis:
     def test_signature_pairs(self):
         state = hyper_product(ghz_state("+", "000", "P"), ghz_state("+", "001", "S"))
-        label, tr = hgsa_n_analyze(3, state, RunConfig())
+        label, tr = hgsa_n_analyze(state, RunConfig())
         mags = [r.magnitude for r in tr.probe_readouts]
         assert mags[:2] == [0, 0] and mags[2:] == [0, 1]
         assert label == HyperLabel("+", "000", "+", "001")
 
     def test_noncanonical_input_decodes_to_canonical(self):
         state = hyper_product(ghz_state("-", "100", "P"), ghz_state("+", "010", "S"))
-        label, tr = hgsa_n_analyze(3, state, RunConfig())
+        label, tr = hgsa_n_analyze(state, RunConfig())
         mags = [r.magnitude for r in tr.probe_readouts]
         assert mags[:2] == [1, 1] and mags[2:] == [1, 0]
         assert label == HyperLabel("-", "011", "+", "010")
@@ -110,7 +105,7 @@ class TestNPhotonAnalysis:
         p_bits, s_bits = "0110", "0000"
         state = hyper_product(ghz_state("-", p_bits, "P"),
                               ghz_state("+", s_bits, "S"))
-        label, tr = hgsa_n_analyze(4, state, RunConfig())
+        label, tr = hgsa_n_analyze(state, RunConfig())
         # bitwise XOR against photon 0 predicts each probe's magnitude
         expect_p = [int(p_bits[0]) ^ int(p_bits[k]) for k in range(1, 4)]
         expect_s = [int(s_bits[0]) ^ int(s_bits[k]) for k in range(1, 4)]
@@ -128,16 +123,15 @@ class TestNPhotonAnalysis:
     def test_five_photon_all_zero(self):
         state = hyper_product(ghz_state("+", "00000", "P"),
                               ghz_state("+", "00000", "S"))
-        label, tr = hgsa_n_analyze(5, state, RunConfig())
+        label, tr = hgsa_n_analyze(state, RunConfig())
         assert all(r.magnitude == 0 for r in tr.probe_readouts)
         assert len(tr.probe_readouts) == 8
         assert label == HyperLabel("+", "00000", "+", "00000")
 
     def test_guard_and_count_checks(self):
-        with pytest.raises(ValueError, match="at least 2"):
-            hgsa_n_analyze(1, bell_product("phi+", "phi+"), RunConfig())
-        with pytest.raises(ValueError, match="expected 3"):
-            hgsa_n_analyze(3, bell_product("phi+", "phi+"), RunConfig())
+        # the photon count is the state's own
+        with pytest.raises(ValueError, match="at least 2 photons, got 1"):
+            hgsa_n_analyze(PhotonState(1, {BasisKet("0", "0"): 1}), RunConfig())
 
 
 class TestSignBasisTransform:
@@ -190,7 +184,7 @@ class TestCompleteness:
     def test_readout_map_is_injective(self, n):
         seen = set()
         for label in all_canonical_labels(n):
-            _, tr = hgsa_n_analyze(n, state_from_label(label), RunConfig())
+            _, tr = hgsa_n_analyze(state_from_label(label), RunConfig())
             key = (tuple(r.magnitude for r in tr.probe_readouts),
                    decode_signs(tr.detector_outcome))
             seen.add(key)
@@ -402,8 +396,7 @@ class TestAnalyseDecodes:
     @settings(max_examples=25, deadline=None)
     @given(label=canonical_label(), seed=st.integers(0, 2 ** 32 - 1))
     def test_analyse_then_decode_is_the_identity(self, label, seed):
-        n = label.n_photons
-        decoded, _ = hgsa_n_analyze(n, state_from_label(label), RunConfig(seed=seed))
+        decoded, _ = hgsa_n_analyze(state_from_label(label), RunConfig(seed=seed))
         assert decoded == label
 
     @settings(max_examples=25, deadline=None)
@@ -447,7 +440,7 @@ class TestVerifyProvesTheAnalyser:
         monkeypatch.setattr(protocols, name, mutant(getattr(protocols, name)))
         if verify_complete(3).all_correct:
             wrong = [label.literal() for label in all_canonical_labels(3)
-                     if hgsa_n_analyze(3, state_from_label(label), RunConfig())[0] != label]
+                     if hgsa_n_analyze(state_from_label(label), RunConfig())[0] != label]
             assert wrong == []
 
 
@@ -529,11 +522,11 @@ class TestBatchedNoiseStudy:
         pids = probe_ids(n)
         for label in all_canonical_labels(n):
             state = state_from_label(label)
-            ideal_label, transcript = hgsa_n_analyze(n, state, ideal)
+            ideal_label, transcript = hgsa_n_analyze(state, ideal)
             for pattern in itertools.product((False, True), repeat=len(pids)):
                 misreading.clear()
                 misreading.update(p for p, flip in zip(pids, pattern) if flip)
-                got, _ = hgsa_n_analyze(n, state, GAUSSIAN_CFG)
+                got, _ = hgsa_n_analyze(state, GAUSSIAN_CFG)
                 assert got == noise._misread_label(
                     ideal_label, transcript.probe_readouts, pattern)
                 assert (got != label) == any(pattern)
@@ -770,7 +763,7 @@ class TestPlumbing:
 
     def test_transcript_json_records(self):
         cfg = RunConfig(theta=0.2, alpha=60.0, seed=4)
-        _, tr = hgsa_n_analyze(2, bell_product("psi+", "phi-"), cfg)
+        _, tr = hgsa_n_analyze(bell_product("psi+", "phi-"), cfg)
         assert tr.config is cfg
         doc = tr.to_json_dict()
         assert doc["probes"][0] == {"probe": "alpha1", "magnitude": 1,
@@ -788,9 +781,10 @@ class TestPlumbing:
                                 "beta1", "beta2", "beta3"]
 
 
-# What each module exposes, by home module: every name either exposed before
-# the verifier, the noise study and the tables moved out of protocols, less
-# their private names.  Each resolves from both, imported on first use.
+# What each module exposes, by home module.  hypersa exposes every public
+# name; protocols its own names, the ones it imports to run the analyser and
+# the verifier's, the noise study's and the tables' public names.  Each
+# resolves, imported on first use.
 HYPERSA_EXPORTS = {
     "kerr": "HomodyneModel HomodyneResult JointState ProbeRegister attach_probes "
             "gaussian_error_prob homodyne_measure magnitude_distribution parity_gadget",
@@ -818,13 +812,10 @@ PROTOCOLS_EXPORTS = {
              "wilson_interval",
     "tables": "DetectionRow SignatureRow display_bits emit_detection_table "
               "emit_signature_table",
-    "kerr": "HomodyneModel JointState ProbeRegister attach_probes gaussian_error_prob "
-            "homodyne_measure misread parity_gadget",
-    "optics": "DetectorOutcome apply_bs apply_wp detection_distribution outcome_json "
-              "outcome_tokens sample_outcome",
-    "states": "HyperLabel PhotonState _check_dof all_canonical_labels "
-              "canonical_bit_strings complement equal_up_to_global_phase ghz_state "
-              "hyper_product state_from_label",
+    "kerr": "HomodyneModel JointState ProbeRegister attach_probes homodyne_measure "
+            "parity_gadget",
+    "optics": "DetectorOutcome apply_bs apply_wp outcome_json sample_outcome",
+    "states": "HyperLabel PhotonState _check_dof",
 }
 
 # Private names of the modules split out of protocols, which it no longer
@@ -834,6 +825,29 @@ MOVED_PRIVATE_NAMES = {
     "noise": "_misread_label",
     "tables": "_SIGN_ORDER _member_literal",
 }
+
+# Names that only the split-out modules import, which protocols re-exported
+# after the split and no longer does.
+DROPPED_RE_EXPORTS = {
+    "kerr": "gaussian_error_prob misread",
+    "optics": "detection_distribution outcome_tokens",
+    "states": "all_canonical_labels canonical_bit_strings complement "
+              "equal_up_to_global_phase ghz_state hyper_product state_from_label",
+}
+
+
+def assert_only_in_home_modules(names_by_home, monkeypatch):
+    # protocols does not export them, so reading or patching one there
+    # fails loudly instead of reaching nothing
+    for home, names in names_by_home.items():
+        home_module = importlib.import_module(f"hypersa.{home}")
+        for name in names.split():
+            assert hasattr(home_module, name), name
+            assert name not in dir(protocols), name
+            with pytest.raises(AttributeError, match=f"no attribute {name!r}$"):
+                getattr(protocols, name)
+            with pytest.raises(AttributeError, match=f"no attribute {name!r}$"):
+                monkeypatch.setattr(protocols, name, None)
 
 
 class TestLazyExports:
@@ -848,17 +862,10 @@ class TestLazyExports:
                 assert name in dir(module), name
 
     def test_moved_private_names_live_only_in_their_home_modules(self, monkeypatch):
-        # protocols does not re-export them, so reading or patching one there
-        # fails loudly instead of reaching nothing
-        for home, names in MOVED_PRIVATE_NAMES.items():
-            home_module = importlib.import_module(f"hypersa.{home}")
-            for name in names.split():
-                assert hasattr(home_module, name), name
-                assert name not in dir(protocols), name
-                with pytest.raises(AttributeError, match=f"no attribute {name!r}$"):
-                    getattr(protocols, name)
-                with pytest.raises(AttributeError, match=f"no attribute {name!r}$"):
-                    monkeypatch.setattr(protocols, name, None)
+        assert_only_in_home_modules(MOVED_PRIVATE_NAMES, monkeypatch)
+
+    def test_dropped_re_exports_live_only_in_their_home_modules(self, monkeypatch):
+        assert_only_in_home_modules(DROPPED_RE_EXPORTS, monkeypatch)
 
     def test_star_import_binds_every_public_name(self):
         namespace = {}
