@@ -113,9 +113,7 @@ def _csv_writer():
 
 
 def _label_json(label: HyperLabel) -> dict:
-    out = {"p_sign": label.p_sign, "p_bits": label.p_bits,
-           "s_sign": label.s_sign, "s_bits": label.s_bits,
-           "literal": label.literal()}
+    out = {**label._asdict(), "literal": label.literal()}
     names = label.bell_names()
     if names:
         out["bell"] = {"P": names[0], "S": names[1]}

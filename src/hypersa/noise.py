@@ -31,12 +31,8 @@ class NoiseStats(NamedTuple):
     per_probe_flips: dict[str, int]  # probe id -> misreads drawn
 
     def to_json_dict(self) -> dict:
-        return {"trials": self.trials, "errors": self.errors, "rate": self.rate,
-                "wilson_low": self.wilson_low, "wilson_high": self.wilson_high,
-                "predicted": self.predicted,
-                "per_state": {k: {"trials": t, "errors": e}
-                              for k, (t, e) in self.per_state.items()},
-                "per_probe_flips": self.per_probe_flips}
+        return {**self._asdict(), "per_state": {k: {"trials": t, "errors": e}
+                                                for k, (t, e) in self.per_state.items()}}
 
 
 def wilson_interval(errors: int, trials: int, z: float = 1.96) -> tuple[float, float]:
@@ -82,8 +78,9 @@ def monte_carlo_misclassification(n: int, cfg: RunConfig) -> NoiseStats:
     and each distinct misread pattern of it is decoded once per chunk.
     Inputs and misreads are drawn from two named streams in chunks of
     :data:`hypersa.protocols.MC_CHUNK` trials; chunked draws equal one draw
-    of every trial, so the result does not depend on the chunk size and
-    memory does not grow with the trial count.
+    of every trial, so the result does not depend on the chunk size.  The
+    chunks bound the draw lists and the rows counted at once; the analyses
+    kept per drawn input grow with the distinct inputs drawn, up to 4^n.
     """
     check_photon_count(n, "Monte Carlo study")
     labels = all_canonical_labels(n)

@@ -28,7 +28,7 @@ import math
 import operator
 from typing import NamedTuple, Sequence
 
-from . import _lazy_attributes
+from . import _EXPORTS, _lazy_attributes
 from .kerr import (HomodyneModel, JointState, ProbeRegister, attach_probes,
                    homodyne_measure, parity_gadget)
 from .optics import DetectorOutcome, apply_bs, apply_wp, outcome_json, sample_outcome
@@ -37,7 +37,7 @@ from .states import HyperLabel, PhotonState, _check_dof, split_product
 
 VERIFY_MAX_PHOTONS = 10  # 4^N enumeration guard
 _PROBES = {"P": "alpha", "S": "beta"}  # each DOF's probe name prefix
-MC_CHUNK = 1 << 14  # Monte Carlo trials drawn at once; bounds its arrays
+MC_CHUNK = 1 << 14  # Monte Carlo trials drawn at once; bounds its draw lists
 
 
 class PhotonCountError(ValueError):
@@ -136,16 +136,15 @@ def probe_ids(n: int, dofs: str = "PS") -> list[str]:
     return [f"{_PROBES[_check_dof(dof)]}{k}" for dof in dofs for k in range(1, n)]
 
 
-def run_parity_stage(joint: JointState, dof: str, prefix: str,
+def run_parity_stage(joint: JointState, dof: str,
                      cfg: RunConfig) -> tuple[JointState, list[ProbeReadout]]:
-    """One QND stage: gadget photon 0 against each other photon in ``dof``
-    using the probes ``prefix``1.., then measure those probes in order."""
-    n = joint.n_photons
-    for k in range(1, n):
-        joint = parity_gadget(joint, f"{prefix}{k}", 0, k, dof)
+    """One QND stage: gadget photon 0 against each photon k >= 1 in ``dof``
+    with ``dof``'s k-th probe (:func:`probe_ids`), then measure them in order."""
+    pids = probe_ids(joint.n_photons, dof)
+    for k, pid in enumerate(pids, 1):
+        joint = parity_gadget(joint, pid, 0, k, dof)
     readouts = []
-    for k in range(1, n):
-        pid = f"{prefix}{k}"
+    for pid in pids:
         result = homodyne_measure(joint, pid, cfg.model,
                                   stream(cfg.seed, f"probe:{pid}"))
         readouts.append(ProbeReadout(pid, result.magnitude, result.probability,
@@ -177,7 +176,7 @@ def pre_detection(state: PhotonState, cfg: RunConfig,
     for dof in dofs:
         joint = attach_probes(state, [ProbeRegister(pid, cfg.theta, cfg.alpha)
                                       for pid in probe_ids(state.n_photons, dof)])
-        joint, reads = run_parity_stage(joint, dof, _PROBES[dof], cfg)
+        joint, reads = run_parity_stage(joint, dof, cfg)
         readouts += reads
         state = sign_basis_transform(joint.photon_state(), dof)
     return state, readouts
@@ -225,10 +224,5 @@ def hgsa_n_analyze(state: PhotonState, cfg: RunConfig) -> tuple[HyperLabel, Tran
 
 
 __getattr__, __dir__ = _lazy_attributes(globals(), {
-    name: module for module, names in (
-        ("verifier", "StateCheck VerificationReport verify_complete"),
-        ("noise", "NoiseStats wilson_interval predicted_error_rate "
-                  "monte_carlo_misclassification"),
-        ("tables", "SignatureRow DetectionRow display_bits emit_signature_table "
-                   "emit_detection_table"))
-    for name in names.split()})
+    name: module for module in ("verifier", "noise", "tables")
+    for name in _EXPORTS[module].split()})

@@ -145,15 +145,9 @@ class PhotonState:
         """Hermitian inner product <self|other>."""
         if self.n_photons != other.n_photons:
             raise ValueError("photon counts differ")
-        small, big = (self, other) if len(self) <= len(other) else (other, self)
         acc = 0j
-        for ket, amp in small._amps.items():
-            b = big._amps.get(ket)
-            if b is not None:
-                if small is self:
-                    acc += amp.conjugate() * b
-                else:
-                    acc += b.conjugate() * amp
+        for ket, amp in self._amps.items():
+            acc += amp.conjugate() * other._amps.get(ket, 0j)
         return acc
 
     def __repr__(self) -> str:

@@ -28,8 +28,8 @@ from typing import TYPE_CHECKING, Iterator, NamedTuple
 from . import optics, protocols, states
 from .kerr import HomodyneModel
 from .protocols import ProbeReadout, RunConfig, check_photon_count
-from .states import (PhotonState, canonical_bit_strings, complement,
-                     equal_up_to_global_phase, ghz_state, hyper_product)
+from .states import (PhotonState, canonical_bit_strings, equal_up_to_global_phase,
+                     ghz_state, hyper_product)
 
 if TYPE_CHECKING:
     from .noise import NoiseStats
@@ -185,13 +185,13 @@ def verify_complete(n: int, cfg: RunConfig | None = None) -> VerificationReport:
     if cfg is None:
         cfg = RunConfig()
     ideal = cfg._replace(model=HomodyneModel.IDEAL)
-    # the separation check's joint inputs, as their DOFs' (sign, bits) halves:
-    # 0..0 and 01..1 differ in every free bit, so each DOF's half runs as both,
-    # beside a half in which every photon takes both values
-    inputs = [{"P": (sign, bits), "S": ("-" if sign == "+" else "+", "0" + complement(bits[1:]))}
-              for bits in ("0" * n, "0" + "1" * (n - 1)) for sign in "+-"]
+    # the separation check's joint inputs pair each (sign, bits) half with the
+    # other sign and bits: 0..0 and 01..1 differ in every free bit, so each
+    # DOF's half runs as both, beside a half in which every photon takes both values
+    halves = [(sign, bits) for bits in ("0" * n, "0" + "1" * (n - 1)) for sign in "+-"]
+    inputs = [{"P": p, "S": s} for p, s in zip(halves, reversed(halves))]
     # each factor runs once, and only the runs of those halves keep their rotated states
-    kept = {(dof, half) for halves in inputs for dof, half in halves.items()}
+    kept = set(itertools.product("PS", halves))
     runs, factors = {"P": {}, "S": {}}, {"P": {}, "S": {}}
     for dof, bits, sign in itertools.product("PS", canonical_bit_strings(n), "+-"):
         run = _run_dof(ghz_state(sign, bits, dof), dof, ideal)

@@ -145,8 +145,8 @@ def test_criterion_7_nondemolition_suite():
             cfg = RunConfig(seed=int(rng.integers(2 ** 31)))
             joint = attach_probes(state, [ProbeRegister(pid, cfg.theta, cfg.alpha)
                                           for pid in probe_ids(n)])
-            joint, _ = run_parity_stage(joint, "P", "alpha", cfg)
-            joint, _ = run_parity_stage(joint, "S", "beta", cfg)
+            joint, _ = run_parity_stage(joint, "P", cfg)
+            joint, _ = run_parity_stage(joint, "S", cfg)
             assert equal_up_to_global_phase(joint.photon_state(), state, 1e-10)
 
 

@@ -22,7 +22,7 @@ from hypersa.optics import (DetectorOutcome, PhotonRecord,
                             detection_distribution, outcome_json,
                             outcome_tokens, sample_outcome)
 import hypersa
-from hypersa import cli, noise, protocols
+from hypersa import cli, noise, protocols, states
 from hypersa.rng import as_generator
 from hypersa.protocols import (PhotonCountError, RunConfig, decode_signs,
                                emit_detection_table, emit_signature_table,
@@ -172,11 +172,24 @@ class TestStageOrder:
                 state_from_label(label),
                 [ProbeRegister(pid, cfg.theta, cfg.alpha)
                  for pid in probe_ids(2)])
-            joint, beta_reads = run_parity_stage(joint, "S", "beta", cfg)
-            joint, alpha_reads = run_parity_stage(joint, "P", "alpha", cfg)
+            joint, beta_reads = run_parity_stage(joint, "S", cfg)
+            joint, alpha_reads = run_parity_stage(joint, "P", cfg)
             p_bits = "0" + "".join(str(r.magnitude) for r in alpha_reads)
             s_bits = "0" + "".join(str(r.magnitude) for r in beta_reads)
             assert (p_bits, s_bits) == (label.p_bits, label.s_bits)
+
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_each_dof_reads_its_own_probes(self, n):
+        cfg = RunConfig(seed=n)
+        label = all_canonical_labels(n)[-1]
+        joint = attach_probes(state_from_label(label),
+                              [ProbeRegister(pid, cfg.theta, cfg.alpha)
+                               for pid in probe_ids(n)])
+        for dof in "SP":
+            joint, reads = run_parity_stage(joint, dof, cfg)
+            assert [r.probe for r in reads] == probe_ids(n, dof)
+        with pytest.raises(ValueError, match="unknown degree of freedom"):
+            run_parity_stage(joint, "X", cfg)
 
 
 class TestCompleteness:
@@ -291,6 +304,21 @@ class TestPerDofVerifier:
         assert verify_complete(n).all_correct
         assert len(calls) == 2 * 2 ** n + 8
         assert calls.count("P") == calls.count("S") == 2 ** n + 4
+
+    @pytest.mark.parametrize("n", [3, 6])
+    def test_separation_inputs(self, monkeypatch, n):
+        # the four joint inputs the module notes name, in that order
+        real, literals = states.state_from_label, []
+
+        def recorded(label):
+            literals.append(label.literal())
+            return real(label)
+
+        monkeypatch.setattr(states, "state_from_label", recorded)
+        assert verify_complete(n).all_correct
+        zeros, ones = "0" * n, "0" + "1" * (n - 1)
+        assert literals == [f"P:+{zeros};S:-{ones}", f"P:-{zeros};S:+{ones}",
+                            f"P:+{ones};S:-{zeros}", f"P:-{ones};S:+{zeros}"]
 
     @staticmethod
     def failures(report):
@@ -422,8 +450,8 @@ def last_dof_only(real):
 
 
 def reversed_readouts(real):
-    def run(joint, dof, prefix, cfg):
-        joint, readouts = real(joint, dof, prefix, cfg)
+    def run(joint, dof, cfg):
+        joint, readouts = real(joint, dof, cfg)
         return joint, readouts[::-1]
     return run
 

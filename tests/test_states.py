@@ -1,3 +1,4 @@
+import itertools
 import math
 import re
 
@@ -183,6 +184,20 @@ class TestOrthogonality:
         for i, a in enumerate(states):
             for b in states[i + 1:]:
                 assert abs(a.inner(b)) < 1e-10
+
+
+class TestInner:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_matches_the_dense_inner_product(self, n):
+        rng = np.random.default_rng(100 + n)
+        full = [random_state(n, rng) for _ in range(3)]
+        # random subsets of their kets, and a state with no kets: unequal supports
+        sparse = [PhotonState(n, {k: a for k, a in s.items() if rng.random() < 0.3})
+                  for s in full] + [PhotonState(n, {})]
+        if n > 1:
+            sparse += [ghz_state("-", "0" + "1" * (n - 1), "P"), ghz_state("+", "0" * n, "S")]
+        for a, b in itertools.product(full + sparse, repeat=2):
+            assert abs(a.inner(b) - np.vdot(dense_vector(a), dense_vector(b))) <= 1e-12
 
 
 # exact zero entries (Pauli X, diagonal and anti-diagonal phase gates)
