@@ -6,9 +6,9 @@ when that subcommand runs.
 
 Data goes to stdout, diagnostics (including the ``alpha * theta^2``
 weak-probe feasibility figure) to stderr.  Exit codes: 0 success, 2 parse
-or usage error, 3 photon-count guard violation.  Every flag can be
-defaulted through an environment variable with the ``HYPERSA_`` prefix
-(e.g. ``HYPERSA_THETA=0.02``).
+or usage error, 3 photon-count guard violation; a closed stdout pipe ends
+the process by SIGPIPE.  Every flag can be defaulted through an environment
+variable with the ``HYPERSA_`` prefix (e.g. ``HYPERSA_THETA=0.02``).
 """
 
 from __future__ import annotations
@@ -121,11 +121,9 @@ def _label_json(label: HyperLabel) -> dict:
 
 
 def cmd_analyze(args) -> int:
-    try:
-        query = parse_state_literal(args.state, args.n)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    if args.n is not None:  # an --n outside the guard exits 3 before the literal is read
+        _photon_count("analyze", args.n)
+    query = parse_state_literal(args.state, args.n)  # main exits 2 on its ValueError
     _photon_count("analyze", query.n_photons)
     cfg = _config(args)
     label, transcript = hgsa_n_analyze(state_from_label(query), cfg)
@@ -185,7 +183,14 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entry() -> None:  # console-script hook
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()  # a closed pipe shows here at the latest
+    except BrokenPipeError:  # the reader left (`| head`): die by SIGPIPE, as filters do
+        import signal
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
+        os.kill(os.getpid(), signal.SIGPIPE)
+    sys.exit(code)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -17,6 +17,8 @@ from .kerr import HomodyneModel, gaussian_error_prob, misread
 from .protocols import ProbeReadout, RunConfig, check_photon_count, probe_ids
 from .states import HyperLabel, all_canonical_labels
 
+MC_CHUNK = 1 << 14  # Monte Carlo trials drawn at once; bounds its draw lists
+
 
 class NoiseStats(NamedTuple):
     """Sampled misclassification statistics under the gaussian model."""
@@ -37,8 +39,12 @@ class NoiseStats(NamedTuple):
 
 def wilson_interval(errors: int, trials: int, z: float = 1.96) -> tuple[float, float]:
     """Wilson score interval for a binomial rate (default 95%)."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    for name, value, low, high in (("trials", trials, 1, math.inf),
+                                   ("errors", errors, 0, trials)):
+        # a bool is no count; a float, NaN or infinity has no __index__
+        if (isinstance(value, bool) or not hasattr(value, "__index__")
+                or not low <= value <= high):
+            raise ValueError(f"{name} must be an integer in [{low}, {high}], got {value!r}")
     p = errors / trials
     denom = 1.0 + z * z / trials
     center = (p + z * z / (2 * trials)) / denom
@@ -77,7 +83,7 @@ def monte_carlo_misclassification(n: int, cfg: RunConfig) -> NoiseStats:
     proves).  So each drawn input is analysed once under the ideal readout,
     and each distinct misread pattern of it is decoded once per chunk.
     Inputs and misreads are drawn from two named streams in chunks of
-    :data:`hypersa.protocols.MC_CHUNK` trials; chunked draws equal one draw
+    :data:`hypersa.noise.MC_CHUNK` trials; chunked draws equal one draw
     of every trial, so the result does not depend on the chunk size.  The
     chunks bound the draw lists and the rows counted at once; the analyses
     kept per drawn input grow with the distinct inputs drawn, up to 4^n.
@@ -105,8 +111,8 @@ def monte_carlo_misclassification(n: int, cfg: RunConfig) -> NoiseStats:
     trials_per = [0] * len(labels)
     errors_per = [0] * len(labels)
     flips_per = [0] * len(probes)
-    for start in range(0, cfg.trials, protocols.MC_CHUNK):
-        size = min(protocols.MC_CHUNK, cfg.trials - start)
+    for start in range(0, cfg.trials, MC_CHUNK):
+        size = min(MC_CHUNK, cfg.trials - start)
         flags = iter([flip_rng.random() < err for _ in range(size * len(probes))])
         picks = [pick_rng.randrange(len(labels)) for _ in range(size)]
         rows = zip(picks, *[flags] * len(probes))

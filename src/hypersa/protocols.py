@@ -37,7 +37,6 @@ from .states import HyperLabel, PhotonState, _check_dof, split_product
 
 VERIFY_MAX_PHOTONS = 10  # 4^N enumeration guard
 _PROBES = {"P": "alpha", "S": "beta"}  # each DOF's probe name prefix
-MC_CHUNK = 1 << 14  # Monte Carlo trials drawn at once; bounds its draw lists
 
 
 class PhotonCountError(ValueError):
@@ -167,19 +166,14 @@ def sign_basis_transform(state: PhotonState, dofs: str = "SP") -> PhotonState:
 
 
 def pre_detection(state: PhotonState, cfg: RunConfig,
-                  dofs: str = "PS") -> tuple[PhotonState, list[ProbeReadout]]:
-    """Everything before the detectors, one DOF at a time in the order
-    named: attach that DOF's fresh probes, run its parity stage and rotate
-    it into the sign basis.  Returns the rotated photon state and the
-    readouts, DOF by DOF; a DOF left out is not touched."""
-    readouts = []
-    for dof in dofs:
-        joint = attach_probes(state, [ProbeRegister(pid, cfg.theta, cfg.alpha)
-                                      for pid in probe_ids(state.n_photons, dof)])
-        joint, reads = run_parity_stage(joint, dof, cfg)
-        readouts += reads
-        state = sign_basis_transform(joint.photon_state(), dof)
-    return state, readouts
+                  dof: str) -> tuple[PhotonState, list[ProbeReadout]]:
+    """Everything before the detectors in one DOF: attach its fresh probes,
+    run its parity stage and rotate it into the sign basis.  Returns the
+    rotated photon state and the readouts; the other DOF is not touched."""
+    joint = attach_probes(state, [ProbeRegister(pid, cfg.theta, cfg.alpha)
+                                  for pid in probe_ids(state.n_photons, dof)])
+    joint, readouts = run_parity_stage(joint, dof, cfg)
+    return sign_basis_transform(joint.photon_state(), dof), readouts
 
 
 def decode_signs(outcome: DetectorOutcome) -> tuple[str, str]:

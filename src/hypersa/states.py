@@ -70,13 +70,6 @@ class BasisKet(NamedTuple):
     pol_bits: str
     spa_bits: str
 
-    def label(self) -> str:
-        """Readable form like ``HV|a1b2``."""
-        pol = "".join("H" if c == "0" else "V" for c in self.pol_bits)
-        spa = "".join(f"{chr(ord('a') + i)}{int(c) + 1}"
-                      for i, c in enumerate(self.spa_bits))
-        return f"{pol}|{spa}"
-
 
 def _check_ket(ket, n_photons: int) -> BasisKet:
     """``ket`` as a :class:`BasisKet` of ``n_photons`` photons, or a ValueError."""
@@ -151,8 +144,7 @@ class PhotonState:
         return acc
 
     def __repr__(self) -> str:
-        terms = " + ".join(f"({a:.4g})|{k.label()}>" for k, a in self.items())
-        return f"PhotonState({self.n_photons} photons: {terms})"
+        return f"PhotonState({self.n_photons}, {dict(self.items())!r})"
 
 
 class HyperLabel(NamedTuple):
@@ -204,8 +196,7 @@ def canonical_bit_strings(n: int) -> list[str]:
     """All 2^(n-1) canonical GHZ bit-strings of length n, lexicographic."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    return ["0" + format(i, f"0{n - 1}b") if n > 1 else "0"
-            for i in range(2 ** (n - 1))]
+    return [format(i, f"0{n}b") for i in range(2 ** (n - 1))]
 
 
 def all_canonical_labels(n: int) -> list[HyperLabel]:
@@ -359,7 +350,9 @@ def parse_state_literal(text: str, n: int | None = None) -> HyperLabel:
 
     Two-photon Bell aliases are accepted per DOF (``P:phi+;S:psi-``).
     Raises ValueError naming the offending token on malformed input; if
-    ``n`` is given the parsed photon count must match it.
+    ``n`` is given the parsed photon count must match it.  Only the syntax
+    is checked here: the range of the count is the guard's
+    (:func:`hypersa.protocols.check_photon_count`).
     """
     parts = text.strip().split(";")
     if len(parts) != 2:
@@ -382,8 +375,6 @@ def parse_state_literal(text: str, n: int | None = None) -> HyperLabel:
     (p_sign, p_bits), (s_sign, s_bits) = parsed["P"], parsed["S"]
     if len(p_bits) != len(s_bits):
         raise ValueError(f"P and S bit-strings differ in length in {text!r}")
-    if len(p_bits) < 2:
-        raise ValueError(f"state literal {text!r} needs at least 2 photons")
     if n is not None and len(p_bits) != n:
         raise ValueError(f"state literal {text!r} has {len(p_bits)} photons, expected {n}")
     return HyperLabel.canonical(p_sign, p_bits, s_sign, s_bits)

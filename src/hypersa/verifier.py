@@ -191,12 +191,11 @@ def verify_complete(n: int, cfg: RunConfig | None = None) -> VerificationReport:
     halves = [(sign, bits) for bits in ("0" * n, "0" + "1" * (n - 1)) for sign in "+-"]
     inputs = [{"P": p, "S": s} for p, s in zip(halves, reversed(halves))]
     # each factor runs once, and only the runs of those halves keep their rotated states
-    kept = set(itertools.product("PS", halves))
     runs, factors = {"P": {}, "S": {}}, {"P": {}, "S": {}}
     for dof, bits, sign in itertools.product("PS", canonical_bit_strings(n), "+-"):
         run = _run_dof(ghz_state(sign, bits, dof), dof, ideal)
         factors[dof][sign, bits] = _check_factor(sign, bits, dof, run)
-        if (dof, (sign, bits)) in kept:
+        if (sign, bits) in halves:
             runs[dof][sign, bits] = run
     if not _separated(inputs, ideal, runs):
         factors = {dof: {key: check._replace(broken=check.broken | {"separation"})

@@ -65,6 +65,16 @@ class TestAnalyze:
         assert out == ""
         assert "2 <= n <= 10, got 11" in err
 
+    @pytest.mark.parametrize("argv, got", [
+        (["P:+0;S:+0"], 1),
+        (["P:+00;S:+00", "--n", "11"], 11),
+        # an --n outside the guard exits 3 before the literal is read
+        (["P:±;S:", "--n", "11"], 11)])
+    def test_count_outside_the_guard_exits_3(self, capsys, argv, got):
+        code, out, err = run(capsys, "analyze", *argv)
+        assert (code, out) == (3, "")
+        assert err == f"error: analyze supports 2 <= n <= 10, got {got}\n"
+
     @pytest.mark.parametrize("flag,value", [("--theta", "nan"), ("--alpha", "inf"),
                                             ("--seed", "-1")])
     def test_invalid_number_exits_2_naming_flag(self, capsys, flag, value):
@@ -496,6 +506,27 @@ class TestImportGraph:
         done = run_python("-c", f"import sys, hypersa.{module}; "
                                 "print('argparse' in sys.modules)")
         assert done.stdout == "False\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--n", "7"], ["tables", "--n", "7"],
+    ["montecarlo", "--n", "7", "--model", "gaussian", "--trials", "100"]],
+    ids=lambda argv: argv[0])
+def test_a_closed_pipe_ends_quietly(argv):
+    # `hypersa ... | head -n 1`: each output is far larger than the pipe
+    # buffer, so the process writes again after the reader has gone
+    src = str(Path(hypersa.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    with subprocess.Popen([sys.executable, "-m", "hypersa.cli", *argv, "--format", "csv"],
+                          env={**os.environ, "PYTHONPATH": path},
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        assert proc.stdout.readline().startswith(b"state,")
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        code = proc.wait(timeout=120)
+    assert "Traceback" not in err
+    # not 0, and none of the codes that mean a result (1) or a usage error (2, 3)
+    assert code not in range(4), (code, err)
 
 
 DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))

@@ -36,7 +36,7 @@ from hypersa.states import (BasisKet, HyperLabel, PhotonState,
                             hyper_product, state_from_label)
 
 from oracle import (assert_matches_dense, dense_vector, hadamard_everywhere,
-                    joint_verify, random_state)
+                    joint_pass, joint_verify, random_state)
 
 BELL = ("phi+", "phi-", "psi+", "psi-")
 
@@ -191,6 +191,12 @@ class TestStageOrder:
         with pytest.raises(ValueError, match="unknown degree of freedom"):
             run_parity_stage(joint, "X", cfg)
 
+    def test_a_pass_runs_one_named_dof(self):
+        # the two-DOF pass is the oracle's joint_pass; the package has none
+        with pytest.raises(TypeError):
+            protocols.pre_detection(state_from_label(all_canonical_labels(2)[0]),
+                                    RunConfig())
+
 
 class TestCompleteness:
     @pytest.mark.parametrize("n", [2, 3, 4])
@@ -296,9 +302,9 @@ class TestPerDofVerifier:
         # inputs, each DOF) compare against factor runs already made
         real, calls = protocols.pre_detection, []
 
-        def counted(state, cfg, dofs="PS"):
-            calls.append(dofs)
-            return real(state, cfg, dofs)
+        def counted(state, cfg, dof):
+            calls.append(dof)
+            return real(state, cfg, dof)
 
         monkeypatch.setattr(protocols, "pre_detection", counted)
         assert verify_complete(n).all_correct
@@ -432,7 +438,7 @@ class TestAnalyseDecodes:
     def test_the_analyser_pass_is_the_two_factor_passes(self, label):
         # what verify_complete runs on each factor is what the analyser runs
         cfg = RunConfig()
-        rotated, readouts = protocols.pre_detection(state_from_label(label), cfg)
+        rotated, readouts = joint_pass(state_from_label(label), cfg)
         p_rotated, p_readouts = protocols.pre_detection(
             ghz_state(label.p_sign, label.p_bits, "P"), cfg, "P")
         s_rotated, s_readouts = protocols.pre_detection(
@@ -504,6 +510,19 @@ class TestNoiseStudy:
         assert wilson_interval(0, 100)[0] == 0.0
         assert wilson_interval(100, 100)[1] == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("errors, trials, message", [
+        (5, 3, "errors must be an integer in [0, 3], got 5"),
+        (-1, 10, "errors must be an integer in [0, 10], got -1"),
+        (math.nan, 10, "errors must be an integer in [0, 10], got nan"),
+        (1, math.inf, "trials must be an integer in [1, inf], got inf"),
+        (1.5, 10, "errors must be an integer in [0, 10], got 1.5"),
+        (True, 10, "errors must be an integer in [0, 10], got True"),
+        (0, 0, "trials must be an integer in [1, inf], got 0"),
+    ])
+    def test_wilson_interval_rejects_what_is_no_count(self, errors, trials, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            wilson_interval(errors, trials)
+
 
 def named_generator(seed: int, name: str) -> random.Random:
     """The generator that ``stream(seed, name)`` stands for, seeded now."""
@@ -562,7 +581,7 @@ class TestBatchedNoiseStudy:
     def test_result_does_not_depend_on_the_chunk_size(self, monkeypatch):
         cfg = GAUSSIAN_CFG._replace(trials=250)  # not a multiple of 7
         default = monte_carlo_misclassification(3, cfg)
-        monkeypatch.setattr(protocols, "MC_CHUNK", 7)
+        monkeypatch.setattr(noise, "MC_CHUNK", 7)
         assert monte_carlo_misclassification(3, cfg) == default
 
     @pytest.mark.parametrize("alpha", [40.0, 1e6])
@@ -608,7 +627,7 @@ class TestBatchedNoiseStudy:
         # the study one trial at a time over the same two named generators:
         # an input from one, a uniform per probe from the other; a trial is
         # wrong iff one of its probes misreads
-        cfg = GAUSSIAN_CFG._replace(trials=protocols.MC_CHUNK + 1, seed=61)
+        cfg = GAUSSIAN_CFG._replace(trials=noise.MC_CHUNK + 1, seed=61)
         labels, probes = all_canonical_labels(n), probe_ids(n)
         err = gaussian_error_prob(cfg.alpha, cfg.theta)
         pick_rng = named_generator(cfg.seed, "montecarlo:inputs")
@@ -830,7 +849,7 @@ HYPERSA_EXPORTS = {
               "ghz_state hyper_product parse_state_literal state_from_label",
 }
 PROTOCOLS_EXPORTS = {
-    "protocols": "MC_CHUNK PhotonCountError ProbeReadout RunConfig Transcript "
+    "protocols": "PhotonCountError ProbeReadout RunConfig Transcript "
                  "VERIFY_MAX_PHOTONS _PROBES _decode_bits check_photon_count "
                  "decode_signs hgsa_n_analyze pre_detection probe_ids "
                  "run_parity_stage sign_basis_transform",
@@ -846,11 +865,11 @@ PROTOCOLS_EXPORTS = {
     "states": "HyperLabel PhotonState _check_dof",
 }
 
-# Private names of the modules split out of protocols, which it no longer
-# exposes.
+# Names of the modules split out of protocols that only their own module
+# reads, which protocols no longer exposes.
 MOVED_PRIVATE_NAMES = {
     "verifier": "_DofCheck _INVARIANTS _check_factor _run_dof _separated",
-    "noise": "_misread_label",
+    "noise": "MC_CHUNK _misread_label",
     "tables": "_SIGN_ORDER _member_literal",
 }
 

@@ -385,10 +385,24 @@ class TestLabels:
         with pytest.raises(ValueError, match="expected 3"):
             parse_state_literal("P:+00;S:+00", n=3)
 
+    def test_one_photon_literal_parses_and_names_no_state(self):
+        # the parser checks syntax only; the count's range is the guard's
+        lab = parse_state_literal("P:+0;S:+0")
+        assert lab == HyperLabel("+", "0", "+", "0")
+        with pytest.raises(ValueError, match="at least 2 photons"):
+            state_from_label(lab)
+
     def test_canonical_bit_strings(self):
         assert canonical_bit_strings(2) == ["00", "01"]
         assert canonical_bit_strings(3) == ["000", "001", "010", "011"]
         assert len(canonical_bit_strings(5)) == 16
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_canonical_bit_strings_are_the_first_bit_0_strings(self, n):
+        bits = canonical_bit_strings(n)
+        assert len(set(bits)) == len(bits) == 2 ** (n - 1)
+        assert bits == sorted(bits)
+        assert all(len(b) == n and b[0] == "0" for b in bits)
 
     def test_complement(self):
         assert complement("0110") == "1001"
@@ -420,6 +434,12 @@ class TestStateContainer:
     def test_bad_ket_rejected_naming_the_field(self, n, ket, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             PhotonState(n, {ket: 1.0})
+
+    def test_repr_is_the_constructor_call(self):
+        state = state_from_label(HyperLabel("-", "010", "+", "011"))
+        again = eval(repr(state), {"PhotonState": PhotonState, "BasisKet": BasisKet})
+        assert again.n_photons == state.n_photons
+        assert again.items() == state.items()
 
     def test_tuple_key_accepted(self):
         s = PhotonState(2, {("01", "10"): 1.0})
