@@ -91,7 +91,9 @@ class RunConfig(NamedTuple("RunConfig", [("theta", float), ("alpha", float),
                 ok = False
             if not ok:
                 raise ValueError(f"{name} must be {rule}, got {value!r}")
-        return super().__new__(cls, theta, alpha, HomodyneModel(model), trials, seed)
+        # plain ints, so a numpy integer reaches no JSON output
+        return super().__new__(cls, theta, alpha, HomodyneModel(model),
+                               operator.index(trials), operator.index(seed))
 
     # _replace builds with _make, so a changed copy is validated again
     _make = classmethod(lambda cls, values: cls(*values))
@@ -200,8 +202,6 @@ def hgsa_n_analyze(state: PhotonState, cfg: RunConfig) -> tuple[HyperLabel, Tran
     ideal model the label is exact for any hyperentangled GHZ-class product
     input, whichever branch fires; a non-product input raises ValueError.
     """
-    if state.n_photons < 2:
-        raise ValueError(f"analysis needs at least 2 photons, got {state.n_photons}")
     rng, readouts, events = stream(cfg.seed, "detection"), [], []
     for dof, factor in zip("PS", split_product(state)):
         rotated, reads = pre_detection(factor, cfg, dof)

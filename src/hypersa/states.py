@@ -222,8 +222,6 @@ def ghz_state(sign: str, bits: str, dof: Dof) -> PhotonState:
     _check_bits(bits, "bits")
     _check_dof(dof)
     n = len(bits)
-    if n < 2:
-        raise ValueError("GHZ-class states need at least 2 photons")
     zeros = "0" * n
     s = 1.0 if sign == "+" else -1.0
     if dof == "P":

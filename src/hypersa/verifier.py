@@ -1,22 +1,20 @@
 """The exhaustive verifier: :func:`verify_complete` runs the analyser's own
-per-DOF pass and bit decoder, called through the :mod:`hypersa.protocols`
-module object, and walks every detector branch where the analyser samples
-one.
+split, per-DOF pass and bit decoder, called through the
+:mod:`hypersa.states` and :mod:`hypersa.protocols` module objects, and walks
+every detector branch where the analyser samples one.
 
-It does so one degree of freedom at a time.  No stage couples the two DOFs:
-the wave plates and the alpha gadgets act on polarization only, the beam
-splitters and the beta gadgets on spatial mode only, and
-:func:`hypersa.protocols.decode_signs` reads the polarization sign from the
-V count and the spatial sign from the path-2 count.  So a P-GHZ x S-GHZ
-input is classified correctly iff its polarization factor and its spatial
-factor are, and 2^N runs, each of one factor (the other DOF all 0s) through
-only its own DOF's stages, cover all 4^N inputs.  That no stage reads or
-moves the other DOF is checked on four fixed joint inputs only
-(:func:`_separated`): P:+0..0;S:-01..1, P:-0..0;S:+01..1, P:+01..1;S:-0..0
-and P:-01..1;S:+0..0, so a coupling keyed on an other-DOF pattern that none
-of them holds escapes it.  ``TestAgainstTheJointPipeline`` compares the
-analyser with the joint pipeline on every label at n <= 5 and a sample at
-n = 6, 7.
+It does so one degree of freedom at a time, as the analyser does: the
+analyser splits its input into a polarization factor and a spatial factor
+(:func:`hypersa.states.split_product`), runs each through only its own DOF's
+stages and draws one detector event per factor; no caller hands a stage a
+joint state.  So an input is classified correctly iff its polarization
+factor and its spatial factor are, and the 2^N inputs P:s b;S:s b, one per
+(sign, bits), give every factor of either DOF once: 2^(N+1) factor runs
+cover all 4^N inputs.  Each factor run must leave its other DOF all 0s (the
+``separation`` invariant), so a stage that moves the other DOF of a factor
+fails.  A stage that reads or moves the other DOF only when that DOF is not
+all 0s no factor run reaches, and the analyser never runs it either; the
+tests hold the joint physics to an independent dense reference.
 """
 
 from __future__ import annotations
@@ -28,8 +26,7 @@ from typing import TYPE_CHECKING, Iterator, NamedTuple
 from . import optics, protocols, states
 from .kerr import HomodyneModel
 from .protocols import ProbeReadout, RunConfig, check_photon_count
-from .states import (PhotonState, canonical_bit_strings, equal_up_to_global_phase,
-                     ghz_state, hyper_product)
+from .states import HyperLabel, PhotonState, canonical_bit_strings
 
 if TYPE_CHECKING:
     from .noise import NoiseStats
@@ -47,8 +44,9 @@ class StateCheck(NamedTuple):
     broken: str = ""
 
 
-#: What a verified input must satisfy, in the order a failure is named: the
-#: separation check, then each DOF's point-mass readouts, bits and signs.
+#: What a verified input must satisfy, in the order a failure is named: each
+#: factor run left its other DOF all 0s, then each DOF's point-mass readouts,
+#: bits and signs.
 _INVARIANTS = ("separation", "P readout", "S readout", "P bits", "S bits",
                "P signs", "S signs")
 
@@ -76,34 +74,14 @@ def _run_dof(state: PhotonState, dof: str, cfg: RunConfig) -> _Run:
 
 def _check_factor(sign: str, bits: str, dof: str, run: _Run) -> _DofCheck:
     rotated, readouts, signs = run
-    broken = {f"{dof} readout": any(r.classes != 1 for r in readouts),
+    zeros, other = "0" * len(bits), "SP".index(dof)  # the other DOF's ket field
+    broken = {"separation": any(ket[other] != zeros for ket, _ in rotated.items()),
+              f"{dof} readout": any(r.classes != 1 for r in readouts),
               f"{dof} bits": protocols._decode_bits(readouts)["PS".index(dof)] != bits,
               f"{dof} signs": signs != {sign}}
-    # the other DOF is all 0s, so each branch is one string of this DOF
+    # with the other DOF all 0s, each branch is one string of this DOF
     return _DofCheck(tuple(r.magnitude for r in readouts), len(rotated),
                      frozenset(k for k, bad in broken.items() if bad))
-
-
-def _separated(inputs: list[dict[str, tuple[str, str]]], cfg: RunConfig,
-               runs: dict[str, dict[tuple[str, str], _Run]]) -> bool:
-    """The separation check: each DOF's stages, run on the joint ``inputs``,
-    give the readouts and signs of that DOF's factor run, ``runs[dof][sign,
-    bits]``, and the rotated state is the factor's rotated state tensored
-    with the untouched other half."""
-    for halves in inputs:
-        joint = states.state_from_label(states.HyperLabel(*halves["P"], *halves["S"]))
-        for dof in "PS":
-            rotated, readouts, signs = _run_dof(joint, dof, cfg)
-            parts = {d: ghz_state(*halves[d], d) for d in "PS" if d != dof}
-            parts[dof], f_readouts, f_signs = runs[dof][halves[dof]]
-            try:  # a factor run that moved its other DOF is no factor
-                expected = hyper_product(parts["P"], parts["S"])
-            except ValueError:
-                return False
-            if ((readouts, signs) != (f_readouts, f_signs)
-                    or not equal_up_to_global_phase(rotated, expected)):
-                return False
-    return True
 
 
 class VerificationReport(NamedTuple):
@@ -162,44 +140,33 @@ class VerificationReport(NamedTuple):
 
 
 def verify_complete(n: int, cfg: RunConfig | None = None) -> VerificationReport:
-    """Check every canonical hyperentangled input: run the analyser's
-    per-DOF pass (:func:`~hypersa.protocols.pre_detection`) and bit decoder
-    on each one-DOF factor, walk every detector branch symbolically, and
-    report the QND group partition.  What the analyser adds, splitting its
-    input into the factors and joining their draws and labels, the tests cover.
+    """Check every canonical hyperentangled input: split it into its two
+    factors as the analyser does, run the analyser's per-DOF pass
+    (:func:`~hypersa.protocols.pre_detection`) and bit decoder on each, walk
+    every detector branch symbolically, and report the QND group partition.
+    What the analyser adds, joining the two factors' draws and labels, the
+    tests cover.
 
-    An input is correct when every probe readout was a point mass, the
-    readouts decode to its bits and every branch decodes to its signs.
-    Those checks split by degree of freedom (see the module notes): the
-    analyser runs once per (sign, bits) of each DOF through only that DOF's
-    stages, and if :func:`_separated` finds a stage that reads or moves the
-    other DOF on one of its four joint inputs, every input fails with
-    ``separation`` (a coupling those inputs miss goes unseen; see the module
-    notes).  The report keeps the two tables of factor runs; the per-input
-    records are assembled from them only when read
-    (:attr:`VerificationReport.per_state`).  The exhaustive pass always uses
-    the ideal readout; with ``cfg.model == gaussian`` a sampled noise study
-    is attached on top; only then is :mod:`hypersa.noise` imported.
+    An input is correct when each factor run left its other DOF all 0s,
+    every probe readout was a point mass, the readouts decode to its bits
+    and every branch decodes to its signs.  Those checks split by degree of
+    freedom (see the module notes), so the 2^n inputs P:s b;S:s b, one per
+    (sign, bits), run every factor once.  The report keeps the two tables of
+    factor runs; the per-input records are assembled from them only when
+    read (:attr:`VerificationReport.per_state`).  The exhaustive pass always
+    uses the ideal readout; with ``cfg.model == gaussian`` a sampled noise
+    study is attached on top; only then is :mod:`hypersa.noise` imported.
     """
     check_photon_count(n, "verification")
     if cfg is None:
         cfg = RunConfig()
     ideal = cfg._replace(model=HomodyneModel.IDEAL)
-    # the separation check's joint inputs pair each (sign, bits) half with the
-    # other sign and bits: 0..0 and 01..1 differ in every free bit, so each
-    # DOF's half runs as both, beside a half in which every photon takes both values
-    halves = [(sign, bits) for bits in ("0" * n, "0" + "1" * (n - 1)) for sign in "+-"]
-    inputs = [{"P": p, "S": s} for p, s in zip(halves, reversed(halves))]
-    # each factor runs once, and only the runs of those halves keep their rotated states
-    runs, factors = {"P": {}, "S": {}}, {"P": {}, "S": {}}
-    for dof, bits, sign in itertools.product("PS", canonical_bit_strings(n), "+-"):
-        run = _run_dof(ghz_state(sign, bits, dof), dof, ideal)
-        factors[dof][sign, bits] = _check_factor(sign, bits, dof, run)
-        if (sign, bits) in halves:
-            runs[dof][sign, bits] = run
-    if not _separated(inputs, ideal, runs):
-        factors = {dof: {key: check._replace(broken=check.broken | {"separation"})
-                         for key, check in table.items()} for dof, table in factors.items()}
+    factors = {"P": {}, "S": {}}
+    for bits, sign in itertools.product(canonical_bit_strings(n), "+-"):
+        state = states.state_from_label(HyperLabel(sign, bits, sign, bits))
+        for dof, factor in zip("PS", states.split_product(state)):
+            factors[dof][sign, bits] = _check_factor(sign, bits, dof,
+                                                     _run_dof(factor, dof, ideal))
     noise = (protocols.monte_carlo_misclassification(n, cfg)
              if cfg.model is HomodyneModel.GAUSSIAN else None)
     return VerificationReport(n, cfg.model, factors, noise)

@@ -6,23 +6,17 @@ dimension 4^N indexed by int(pol_bits + spa_bits, 2); gates become explicit
 Kronecker products applied by matrix-vector multiplication.  Nothing in
 that oracle shares code with the sparse path.
 
-:func:`joint_verify` is the other reference here: the exhaustive verifier's
-joint walk over all 4^N inputs, which the per-DOF verifier replaced.
-:func:`joint_analyze` is the analyser's joint pipeline, which the per-factor
-analyser replaced, :func:`joint_pass` the two-DOF pass both run, and
-:func:`rotated_ghz_factor` the closed form of every rotated one-DOF factor.
+:func:`rotated_ghz_factor` is the closed form of every rotated one-DOF
+factor.  The analyser's joint physics (probe readouts, the rotated joint
+state and its detector outcomes) is held to ``joint_reference.py``, which
+imports no ``hypersa`` code at all.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from hypersa.optics import detection_distribution, sample_outcome
-from hypersa.protocols import (ProbeReadout, RunConfig, StateCheck, Transcript,
-                               _decode_bits, decode_signs, pre_detection)
-from hypersa.rng import stream
-from hypersa.states import (BasisKet, HyperLabel, PhotonState,
-                            all_canonical_labels, state_from_label)
+from hypersa.states import BasisKet, PhotonState
 
 
 def dense_vector(state: PhotonState) -> np.ndarray:
@@ -83,47 +77,6 @@ def assert_matches_dense(state: PhotonState, vec: np.ndarray, tol: float = 1e-10
     got = dense_vector(state)
     err = np.max(np.abs(got - vec))
     assert err <= tol, f"sparse state deviates from dense oracle by {err}"
-
-
-def joint_pass(state: PhotonState, cfg: RunConfig
-               ) -> tuple[PhotonState, list[ProbeReadout]]:
-    """Both DOFs' pre-detection pass on the joint state: the polarization
-    pass, then the spatial pass on its output, with their readouts joined."""
-    state, p_readouts = pre_detection(state, cfg, "P")
-    state, s_readouts = pre_detection(state, cfg, "S")
-    return state, p_readouts + s_readouts
-
-
-def joint_verify(n: int) -> list[StateCheck]:
-    """Every canonical input through the analyser's pre-detection stage
-    under the ideal readout, every detector branch walked: correct when each
-    readout is a point mass, the readouts decode to the input's bits and
-    every branch decodes to its signs."""
-    ideal = RunConfig()
-    per_state = []
-    for label in all_canonical_labels(n):
-        rotated, readouts = joint_pass(state_from_label(label), ideal)
-        branches = detection_distribution(rotated)
-        signs = (label.p_sign, label.s_sign)
-        ok = (all(r.classes == 1 for r in readouts)
-              and _decode_bits(readouts) == (label.p_bits, label.s_bits)
-              and all(decode_signs(o) == signs for o in branches))
-        per_state.append(StateCheck(label.literal(),
-                                    tuple(r.magnitude for r in readouts),
-                                    len(branches), ok))
-    return per_state
-
-
-def joint_analyze(state: PhotonState, cfg: RunConfig
-                  ) -> tuple[HyperLabel, Transcript, PhotonState]:
-    """The analyser on the joint state: :func:`joint_pass`, then one draw of
-    the joint detector distribution from the ``detection`` stream.  Returns the label, the transcript and the rotated
-    joint state the event was drawn from."""
-    rotated, readouts = joint_pass(state, cfg)
-    outcome = sample_outcome(rotated, stream(cfg.seed, "detection"))
-    (p_sign, s_sign), (p_bits, s_bits) = decode_signs(outcome), _decode_bits(readouts)
-    return (HyperLabel(p_sign, p_bits, s_sign, s_bits),
-            Transcript(tuple(readouts), outcome, cfg), rotated)
 
 
 def rotated_ghz_factor(sign: str, bits: str, dof: str) -> dict[BasisKet, complex]:

@@ -113,10 +113,11 @@ class TestVerify:
                             lambda outcome: (real(outcome)[0],) * 2)
         code, out, _ = run(capsys, "verify", "--n", "2")
         fails = [line for line in out.splitlines() if line.startswith("FAIL ")]
-        assert code == 1 and len(fails) == 16
-        # a spatial sign read from the V count shows only on joint inputs
-        assert fails[0] == "FAIL P:+00;S:+00 signature=(0, 0) broken=separation"
-        assert all(line.endswith(" broken=separation") for line in fails)
+        # a spatial factor is all H, so its sign read from the V count is
+        # "+": the inputs with a "-" spatial sign fail
+        assert code == 1 and len(fails) == 8
+        assert fails[0] == "FAIL P:+00;S:-00 signature=(0, 0) broken=S signs"
+        assert all(";S:-" in line and line.endswith(" broken=S signs") for line in fails)
 
     @pytest.mark.parametrize("fmt", ["json", "text"])
     def test_passing_report_builds_no_per_input_records(self, monkeypatch, fmt):

@@ -1,22 +1,28 @@
 """The analyser runs each DOF on its own factor and draws the detector event
-one factor at a time.  These tests hold it to two references in
-``oracle.py``: the joint pipeline it replaced (:func:`joint_analyze`) and the
-closed form of every rotated one-DOF factor (:func:`rotated_ghz_factor`)."""
+one factor at a time.  These tests hold it to two references: the dense joint
+run of ``joint_reference.py``, which shares no code with the package
+(:func:`joint_run`), and the closed form of every rotated one-DOF factor in
+``oracle.py`` (:func:`rotated_ghz_factor`)."""
 
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from hypersa import protocols
-from hypersa.kerr import HomodyneModel, JointState
-from hypersa.optics import PhotonRecord, detection_distribution
-from hypersa.protocols import RunConfig, hgsa_n_analyze, pre_detection
+from hypersa.kerr import HomodyneModel, JointState, ProbeRegister, attach_probes
+from hypersa.optics import DetectorOutcome, PhotonRecord, detection_distribution
+from hypersa.protocols import (RunConfig, hgsa_n_analyze, pre_detection, probe_ids,
+                               run_parity_stage, verify_complete)
 from hypersa.rng import pick
 from hypersa.states import (HyperLabel, all_canonical_labels, canonical_bit_strings,
                             ghz_state, split_product, state_from_label)
 
-from oracle import joint_analyze, rotated_ghz_factor
+from joint_reference import joint_run
+from oracle import rotated_ghz_factor
 from test_protocols import canonical_label
 
 MODELS = (HomodyneModel.IDEAL, HomodyneModel.GAUSSIAN)
@@ -80,6 +86,23 @@ def joint_inputs():
         yield pytest.param(n, [random_label(n, rng) for _ in range(50)], id=f"n{n}")
 
 
+def outcome_index(outcome: DetectorOutcome) -> int:
+    """An event's int(pol_bits + spa_bits, 2): V is polarization bit 1, path 2
+    spatial bit 1."""
+    return int("".join("1" if r.pol == "V" else "0" for r in outcome.records)
+               + "".join(str(r.mode - 1) for r in outcome.records), 2)
+
+
+class TestTheReferenceStandsAlone:
+    def test_it_loads_no_package_module(self):
+        # a fresh interpreter, so nothing this test run imported counts
+        code = ("import sys, joint_reference; "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'hypersa'))")
+        run = subprocess.run([sys.executable, "-c", code], cwd=Path(__file__).parent,
+                             capture_output=True, text=True, check=True)
+        assert run.stdout == "[]\n"
+
+
 class TestAgainstTheJointPipeline:
     @pytest.mark.parametrize("n, labels", joint_inputs())
     def test_labels_readouts_and_event(self, n, labels):
@@ -91,16 +114,15 @@ class TestAgainstTheJointPipeline:
                 for seed in (rng.randrange(2 ** 31) for _ in range(3 if n <= 3 else 1)):
                     cfg = RunConfig(model=model, seed=seed)
                     got, transcript = hgsa_n_analyze(state, cfg)
-                    want, joint, rotated = joint_analyze(state, cfg)
-                    assert got == want
+                    want = joint_run(label, cfg)
+                    assert got == want.label
                     if model is HomodyneModel.IDEAL:
                         assert got == label
-                    assert transcript.probe_readouts == joint.probe_readouts
-                    support = {o.records: o.probability
-                               for o in detection_distribution(rotated)}
+                    assert transcript.probe_readouts == tuple(want.readouts)
                     event = transcript.detector_outcome
-                    assert event.records in support, (label, seed)
-                    assert abs(event.probability - support[event.records]) < 1e-12
+                    p = want.probabilities[outcome_index(event)]
+                    assert p > 0, (label, seed)
+                    assert abs(event.probability - p) < 1e-12
 
     @settings(max_examples=40, deadline=None)
     @given(label=canonical_label(max_n=6), u1=st.floats(0, 1, exclude_max=True),
@@ -142,13 +164,19 @@ def keyed_on_spatial_pattern(real):
 class TestACouplingOnlyTheJointPipelineMeets:
     def test_the_joint_pipeline_misreads_and_the_analyser_does_not(self, monkeypatch):
         # the polarization factor's spatial bits are all 0s, so only a joint
-        # run holds the pattern; the joint reference is what catches it
+        # state holds the pattern: the package's own stage misreads it there,
+        # while verify and the analyser, which never build one, stay right
         monkeypatch.setattr(protocols, "parity_gadget",
                             keyed_on_spatial_pattern(protocols.parity_gadget))
-        label = HyperLabel("+", "0000", "+", "0010")
-        state = state_from_label(label)
-        assert joint_analyze(state, RunConfig())[0].literal() == "P:+0111;S:+0010"
-        assert hgsa_n_analyze(state, RunConfig())[0] == label
+        cfg = RunConfig()
+        joint = attach_probes(state_from_label(HyperLabel("+", "0000", "+", "0010")),
+                              [ProbeRegister(pid, cfg.theta, cfg.alpha)
+                               for pid in probe_ids(4, "P")])
+        _, readouts = run_parity_stage(joint, "P", cfg)
+        assert [r.magnitude for r in readouts] == [1, 1, 1]
+        assert verify_complete(4).all_correct
+        for label in all_canonical_labels(4):
+            assert hgsa_n_analyze(state_from_label(label), cfg)[0] == label
 
 
 class TestTenPhotons:

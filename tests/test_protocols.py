@@ -22,21 +22,21 @@ from hypersa.optics import (DetectorOutcome, PhotonRecord,
                             detection_distribution, outcome_json,
                             outcome_tokens, sample_outcome)
 import hypersa
-from hypersa import cli, noise, protocols, states
+from hypersa import cli, noise, optics, protocols, states
 from hypersa.rng import as_generator
-from hypersa.protocols import (PhotonCountError, RunConfig, decode_signs,
-                               emit_detection_table, emit_signature_table,
+from hypersa.protocols import (PhotonCountError, RunConfig, check_photon_count,
+                               decode_signs, emit_detection_table, emit_signature_table,
                                hgsa_n_analyze, monte_carlo_misclassification,
                                predicted_error_rate, probe_ids,
                                run_parity_stage, sign_basis_transform, stream,
                                verify_complete, wilson_interval)
 from hypersa.states import (BasisKet, HyperLabel, PhotonState,
-                            all_canonical_labels, bell_state,
-                            equal_up_to_global_phase, ghz_state,
-                            hyper_product, state_from_label)
+                            all_canonical_labels, bell_state, canonical_bit_strings,
+                            ghz_state, hyper_product, state_from_label)
 
+from joint_reference import joint_run
 from oracle import (assert_matches_dense, dense_vector, hadamard_everywhere,
-                    joint_pass, joint_verify, random_state)
+                    random_state)
 
 BELL = ("phi+", "phi-", "psi+", "psi-")
 
@@ -129,9 +129,15 @@ class TestNPhotonAnalysis:
         assert label == HyperLabel("+", "00000", "+", "00000")
 
     def test_guard_and_count_checks(self):
-        # the photon count is the state's own
-        with pytest.raises(ValueError, match="at least 2 photons, got 1"):
-            hgsa_n_analyze(PhotonState(1, {BasisKet("0", "0"): 1}), RunConfig())
+        # the photon count is the state's own, and the guard alone holds its
+        # floor: the library analyses a one-photon input like any other
+        for label in all_canonical_labels(1):
+            for model in HomodyneModel:
+                for seed in range(5):
+                    cfg = RunConfig(model=model, seed=seed)
+                    assert hgsa_n_analyze(state_from_label(label), cfg)[0] == label
+        with pytest.raises(PhotonCountError, match="2 <= n <= 10, got 1$"):
+            check_photon_count(1, "analysis")
 
 
 class TestSignBasisTransform:
@@ -192,7 +198,7 @@ class TestStageOrder:
             run_parity_stage(joint, "X", cfg)
 
     def test_a_pass_runs_one_named_dof(self):
-        # the two-DOF pass is the oracle's joint_pass; the package has none
+        # the package has no two-DOF pass
         with pytest.raises(TypeError):
             protocols.pre_detection(state_from_label(all_canonical_labels(2)[0]),
                                     RunConfig())
@@ -252,7 +258,7 @@ class TestCompleteness:
         assert report.correct < 64
         assert report.correct == sum(c.ok for c in report.per_state)
         assert report.group_count == len({c.signature for c in report.per_state})
-        # joint and factor runs read alike, so the factor invariants are named
+        # each factor's readouts come back reversed, so its bits are wrong
         assert {c.broken for c in report.per_state if not c.ok} == {"P bits", "S bits"}
         assert cli.main(["verify", "--n", "3"]) == 1
 
@@ -288,18 +294,36 @@ class TestCompleteness:
         assert "noise" in doc and doc["noise"]["trials"] == 200
 
 
+def reference_walk(n: int) -> list[tuple]:
+    """Each canonical input's (label, signature, branches, ok) from the
+    independent dense reference under the ideal readout."""
+    walk = []
+    for label in all_canonical_labels(n):
+        run = joint_run(label, RunConfig())
+        walk.append((label.literal(), tuple(r[1] for r in run.readouts),
+                     np.count_nonzero(run.probabilities), run.label == label))
+    return walk
+
+
+def other_dof_zeros(state, dof: str) -> bool:
+    """Whether every ket of a photon or joint state has the DOF other than
+    ``dof`` all 0s."""
+    zeros = "0" * state.n_photons
+    kets = [key if isinstance(key, BasisKet) else key[0] for key, _ in state.items()]
+    return all((ket.spa_bits if dof == "P" else ket.pol_bits) == zeros for ket in kets)
+
+
 class TestPerDofVerifier:
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_matches_the_joint_walk(self, n):
         report = verify_complete(n)
         # label, signature, branches, ok
-        assert [c[:4] for c in report.per_state] == [c[:4] for c in joint_verify(n)]
+        assert [c[:4] for c in report.per_state] == reference_walk(n)
         assert all(c.broken == "" for c in report.per_state)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_each_factor_runs_once(self, monkeypatch, n):
-        # 2 * 2^n factor runs, and the separation check's 8 joint runs (4
-        # inputs, each DOF) compare against factor runs already made
+        # one run per factor: 2^n per DOF, and no joint run
         real, calls = protocols.pre_detection, []
 
         def counted(state, cfg, dof):
@@ -308,12 +332,13 @@ class TestPerDofVerifier:
 
         monkeypatch.setattr(protocols, "pre_detection", counted)
         assert verify_complete(n).all_correct
-        assert len(calls) == 2 * 2 ** n + 8
-        assert calls.count("P") == calls.count("S") == 2 ** n + 4
+        assert len(calls) == 2 * 2 ** n
+        assert calls.count("P") == calls.count("S") == 2 ** n
 
     @pytest.mark.parametrize("n", [3, 6])
     def test_separation_inputs(self, monkeypatch, n):
-        # the four joint inputs the module notes name, in that order
+        # the inputs whose factors verify runs, and on whose every factor run
+        # it checks separation: P:s b;S:s b per (bits, sign), in that order
         real, literals = states.state_from_label, []
 
         def recorded(label):
@@ -322,9 +347,42 @@ class TestPerDofVerifier:
 
         monkeypatch.setattr(states, "state_from_label", recorded)
         assert verify_complete(n).all_correct
-        zeros, ones = "0" * n, "0" + "1" * (n - 1)
-        assert literals == [f"P:+{zeros};S:-{ones}", f"P:-{zeros};S:+{ones}",
-                            f"P:+{ones};S:-{zeros}", f"P:-{ones};S:+{zeros}"]
+        assert literals == [f"P:{s}{b};S:{s}{b}"
+                            for b in canonical_bit_strings(n) for s in "+-"]
+
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_no_stage_receives_the_other_dof(self, monkeypatch, n):
+        # what verify and the analyser hand the gadgets, the rotations and
+        # the detectors always holds its other DOF all 0s
+        seen = []
+
+        def spy(module, name, dofs_of):
+            real = getattr(module, name)
+
+            def run(state, *args):
+                seen.append(name)
+                assert any(other_dof_zeros(state, dof) for dof in dofs_of(args)), (name, state)
+                return real(state, *args)
+            monkeypatch.setattr(module, name, run)
+
+        spy(protocols, "parity_gadget", lambda args: args[3])
+        spy(protocols, "apply_wp", lambda args: "P")
+        spy(protocols, "apply_bs", lambda args: "S")
+        # a rotated factor of either DOF
+        spy(optics, "detection_distribution", lambda args: "PS")
+        assert verify_complete(n).all_correct
+        for label in random.Random(n).sample(all_canonical_labels(n), 16):
+            assert hgsa_n_analyze(state_from_label(label), RunConfig(seed=n))[0] == label
+        assert set(seen) == {"parity_gadget", "apply_wp", "apply_bs",
+                             "detection_distribution"}
+
+    def test_swapped_factors_fail(self, monkeypatch):
+        # verify runs the split itself: factors handed to the wrong DOF fail
+        real = states.split_product
+        monkeypatch.setattr(states, "split_product", lambda state: real(state)[::-1])
+        report = verify_complete(3)
+        assert self.failures(report) == {"separation"}
+        assert report.correct == 0
 
     @staticmethod
     def failures(report):
@@ -334,29 +392,27 @@ class TestPerDofVerifier:
         assert report.group_count == len({c.signature for c in report.per_state})
         return {c.broken for c in report.per_state if not c.ok}
 
-    # a stage that reads or moves the other DOF must fail the separation
-    # check, and with it every input
+    # a stage that reads or moves the other DOF fails where a factor run
+    # reaches it: in a wrong bit or sign, or as a factor that left its other
+    # DOF (separation); one that only a joint state reaches the analyser never
+    # runs, and the dense checks of the joint rotation catch it
 
     @pytest.mark.parametrize("n", [3, 6])
-    def test_spatial_gadget_reading_polarization_fails_separation(self, monkeypatch, n):
+    def test_spatial_gadget_reading_polarization_breaks_s_bits(self, monkeypatch, n):
         real = protocols.parity_gadget
 
         def reads_polarization(joint, probe, ref, other, dof):
             return real(joint, probe, ref, other, "P")
 
         monkeypatch.setattr(protocols, "parity_gadget", reads_polarization)
-        report = verify_complete(n)
-        assert self.failures(report) == {"separation"}
-        assert report.correct == 0
+        assert self.failures(verify_complete(n)) == {"S bits"}
 
     @pytest.mark.parametrize("n", [3, 6])
-    def test_spatial_sign_from_the_v_count_fails_separation(self, monkeypatch, n):
+    def test_spatial_sign_from_the_v_count_breaks_s_signs(self, monkeypatch, n):
         real = protocols.decode_signs
         monkeypatch.setattr(protocols, "decode_signs",
                             lambda outcome: (real(outcome)[0],) * 2)
-        report = verify_complete(n)
-        assert self.failures(report) == {"separation"}
-        assert report.correct == 0
+        assert self.failures(verify_complete(n)) == {"S signs"}
 
     @pytest.mark.parametrize("n", [3, 6])
     def test_rotation_coupling_the_dofs_fails_separation(self, monkeypatch, n):
@@ -373,43 +429,47 @@ class TestPerDofVerifier:
         assert self.failures(report) == {"separation"}
         assert report.correct == 0
 
-    @pytest.mark.parametrize("n", [3, 6])
-    def test_wave_plate_only_in_path_1_fails_separation(self, monkeypatch, n):
-        real = protocols.apply_wp
+    @staticmethod
+    def reaches_no_factor_run(monkeypatch, name, mutant):
+        # verify passes and every label analyses right, but the joint
+        # rotation is no longer the dense Hadamard on every qubit
+        monkeypatch.setattr(protocols, name, mutant(getattr(protocols, name)))
+        assert verify_complete(3).all_correct
+        rotation = hadamard_everywhere(3)
+        for label in all_canonical_labels(3):
+            state = state_from_label(label)
+            want = rotation @ dense_vector(state)
+            assert np.max(np.abs(dense_vector(sign_basis_transform(state)) - want)) > 1e-10
+            assert hgsa_n_analyze(state, RunConfig())[0] == label
 
-        def path_1_only(state, photon):
-            # a polarization factor is all in path 1, so only joint runs see this
-            moved = {ket: amp for ket, amp in state.items()
-                     if ket.spa_bits[photon] == "1"}
-            rotated = real(PhotonState(state.n_photons, {
-                ket: amp for ket, amp in state.items() if ket not in moved}), photon)
-            return PhotonState(state.n_photons, {**dict(rotated.items()), **moved})
+    def test_wave_plate_only_in_path_1_reaches_no_factor_run(self, monkeypatch):
+        def path_1_only(real):
+            def run(state, photon):
+                # a polarization factor is all in path 1
+                moved = {ket: amp for ket, amp in state.items()
+                         if ket.spa_bits[photon] == "1"}
+                rotated = real(PhotonState(state.n_photons, {
+                    ket: amp for ket, amp in state.items() if ket not in moved}), photon)
+                return PhotonState(state.n_photons, {**dict(rotated.items()), **moved})
+            return run
 
-        monkeypatch.setattr(protocols, "apply_wp", path_1_only)
-        report = verify_complete(n)
-        assert self.failures(report) == {"separation"}
-        assert report.correct == 0
+        self.reaches_no_factor_run(monkeypatch, "apply_wp", path_1_only)
 
-    @pytest.mark.parametrize("n", [3, 6])
-    def test_beam_splitter_with_a_polarization_phase_fails_separation(self, monkeypatch, n):
-        real = protocols.apply_bs
+    def test_beam_splitter_with_a_v_phase_reaches_no_factor_run(self, monkeypatch):
+        def with_phase(real):
+            def run(state, photon):
+                # photon 0's beam splitter also flips the sign where photon 0
+                # is V, and a spatial factor is all H
+                rotated = real(state, photon)
+                return rotated if photon else PhotonState(state.n_photons, {
+                    ket: -amp if ket.pol_bits[0] == "1" else amp
+                    for ket, amp in rotated.items()})
+            return run
 
-        def with_phase(state, photon):
-            # photon 0's beam splitter also flips the sign where photon 0 is V:
-            # readouts and spatial signs stay right, the rotated state does not
-            rotated = real(state, photon)
-            return rotated if photon else PhotonState(state.n_photons, {
-                ket: -amp if ket.pol_bits[0] == "1" else amp
-                for ket, amp in rotated.items()})
-
-        monkeypatch.setattr(protocols, "apply_bs", with_phase)
-        report = verify_complete(n)
-        assert self.failures(report) == {"separation"}
-        assert report.correct == 0
+        self.reaches_no_factor_run(monkeypatch, "apply_bs", with_phase)
 
     @pytest.mark.parametrize("n", [3, 6])
     def test_inverted_spatial_sign_breaks_s_signs(self, monkeypatch, n):
-        # wrong alike on factor and joint runs, so the factor check names it
         real = protocols.decode_signs
         monkeypatch.setattr(protocols, "decode_signs", lambda outcome: (
             real(outcome)[0], {"+": "-", "-": "+"}[real(outcome)[1]]))
@@ -436,15 +496,17 @@ class TestAnalyseDecodes:
     @settings(max_examples=25, deadline=None)
     @given(label=canonical_label(max_n=6))
     def test_the_analyser_pass_is_the_two_factor_passes(self, label):
-        # what verify_complete runs on each factor is what the analyser runs
+        # the two factor passes the analyser and verify_complete run give the
+        # independent reference's joint readouts and rotated joint state
         cfg = RunConfig()
-        rotated, readouts = joint_pass(state_from_label(label), cfg)
+        want = joint_run(label, cfg)
         p_rotated, p_readouts = protocols.pre_detection(
             ghz_state(label.p_sign, label.p_bits, "P"), cfg, "P")
         s_rotated, s_readouts = protocols.pre_detection(
             ghz_state(label.s_sign, label.s_bits, "S"), cfg, "S")
-        assert readouts == p_readouts + s_readouts
-        assert equal_up_to_global_phase(rotated, hyper_product(p_rotated, s_rotated))
+        assert p_readouts + s_readouts == want.readouts
+        overlap = np.vdot(dense_vector(hyper_product(p_rotated, s_rotated)), want.rotated)
+        assert abs(overlap) >= 1.0 - 1e-10
 
 
 def swapped_bits(real):
@@ -788,6 +850,14 @@ class TestPlumbing:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             RunConfig(**{field: value})
 
+    def test_runconfig_stores_plain_ints(self):
+        cfg = RunConfig(trials=np.int64(50), seed=np.int64(3), model="gaussian")
+        assert type(cfg.trials) is int and type(cfg.seed) is int
+        assert (cfg.trials, cfg.seed) == (50, 3)
+        stats = monte_carlo_misclassification(2, cfg)
+        assert type(stats.trials) is int
+        assert json.loads(json.dumps(stats.to_json_dict()))["trials"] == 50
+
     def test_runconfig_replace_validates_again(self):
         cfg = RunConfig()
         for field, value in (("theta", -1), ("trials", True)):
@@ -868,7 +938,7 @@ PROTOCOLS_EXPORTS = {
 # Names of the modules split out of protocols that only their own module
 # reads, which protocols no longer exposes.
 MOVED_PRIVATE_NAMES = {
-    "verifier": "_DofCheck _INVARIANTS _check_factor _run_dof _separated",
+    "verifier": "_DofCheck _INVARIANTS _check_factor _run_dof",
     "noise": "MC_CHUNK _misread_label",
     "tables": "_SIGN_ORDER _member_literal",
 }

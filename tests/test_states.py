@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hypersa.protocols import RunConfig, hgsa_n_analyze
 from hypersa.states import (BasisKet, HyperLabel, PhotonState,
                             all_canonical_labels, apply_gate, bell_state,
                             canonical_bit_strings, complement,
@@ -74,9 +75,10 @@ class TestGhzStates:
         for ket, amp in a.items():
             assert amp == b.amplitude(ket)
 
-    def test_single_photon_rejected(self):
-        with pytest.raises(ValueError, match="at least 2"):
-            ghz_state("+", "0", "P")
+    def test_single_photon_is_one_qubit_superposition(self):
+        # the photon-count floor is the guard's alone, not ghz_state's
+        s = ghz_state("-", "0", "P")
+        assert s.items() == [(BasisKet("0", "0"), SQ), (BasisKet("1", "0"), -SQ)]
 
 
 class TestHyperProduct:
@@ -385,12 +387,12 @@ class TestLabels:
         with pytest.raises(ValueError, match="expected 3"):
             parse_state_literal("P:+00;S:+00", n=3)
 
-    def test_one_photon_literal_parses_and_names_no_state(self):
+    def test_one_photon_literal_parses_and_round_trips(self):
         # the parser checks syntax only; the count's range is the guard's
-        lab = parse_state_literal("P:+0;S:+0")
-        assert lab == HyperLabel("+", "0", "+", "0")
-        with pytest.raises(ValueError, match="at least 2 photons"):
-            state_from_label(lab)
+        # (the CLI exits 3), and the library takes the state it names
+        lab = parse_state_literal("P:+0;S:-0")
+        assert lab == HyperLabel("+", "0", "-", "0")
+        assert hgsa_n_analyze(state_from_label(lab), RunConfig())[0] == lab
 
     def test_canonical_bit_strings(self):
         assert canonical_bit_strings(2) == ["00", "01"]
