@@ -32,7 +32,8 @@ from hypersa.protocols import (PhotonCountError, RunConfig, check_photon_count,
                                verify_complete, wilson_interval)
 from hypersa.states import (BasisKet, HyperLabel, PhotonState,
                             all_canonical_labels, bell_state, canonical_bit_strings,
-                            ghz_state, hyper_product, state_from_label)
+                            ghz_state, hyper_product, split_product,
+                            state_from_label)
 
 from joint_reference import joint_run
 from oracle import (assert_matches_dense, dense_vector, hadamard_everywhere,
@@ -395,7 +396,7 @@ class TestPerDofVerifier:
     # a stage that reads or moves the other DOF fails where a factor run
     # reaches it: in a wrong bit or sign, or as a factor that left its other
     # DOF (separation); one that only a joint state reaches the analyser never
-    # runs, and the dense checks of the joint rotation catch it
+    # runs, and the dense and split checks of the joint rotation catch it
 
     @pytest.mark.parametrize("n", [3, 6])
     def test_spatial_gadget_reading_polarization_breaks_s_bits(self, monkeypatch, n):
@@ -442,18 +443,33 @@ class TestPerDofVerifier:
             assert np.max(np.abs(dense_vector(sign_basis_transform(state)) - want)) > 1e-10
             assert hgsa_n_analyze(state, RunConfig())[0] == label
 
-    def test_wave_plate_only_in_path_1_reaches_no_factor_run(self, monkeypatch):
-        def path_1_only(real):
-            def run(state, photon):
-                # a polarization factor is all in path 1
-                moved = {ket: amp for ket, amp in state.items()
-                         if ket.spa_bits[photon] == "1"}
-                rotated = real(PhotonState(state.n_photons, {
-                    ket: amp for ket, amp in state.items() if ket not in moved}), photon)
-                return PhotonState(state.n_photons, {**dict(rotated.items()), **moved})
-            return run
+    @staticmethod
+    def path_1_only(real):
+        def run(state, photon):
+            # a polarization factor is all in path 1
+            moved = {ket: amp for ket, amp in state.items()
+                     if ket.spa_bits[photon] == "1"}
+            rotated = real(PhotonState(state.n_photons, {
+                ket: amp for ket, amp in state.items() if ket not in moved}), photon)
+            return PhotonState(state.n_photons, {**dict(rotated.items()), **moved})
+        return run
 
-        self.reaches_no_factor_run(monkeypatch, "apply_wp", path_1_only)
+    def test_wave_plate_only_in_path_1_reaches_no_factor_run(self, monkeypatch):
+        self.reaches_no_factor_run(monkeypatch, "apply_wp", self.path_1_only)
+
+    @pytest.mark.parametrize("n", [3, 6])
+    def test_wave_plate_only_in_path_1_fails_separation(self, monkeypatch, n):
+        # verify passes, but the joint rotation of each of its inputs no
+        # longer splits into a polarization and a spatial factor
+        inputs = [state_from_label(HyperLabel(s, b, s, b))
+                  for b in canonical_bit_strings(n) for s in "+-"]
+        for state in inputs:
+            split_product(sign_basis_transform(state))
+        monkeypatch.setattr(protocols, "apply_wp", self.path_1_only(protocols.apply_wp))
+        assert verify_complete(n).all_correct
+        for state in inputs:
+            with pytest.raises(ValueError, match="not a product"):
+                split_product(sign_basis_transform(state))
 
     def test_beam_splitter_with_a_v_phase_reaches_no_factor_run(self, monkeypatch):
         def with_phase(real):
