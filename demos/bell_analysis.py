@@ -12,7 +12,7 @@ Run:  python demos/bell_analysis.py
 
 from hypersa import (RunConfig, attach_probes, bell_state, hgsa_n_analyze,
                      hyper_product, magnitude_distribution, outcome_tokens,
-                     parity_gadget, probe_ids, ProbeRegister,
+                     parity_gadget, probe_ids,
                      emit_detection_table, emit_signature_table)
 
 # --- the input: polarization phi+ paired with spatial psi- -----------------
@@ -23,11 +23,11 @@ print(" ", state)
 
 # --- step 1 and 2: parity QNDs -----------------------------------------------
 # A probe coupled to both photons picks up no phase when their bits agree
-# and a +-theta phase when they differ; homodyne reads |shift| only.
+# and a +-theta phase when they differ; homodyne reads |shift| only.  Every
+# probe shares the run's theta and alpha, so a probe is just its id.
 
 cfg = RunConfig(theta=0.01, alpha=5000.0, seed=42)
-joint = attach_probes(state, [ProbeRegister(pid, cfg.theta, cfg.alpha)
-                              for pid in probe_ids(2)])
+joint = attach_probes(state, probe_ids(2))
 joint = parity_gadget(joint, "alpha1", 0, 1, "P")
 joint = parity_gadget(joint, "beta1", 0, 1, "S")
 print("\nprobe magnitude distributions (deterministic for these inputs):")

@@ -12,7 +12,7 @@ __version__ = "0.1.0"
 
 #: Public names by home module.
 _EXPORTS = {
-    "kerr": "HomodyneModel HomodyneResult JointState ProbeRegister attach_probes "
+    "kerr": "HomodyneModel HomodyneResult JointState attach_probes "
             "gaussian_error_prob homodyne_measure magnitude_distribution parity_gadget",
     "optics": "DetectorOutcome PhotonRecord apply_bs apply_wp detection_distribution "
               "outcome_json outcome_tokens sample_outcome",

@@ -3,7 +3,8 @@
 A probe coherent state that crosses the Kerr medium with a photon present
 picks up a phase that is an integer multiple of the single-pass shift theta.
 Only that integer ever matters here, so a :class:`JointState` tracks, per
-branch, one integer phase multiple per probe instead of a continuous phase.
+branch, one integer phase multiple per probe instead of a continuous phase,
+and a probe is its id (every probe of a run shares its alpha and theta).
 The one interaction is the parity gadget: two passes of opposite phase, one
 per photon of a pair, onto one probe.  It stays exact: it permutes branch
 keys and never touches amplitudes.
@@ -12,8 +13,9 @@ X-quadrature homodyne readout resolves the magnitude of a probe's shift but
 not its sign; measurement therefore groups branches by ``abs(multiple)``,
 selects one magnitude class, and drops the probe, keeping branch amplitudes
 as they were (feed-forward phase correction is taken as perfect).  The
-``gaussian`` model adds the finite-distinguishability error of two unit-
-variance quadrature Gaussians separated by ``2*alpha*(1 - cos(theta))``.
+caller passes the one readout error, a misread probability: the ``gaussian``
+model's is :func:`gaussian_error_prob`, the overlap of two unit-variance
+quadrature Gaussians separated by ``2*alpha*(1 - cos(theta))``.
 """
 
 from __future__ import annotations
@@ -29,35 +31,17 @@ from .states import Dof, PRUNE_EPS, BasisKet, PhotonState, _check_dof, _check_ke
 class HomodyneModel(str, Enum):
     """Readout model: ``ideal`` never misreads a magnitude; ``gaussian``
     confuses magnitudes 0 and 1 with probability
-    :func:`gaussian_error_prob` of the probe's alpha and theta."""
+    :func:`gaussian_error_prob` of the run's alpha and theta."""
 
     IDEAL = "ideal"
     GAUSSIAN = "gaussian"
-
-
-class ProbeRegister(NamedTuple("ProbeRegister", [("id", str), ("theta", float),
-                                                 ("alpha", float)])):
-    """A coherent probe: its id, single-pass phase shift theta (radians) and
-    real amplitude alpha.  Both parameters must be finite and positive."""
-
-    __slots__ = ()
-
-    def __new__(cls, id: str, theta: float, alpha: float):
-        # NaN fails the chained comparison, and a bool is no number
-        for name, value in (("theta", theta), ("alpha", alpha)):
-            if isinstance(value, bool) or not 0 < value < math.inf:
-                raise ValueError(f"probe {name} must be finite and > 0, got {value}")
-        return super().__new__(cls, id, theta, alpha)
-
-    # _replace builds with _make, so a changed copy is validated again
-    _make = classmethod(lambda cls, values: cls(*values))
 
 
 JointKey = tuple[BasisKet, tuple[int, ...]]
 
 
 class JointState:
-    """Photon amplitudes extended with one integer phase multiple per probe.
+    """Photon amplitudes extended with one integer phase multiple per probe id.
 
     Keys are ``(ket, multiples)`` pairs; construction checks kets as
     :class:`PhotonState` does and multiples lengths, and prunes.  Immutable.
@@ -65,12 +49,13 @@ class JointState:
 
     __slots__ = ("n_photons", "probes", "_amps")
 
-    def __init__(self, n_photons: int, probes: Sequence[ProbeRegister],
+    def __init__(self, n_photons: int, probes: Sequence[str],
                  amplitudes: Mapping[JointKey, complex]):
+        if isinstance(probes, str):  # a str is a sequence of one-letter ids
+            raise ValueError(f"probes must be a sequence of ids, got {probes!r}")
         probes = tuple(probes)
-        ids = [p.id for p in probes]
-        if len(set(ids)) != len(ids):
-            raise ValueError(f"duplicate probe ids in {ids}")
+        if len(set(probes)) != len(probes):
+            raise ValueError(f"duplicate probe ids in {list(probes)}")
         amps: dict[JointKey, complex] = {}
         for (ket, mults), amp in amplitudes.items():
             ket = _check_ket(ket, n_photons)
@@ -84,7 +69,7 @@ class JointState:
             object.__setattr__(self, name, value)
 
     @classmethod
-    def _derived(cls, n_photons: int, probes: tuple[ProbeRegister, ...],
+    def _derived(cls, n_photons: int, probes: tuple[str, ...],
                  amplitudes: dict[JointKey, complex]) -> JointState:
         """Built from valid kets, probes and ``complex`` amplitudes, taken as they are."""
         self = object.__new__(cls)
@@ -102,16 +87,14 @@ class JointState:
         return len(self._amps)
 
     def probe_index(self, probe: str) -> int:
-        for i, p in enumerate(self.probes):
-            if p.id == probe:
-                return i
-        raise ValueError(f"unknown probe {probe!r}; have "
-                         f"{[p.id for p in self.probes]}")
+        if probe not in self.probes:
+            raise ValueError(f"unknown probe {probe!r}; have {list(self.probes)}")
+        return self.probes.index(probe)
 
     def photon_state(self) -> PhotonState:
         """Collapse-free view once every probe has been measured."""
         if self.probes:
-            raise ValueError(f"probes {[p.id for p in self.probes]} are still attached")
+            raise ValueError(f"probes {list(self.probes)} are still attached")
         return PhotonState._derived(self.n_photons,
                                     {ket: amp for (ket, _), amp in self._amps.items()})
 
@@ -123,9 +106,8 @@ class HomodyneResult(NamedTuple):
     classes: int  # magnitude classes in the support; 1 is a point mass
 
 
-def attach_probes(state: PhotonState,
-                  probes: Sequence[ProbeRegister]) -> JointState:
-    """Couple fresh probes (all phase multiples zero) to a photon state."""
+def attach_probes(state: PhotonState, probes: Sequence[str]) -> JointState:
+    """Couple fresh probes (ids, all phase multiples zero) to a photon state."""
     zeros = (0,) * len(probes)
     return JointState(state.n_photons, probes,
                       {(ket, zeros): amp for ket, amp in state.items()})
@@ -193,8 +175,7 @@ def misread(magnitude: int) -> int | None:
     return 1 - magnitude if magnitude in (0, 1) else None
 
 
-def homodyne_measure(joint: JointState, probe: str,
-                     model: HomodyneModel | str = HomodyneModel.IDEAL,
+def homodyne_measure(joint: JointState, probe: str, misread_prob: float = 0.0,
                      seed=None) -> HomodyneResult:
     """Measure one probe's X quadrature and detach it.
 
@@ -204,14 +185,17 @@ def homodyne_measure(joint: JointState, probe: str,
     required).  The collapsed state is the renormalized projection onto the
     selected class with the probe removed and branch amplitudes preserved.
 
-    Under the gaussian model the *reported* magnitude flips between 0 and 1
-    with probability :func:`gaussian_error_prob`; the collapse still follows
-    the selected class, so misreads corrupt only the readout record.  The
-    returned probability is that of the (class, report) event observed.
+    A selected magnitude of 0 or 1 is *reported* as the other with
+    probability ``misread_prob`` (the run's is :meth:`RunConfig.misread_prob`;
+    above 0 it takes a seed); the collapse still follows the selected class,
+    so misreads corrupt only the readout record.  The returned probability
+    is that of the (class, report) event observed.
     """
-    model = HomodyneModel(model)
+    # a bool is no number, a non-number has no __float__, and NaN fails the chain
+    if (isinstance(misread_prob, bool) or not hasattr(misread_prob, "__float__")
+            or not 0 <= misread_prob <= 1):
+        raise ValueError(f"misread_prob must be a real number in [0, 1], got {misread_prob!r}")
     idx = joint.probe_index(probe)
-    reg = joint.probes[idx]
     classes = magnitude_distribution(joint, probe)
     rng = as_generator(seed)
 
@@ -223,18 +207,14 @@ def homodyne_measure(joint: JointState, probe: str,
                              "a seed is required to sample it")
         magnitude, weight = pick(classes.items(), rng)
 
-    reported = magnitude
-    probability = weight if len(classes) > 1 else 1.0
-    if model is HomodyneModel.GAUSSIAN:
+    reported, probability = magnitude, weight if len(classes) > 1 else 1.0
+    if misread_prob > 0 and misread(magnitude) is not None:
         if rng is None:
-            raise ValueError("the gaussian readout model requires a seed")
-        err = gaussian_error_prob(reg.alpha, reg.theta)
-        wrong = misread(magnitude)
-        if wrong is not None and rng.random() < err:
-            reported = wrong
-            probability *= err
+            raise ValueError("a readout with misread_prob > 0 requires a seed")
+        if rng.random() < misread_prob:
+            reported, probability = misread(magnitude), probability * misread_prob
         else:
-            probability *= 1.0 - err
+            probability *= 1.0 - misread_prob
 
     scale = 1.0 / math.sqrt(weight)
     out: dict[JointKey, complex] = {}

@@ -13,7 +13,7 @@ from collections import Counter
 from typing import NamedTuple, Sequence
 
 from . import protocols, states
-from .kerr import HomodyneModel, gaussian_error_prob, misread
+from .kerr import HomodyneModel, misread
 from .protocols import ProbeReadout, RunConfig, check_photon_count, probe_ids
 from .states import HyperLabel, all_canonical_labels
 
@@ -54,11 +54,8 @@ def wilson_interval(errors: int, trials: int, z: float = 1.96) -> tuple[float, f
 
 def predicted_error_rate(n: int, cfg: RunConfig) -> float:
     """Chance that at least one of the 2(n-1) probes misreads: the binomial
-    composition of the per-probe gaussian error."""
-    if cfg.model is not HomodyneModel.GAUSSIAN:
-        return 0.0
-    p = gaussian_error_prob(cfg.alpha, cfg.theta)
-    return 1.0 - (1.0 - p) ** (2 * (n - 1))
+    composition of :meth:`RunConfig.misread_prob` (0.0 under ideal)."""
+    return 1.0 - (1.0 - cfg.misread_prob()) ** (2 * (n - 1))
 
 
 def _misread_label(label: HyperLabel, readouts: Sequence[ProbeReadout],
@@ -91,8 +88,7 @@ def monte_carlo_misclassification(n: int, cfg: RunConfig) -> NoiseStats:
     check_photon_count(n, "Monte Carlo study")
     labels = all_canonical_labels(n)
     probes = probe_ids(n)
-    err = (gaussian_error_prob(cfg.alpha, cfg.theta)
-           if cfg.model is HomodyneModel.GAUSSIAN else 0.0)
+    err = cfg.misread_prob()
     ideal = cfg._replace(model=HomodyneModel.IDEAL)
 
     def analyse(pick: int) -> tuple[HyperLabel, tuple[ProbeReadout, ...]]:
@@ -134,7 +130,7 @@ def monte_carlo_misclassification(n: int, cfg: RunConfig) -> NoiseStats:
 
 def _print_probe_misreads(stats: NoiseStats, cfg: RunConfig) -> None:
     """One line per probe: the misread rate drawn against the model's."""
-    expected = gaussian_error_prob(cfg.alpha, cfg.theta)
+    expected = cfg.misread_prob()
     for probe, flips in stats.per_probe_flips.items():
         print(f"probe {probe}: misread rate {flips / stats.trials:.6f} "
               f"(gaussian_error_prob {expected:.6f})")
@@ -149,7 +145,7 @@ def cmd_montecarlo(args) -> int:
     cfg = _config(args)
     # through protocols, where the package's callers (and tracers) find it
     stats = protocols.monte_carlo_misclassification(n, cfg)
-    per_probe = gaussian_error_prob(cfg.alpha, cfg.theta)
+    per_probe = cfg.misread_prob()
     if args.fmt == "json":
         _print_json({"n": n, "per_probe_error": per_probe, **stats.to_json_dict()})
     elif args.fmt == "csv":

@@ -28,9 +28,8 @@ import math
 import operator
 from typing import NamedTuple, Sequence
 
-from . import _EXPORTS, _lazy_attributes
-from .kerr import (HomodyneModel, JointState, ProbeRegister, attach_probes,
-                   homodyne_measure, parity_gadget)
+from . import _EXPORTS, _lazy_attributes, kerr
+from .kerr import HomodyneModel, JointState, attach_probes, homodyne_measure, parity_gadget
 from .optics import DetectorOutcome, apply_bs, apply_wp, outcome_json, sample_outcome
 from .rng import stream
 from .states import HyperLabel, PhotonState, _check_dof, split_product
@@ -101,6 +100,12 @@ class RunConfig(NamedTuple("RunConfig", [("theta", float), ("alpha", float),
     def feasibility(self) -> float:
         return self.alpha * self.theta ** 2
 
+    def misread_prob(self) -> float:
+        """Each probe's chance to report magnitude 0 as 1 or 1 as 0: 0.0 under
+        the ideal model, :func:`~hypersa.kerr.gaussian_error_prob` under gaussian."""
+        return (kerr.gaussian_error_prob(self.alpha, self.theta)
+                if self.model is HomodyneModel.GAUSSIAN else 0.0)
+
 
 class ProbeReadout(NamedTuple):
     """One homodyne record, JSON form {"probe": ..., "magnitude": ..., "p": ...}.
@@ -144,9 +149,9 @@ def run_parity_stage(joint: JointState, dof: str,
     pids = probe_ids(joint.n_photons, dof)
     for k, pid in enumerate(pids, 1):
         joint = parity_gadget(joint, pid, 0, k, dof)
-    readouts = []
+    misread_prob, readouts = cfg.misread_prob(), []
     for pid in pids:
-        result = homodyne_measure(joint, pid, cfg.model,
+        result = homodyne_measure(joint, pid, misread_prob,
                                   stream(cfg.seed, f"probe:{pid}"))
         readouts.append(ProbeReadout(pid, result.magnitude, result.probability,
                                      result.classes))
@@ -172,8 +177,7 @@ def pre_detection(state: PhotonState, cfg: RunConfig,
     """Everything before the detectors in one DOF: attach its fresh probes,
     run its parity stage and rotate it into the sign basis.  Returns the
     rotated photon state and the readouts; the other DOF is not touched."""
-    joint = attach_probes(state, [ProbeRegister(pid, cfg.theta, cfg.alpha)
-                                  for pid in probe_ids(state.n_photons, dof)])
+    joint = attach_probes(state, probe_ids(state.n_photons, dof))
     joint, readouts = run_parity_stage(joint, dof, cfg)
     return sign_basis_transform(joint.photon_state(), dof), readouts
 

@@ -8,8 +8,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from hypersa.kerr import (HomodyneModel, ProbeRegister, attach_probes,
-                          gaussian_error_prob)
+from hypersa.kerr import HomodyneModel, attach_probes, gaussian_error_prob
 from hypersa.optics import detection_distribution, outcome_tokens
 from hypersa.protocols import (RunConfig, decode_signs, emit_detection_table,
                                emit_signature_table,
@@ -143,8 +142,7 @@ def test_criterion_7_nondemolition_suite():
             label = labels[int(rng.integers(len(labels)))]
             state = state_from_label(label)
             cfg = RunConfig(seed=int(rng.integers(2 ** 31)))
-            joint = attach_probes(state, [ProbeRegister(pid, cfg.theta, cfg.alpha)
-                                          for pid in probe_ids(n)])
+            joint = attach_probes(state, probe_ids(n))
             joint, _ = run_parity_stage(joint, "P", cfg)
             joint, _ = run_parity_stage(joint, "S", cfg)
             assert equal_up_to_global_phase(joint.photon_state(), state, 1e-10)

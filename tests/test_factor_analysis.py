@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hypersa import protocols
-from hypersa.kerr import HomodyneModel, JointState, ProbeRegister, attach_probes
+from hypersa.kerr import HomodyneModel, JointState, attach_probes
 from hypersa.optics import DetectorOutcome, PhotonRecord, detection_distribution
 from hypersa.protocols import (RunConfig, hgsa_n_analyze, pre_detection, probe_ids,
                                run_parity_stage, verify_complete)
@@ -170,8 +170,7 @@ class TestACouplingOnlyTheJointPipelineMeets:
                             keyed_on_spatial_pattern(protocols.parity_gadget))
         cfg = RunConfig()
         joint = attach_probes(state_from_label(HyperLabel("+", "0000", "+", "0010")),
-                              [ProbeRegister(pid, cfg.theta, cfg.alpha)
-                               for pid in probe_ids(4, "P")])
+                              probe_ids(4, "P"))
         _, readouts = run_parity_stage(joint, "P", cfg)
         assert [r.magnitude for r in readouts] == [1, 1, 1]
         assert verify_complete(4).all_correct

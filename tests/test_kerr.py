@@ -5,8 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hypersa.kerr import (HomodyneModel, JointState, ProbeRegister,
-                          attach_probes, gaussian_error_prob,
+from hypersa.kerr import (JointState, attach_probes, gaussian_error_prob,
                           homodyne_measure, magnitude_distribution, misread,
                           parity_gadget)
 from hypersa.states import (PRUNE_EPS, BasisKet, PhotonState, bell_state,
@@ -15,7 +14,7 @@ from hypersa.states import (PRUNE_EPS, BasisKet, PhotonState, bell_state,
 
 from oracle import random_state
 
-PROBE = ProbeRegister("alpha1", 0.01, 5000.0)
+PROBE = "alpha1"
 
 
 def joint_of(state, probes=(PROBE,)):
@@ -24,34 +23,6 @@ def joint_of(state, probes=(PROBE,)):
 
 def multiples_of(joint, ket):
     return {k[0]: k[1] for k, _ in joint.items()}[ket]
-
-
-class TestProbeRegister:
-    def test_rejects_nonpositive_theta(self):
-        with pytest.raises(ValueError, match="theta"):
-            ProbeRegister("a", 0.0, 1.0)
-
-    def test_rejects_nonpositive_alpha(self):
-        with pytest.raises(ValueError, match="alpha"):
-            ProbeRegister("a", 0.1, -1.0)
-
-    @pytest.mark.parametrize("theta, alpha, field", [
-        (math.nan, math.nan, "theta"),
-        (math.nan, 1.0, "theta"),
-        (math.inf, 1.0, "theta"),
-        (0.1, math.nan, "alpha"),
-        (0.1, math.inf, "alpha"),
-        (True, 1.0, "theta"),
-        (0.1, True, "alpha"),
-    ])
-    def test_rejects_non_finite_parameters(self, theta, alpha, field):
-        with pytest.raises(ValueError, match=f"probe {field} must be finite"):
-            ProbeRegister("a", theta, alpha)
-
-    def test_replace_validates_again(self):
-        with pytest.raises(ValueError, match="probe theta must be finite"):
-            PROBE._replace(theta=-1.0)
-        assert PROBE._replace(alpha=60.0) == ProbeRegister("alpha1", 0.01, 60.0)
 
 
 class TestKerrInteract:
@@ -102,8 +73,7 @@ class TestParityGadget:
 
     def test_three_photon_pairings(self):
         # two probes pairing (A,B) and (A,C) on a "-" state with bits 100
-        probes = (ProbeRegister("alpha1", 0.01, 5000.0),
-                  ProbeRegister("alpha2", 0.01, 5000.0))
+        probes = ("alpha1", "alpha2")
         j = attach_probes(ghz_state("-", "100", "P"), probes)
         j = parity_gadget(j, "alpha1", 0, 1, "P")
         j = parity_gadget(j, "alpha2", 0, 2, "P")
@@ -131,9 +101,8 @@ class TestParityGadget:
         # on a random state whose branches already carry random multiples
         ref, other = data.draw(st.permutations(range(n)))[:2]
         rng = np.random.default_rng(seed)
-        probes = (ProbeRegister("alpha1", 0.01, 5000.0),
-                  ProbeRegister("alpha2", 0.01, 5000.0))
-        probe = data.draw(st.sampled_from(probes)).id
+        probes = ("alpha1", "alpha2")
+        probe = data.draw(st.sampled_from(probes))
         idx = 0 if probe == "alpha1" else 1
         joint = JointState(n, probes, {
             (ket, tuple(int(m) for m in rng.integers(-2, 3, size=2))): amp
@@ -198,9 +167,9 @@ class TestHomodyne:
         s = PhotonState(2, {BasisKet("00", "00"): sq, BasisKet("01", "00"): sq})
         j = parity_gadget(joint_of(s), "alpha1", 0, 1, "P")
         for seed in range(8):
-            for model in HomodyneModel:
-                a = homodyne_measure(j, "alpha1", model, np.uint32(seed))
-                b = homodyne_measure(j, "alpha1", model, seed)
+            for misread_prob in (0.0, gaussian_error_prob(5000, 0.01)):
+                a = homodyne_measure(j, "alpha1", misread_prob, np.uint32(seed))
+                b = homodyne_measure(j, "alpha1", misread_prob, seed)
                 assert (a.magnitude, a.probability) == (b.magnitude, b.probability)
                 assert a.collapsed.items() == b.collapsed.items()
 
@@ -281,15 +250,14 @@ class TestGaussianModel:
 
     def test_misreads_flip_report_not_collapse(self):
         # weak separation: err close to 0.5, reports flip but state survives
-        probe = ProbeRegister("alpha1", 1e-6, 1.0)
-        err = gaussian_error_prob(probe.alpha, probe.theta)
+        err = gaussian_error_prob(1.0, 1e-6)
         assert err == pytest.approx(0.5, abs=1e-9)
         s = hyper_product(bell_state("psi+", "P"), bell_state("phi+", "S"))
-        j = parity_gadget(attach_probes(s, (probe,)), "alpha1", 0, 1, "P")
+        j = parity_gadget(attach_probes(s, ("alpha1",)), "alpha1", 0, 1, "P")
         rng = np.random.default_rng(77)
         reports = []
         for _ in range(400):
-            result = homodyne_measure(j, "alpha1", HomodyneModel.GAUSSIAN, rng)
+            result = homodyne_measure(j, "alpha1", err, rng)
             reports.append(result.magnitude)
             assert equal_up_to_global_phase(result.collapsed.photon_state(), s)
         flips = reports.count(0)  # true magnitude is 1
@@ -299,14 +267,46 @@ class TestGaussianModel:
         s = hyper_product(bell_state("psi+", "P"), bell_state("phi+", "S"))
         j = parity_gadget(joint_of(s), "alpha1", 0, 1, "P")
         with pytest.raises(ValueError, match="seed"):
-            homodyne_measure(j, "alpha1", HomodyneModel.GAUSSIAN)
+            homodyne_measure(j, "alpha1", gaussian_error_prob(5000.0, 0.01))
+
+    def test_magnitude_two_cannot_be_misread(self):
+        # two gadgets on one probe put psi+ at multiples +-2: a point mass
+        # that no misread reaches, so the report is certain and seedless
+        s = bell_state("psi+", "P")
+        j = parity_gadget(parity_gadget(joint_of(s), "alpha1", 0, 1, "P"),
+                          "alpha1", 0, 1, "P")
+        ideal = homodyne_measure(j, "alpha1")
+        for seed in (None, 3):
+            result = homodyne_measure(j, "alpha1", gaussian_error_prob(10.0, 0.2), seed)
+            assert (result.magnitude, result.probability, result.classes) == (2, 1.0, 1)
+            assert result.collapsed.items() == ideal.collapsed.items()
+
+    @pytest.mark.parametrize("magnitude", [0, 1])
+    def test_misread_prob_one_always_flips(self, magnitude):
+        kind = "psi+" if magnitude else "phi+"
+        j = parity_gadget(joint_of(bell_state(kind, "P")), "alpha1", 0, 1, "P")
+        for seed in range(5):
+            result = homodyne_measure(j, "alpha1", 1.0, seed)
+            assert (result.magnitude, result.probability) == (misread(magnitude), 1.0)
+
+    @pytest.mark.parametrize("misread_prob", [math.nan, -0.1, 1.5, True, "0.1"])
+    def test_misread_prob_outside_unit_interval_rejected(self, misread_prob):
+        j = joint_of(bell_state("phi+", "P"))
+        with pytest.raises(ValueError, match=r"^misread_prob must be a real number "
+                                             r"in \[0, 1\], got "):
+            homodyne_measure(j, "alpha1", misread_prob, seed=1)
 
 
 class TestJointState:
     def test_duplicate_probe_ids_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
-            attach_probes(bell_state("phi+", "P"),
-                          (PROBE, ProbeRegister("alpha1", 0.1, 1.0)))
+            attach_probes(bell_state("phi+", "P"), ("alpha1", "alpha1"))
+
+    @pytest.mark.parametrize("probes", ["beta1", "alpha1"])
+    def test_a_lone_id_string_is_rejected(self, probes):
+        with pytest.raises(ValueError, match=f"^probes must be a sequence of ids, "
+                                             f"got '{probes}'$"):
+            attach_probes(bell_state("phi+", "P"), probes)
 
     def test_multiples_length_checked(self):
         with pytest.raises(ValueError, match="multiples"):

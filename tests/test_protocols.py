@@ -16,8 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hypersa.kerr import (HomodyneModel, ProbeRegister, attach_probes,
-                          gaussian_error_prob)
+from hypersa.kerr import HomodyneModel, attach_probes, gaussian_error_prob
 from hypersa.optics import (DetectorOutcome, PhotonRecord,
                             detection_distribution, outcome_json,
                             outcome_tokens, sample_outcome)
@@ -175,10 +174,7 @@ class TestStageOrder:
     def test_spatial_stage_first_gives_same_labels(self):
         cfg = RunConfig(seed=21)
         for label in all_canonical_labels(2):
-            joint = attach_probes(
-                state_from_label(label),
-                [ProbeRegister(pid, cfg.theta, cfg.alpha)
-                 for pid in probe_ids(2)])
+            joint = attach_probes(state_from_label(label), probe_ids(2))
             joint, beta_reads = run_parity_stage(joint, "S", cfg)
             joint, alpha_reads = run_parity_stage(joint, "P", cfg)
             p_bits = "0" + "".join(str(r.magnitude) for r in alpha_reads)
@@ -189,9 +185,7 @@ class TestStageOrder:
     def test_each_dof_reads_its_own_probes(self, n):
         cfg = RunConfig(seed=n)
         label = all_canonical_labels(n)[-1]
-        joint = attach_probes(state_from_label(label),
-                              [ProbeRegister(pid, cfg.theta, cfg.alpha)
-                               for pid in probe_ids(n)])
+        joint = attach_probes(state_from_label(label), probe_ids(n))
         for dof in "SP":
             joint, reads = run_parity_stage(joint, dof, cfg)
             assert [r.probe for r in reads] == probe_ids(n, dof)
@@ -576,6 +570,25 @@ class TestNoiseStudy:
         p = gaussian_error_prob(30.0, 0.2)
         assert predicted_error_rate(3, cfg) == pytest.approx(1 - (1 - p) ** 4)
 
+    def test_misread_prob_is_the_models(self):
+        assert RunConfig(theta=0.2, alpha=30.0).misread_prob() == 0.0
+        cfg = RunConfig(theta=0.2, alpha=30.0, model="gaussian")
+        assert cfg.misread_prob() == gaussian_error_prob(30.0, 0.2)
+        # erfc underflows: a gaussian run whose probes never misread
+        assert RunConfig(theta=0.5, alpha=5000.0, model="gaussian").misread_prob() == 0.0
+
+    def test_every_readout_gets_the_runs_misread_prob(self, monkeypatch):
+        seen, real = [], protocols.homodyne_measure
+
+        def spy(joint, probe, misread_prob=0.0, seed=None):
+            seen.append(misread_prob)
+            return real(joint, probe, misread_prob, seed)
+
+        monkeypatch.setattr(protocols, "homodyne_measure", spy)
+        cfg = RunConfig(theta=0.2, alpha=30.0, model="gaussian", seed=3)
+        hgsa_n_analyze(state_from_label(all_canonical_labels(3)[5]), cfg)
+        assert seen == [cfg.misread_prob()] * 4
+
     @pytest.mark.parametrize("n", [1, 11, 2.0])
     def test_photon_count_guard(self, n):
         cfg = RunConfig(model=HomodyneModel.GAUSSIAN, trials=10)
@@ -919,7 +932,7 @@ class TestPlumbing:
 # the verifier's, the noise study's and the tables' public names.  Each
 # resolves, imported on first use.
 HYPERSA_EXPORTS = {
-    "kerr": "HomodyneModel HomodyneResult JointState ProbeRegister attach_probes "
+    "kerr": "HomodyneModel HomodyneResult JointState attach_probes "
             "gaussian_error_prob homodyne_measure magnitude_distribution parity_gadget",
     "optics": "DetectorOutcome PhotonRecord apply_bs apply_wp detection_distribution "
               "outcome_json outcome_tokens sample_outcome",
@@ -945,8 +958,7 @@ PROTOCOLS_EXPORTS = {
              "wilson_interval",
     "tables": "DetectionRow SignatureRow display_bits emit_detection_table "
               "emit_signature_table",
-    "kerr": "HomodyneModel JointState ProbeRegister attach_probes homodyne_measure "
-            "parity_gadget",
+    "kerr": "HomodyneModel JointState attach_probes homodyne_measure parity_gadget",
     "optics": "DetectorOutcome apply_bs apply_wp outcome_json sample_outcome",
     "states": "HyperLabel PhotonState _check_dof",
 }

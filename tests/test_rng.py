@@ -3,7 +3,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from hypersa.kerr import JointState, ProbeRegister, homodyne_measure
+from hypersa.kerr import JointState, homodyne_measure
 from hypersa.optics import detection_distribution, sample_outcome
 from hypersa.rng import pick
 from hypersa.states import BasisKet, PhotonState
@@ -48,7 +48,7 @@ class TestPick:
 
     def test_an_empty_distribution_raises(self):
         # a joint state whose every branch was pruned has no magnitude class
-        empty = JointState(1, (ProbeRegister("alpha1", 0.01, 5000.0),), {})
+        empty = JointState(1, ("alpha1",), {})
         for draw in (lambda: pick([], Scripted(0.5)),
                      lambda: homodyne_measure(empty, "alpha1", seed=1)):
             with pytest.raises(ValueError, match="distribution is empty"):
@@ -67,7 +67,7 @@ class TestPick:
         # three branches in magnitude classes 0, 1 and 2 whose weights sum
         # short of the top draw
         amp = math.sqrt((1 - 3e-12) / 3)
-        joint = JointState(1, (ProbeRegister("alpha1", 0.01, 5000.0),), {
+        joint = JointState(1, ("alpha1",), {
             (BasisKet("0", "0"), (0,)): amp, (BasisKet("1", "0"), (-1,)): amp,
             (BasisKet("1", "1"), (2,)): amp})
         result = homodyne_measure(joint, "alpha1", seed=Scripted(TOP))

@@ -104,8 +104,11 @@ class TestHyperProduct:
             hyper_product(bell_state("phi+", "P"), ghz_state("+", "000", "S"))
 
     def test_nontrivial_spatial_factor_rejected(self):
-        with pytest.raises(ValueError, match="trivial"):
+        with pytest.raises(ValueError, match="^p_state is not trivial in the spatial DOF$"):
             hyper_product(bell_state("phi+", "S"), bell_state("phi+", "S"))
+        with pytest.raises(ValueError,
+                           match="^s_state is not trivial in the polarization DOF$"):
+            hyper_product(bell_state("phi+", "P"), bell_state("phi+", "P"))
 
 
 def one_dof_state(n: int, dof: str, rng: np.random.Generator) -> PhotonState:
@@ -200,6 +203,12 @@ class TestInner:
             sparse += [ghz_state("-", "0" + "1" * (n - 1), "P"), ghz_state("+", "0" * n, "S")]
         for a, b in itertools.product(full + sparse, repeat=2):
             assert abs(a.inner(b) - np.vdot(dense_vector(a), dense_vector(b))) <= 1e-12
+
+    def test_photon_count_mismatch_rejected(self):
+        a, b = bell_state("phi+", "P"), ghz_state("+", "000", "P")
+        for compare in (a.inner, lambda b: equal_up_to_global_phase(a, b)):
+            with pytest.raises(ValueError, match="^photon counts differ$"):
+                compare(b)
 
 
 # exact zero entries (Pauli X, diagonal and anti-diagonal phase gates)
@@ -356,6 +365,7 @@ class TestLabels:
         lab = HyperLabel.canonical("-", "100", "+", "010")
         assert (lab.p_sign, lab.p_bits) == ("-", "011")
         assert (lab.s_sign, lab.s_bits) == ("+", "010")
+        assert parse_state_literal("P:+01;S:-10") == HyperLabel("+", "01", "-", "01")
 
     def test_literal_round_trip(self):
         lab = HyperLabel("+", "000", "-", "001")
@@ -374,10 +384,24 @@ class TestLabels:
     def test_malformed_sign_named_in_error(self):
         with pytest.raises(ValueError, match="sign"):
             parse_state_literal("P:±;S:")
+        with pytest.raises(ValueError, match=r"^sign must be '\+' or '-', got 'x'$"):
+            ghz_state("x", "01", "P")
+
+    @pytest.mark.parametrize("text, message", [
+        ("P:+00", "state literal 'P:+00' must have two ';'-separated parts"),
+        ("P:+00;S:+00;", "state literal 'P:+00;S:+00;' must have two ';'-separated parts"),
+        ("P:+0x;S:+00", "token '+0x' must carry a 0/1 bit-string after the sign"),
+        ("P:+00;S:-", "token '-' must carry a 0/1 bit-string after the sign"),
+    ])
+    def test_malformed_literal_named_in_error(self, text, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            parse_state_literal(text)
 
     def test_mismatched_lengths_rejected(self):
         with pytest.raises(ValueError, match="length"):
             parse_state_literal("P:+00;S:-010")
+        with pytest.raises(ValueError, match="^p_bits and s_bits must have the same length$"):
+            HyperLabel.canonical("+", "00", "-", "010")
 
     def test_wrong_part_order_rejected(self):
         with pytest.raises(ValueError, match="'P:'"):
@@ -398,6 +422,8 @@ class TestLabels:
         assert canonical_bit_strings(2) == ["00", "01"]
         assert canonical_bit_strings(3) == ["000", "001", "010", "011"]
         assert len(canonical_bit_strings(5)) == 16
+        with pytest.raises(ValueError, match="^n must be >= 1$"):
+            canonical_bit_strings(0)
 
     @pytest.mark.parametrize("n", range(1, 11))
     def test_canonical_bit_strings_are_the_first_bit_0_strings(self, n):
@@ -432,6 +458,7 @@ class TestStateContainer:
          "ket BasisKet(pol_bits='00', spa_bits='2') does not describe 2 photons"),
         (1, BasisKet("", ""),
          "ket BasisKet(pol_bits='', spa_bits='') does not describe 1 photons"),
+        (0, BasisKet("", ""), "n_photons must be >= 1, got 0"),
     ])
     def test_bad_ket_rejected_naming_the_field(self, n, ket, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
