@@ -12,11 +12,11 @@ __version__ = "0.1.0"
 
 #: Public names by home module.
 _EXPORTS = {
-    "kerr": "HomodyneModel HomodyneResult JointState attach_probes "
+    "kerr": "HomodyneModel JointState ProbeReadout attach_probes "
             "gaussian_error_prob homodyne_measure magnitude_distribution parity_gadget",
     "optics": "DetectorOutcome PhotonRecord apply_bs apply_wp detection_distribution "
               "outcome_json outcome_tokens sample_outcome",
-    "protocols": "ProbeReadout RunConfig Transcript decode_signs hgsa_n_analyze "
+    "protocols": "RunConfig Transcript decode_signs hgsa_n_analyze "
                  "probe_ids sign_basis_transform stream",
     "verifier": "StateCheck VerificationReport verify_complete",
     "noise": "NoiseStats monte_carlo_misclassification predicted_error_rate "

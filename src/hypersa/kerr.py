@@ -11,8 +11,9 @@ keys and never touches amplitudes.
 
 X-quadrature homodyne readout resolves the magnitude of a probe's shift but
 not its sign; measurement therefore groups branches by ``abs(multiple)``,
-selects one magnitude class, and drops the probe, keeping branch amplitudes
-as they were (feed-forward phase correction is taken as perfect).  The
+selects one magnitude class, drops the probe and returns the collapsed state
+with the readout's one record, a :class:`ProbeReadout`.  Branch amplitudes
+stay as they were (feed-forward phase correction is taken as perfect).  The
 caller passes the one readout error, a misread probability: the ``gaussian``
 model's is :func:`gaussian_error_prob`, the overlap of two unit-variance
 quadrature Gaussians separated by ``2*alpha*(1 - cos(theta))``.
@@ -51,6 +52,8 @@ class JointState:
 
     def __init__(self, n_photons: int, probes: Sequence[str],
                  amplitudes: Mapping[JointKey, complex]):
+        if n_photons < 1:  # PhotonState's rule
+            raise ValueError(f"n_photons must be >= 1, got {n_photons}")
         if isinstance(probes, str):  # a str is a sequence of one-letter ids
             raise ValueError(f"probes must be a sequence of ids, got {probes!r}")
         probes = tuple(probes)
@@ -99,11 +102,14 @@ class JointState:
                                     {ket: amp for (ket, _), amp in self._amps.items()})
 
 
-class HomodyneResult(NamedTuple):
+class ProbeReadout(NamedTuple):
+    """One homodyne record, JSON form {"probe": ..., "magnitude": ..., "p": ...};
+    ``classes`` counts the magnitude classes the probe could show (1: certain)."""
+
+    probe: str
     magnitude: int
-    probability: float
-    collapsed: JointState
-    classes: int  # magnitude classes in the support; 1 is a point mass
+    p: float
+    classes: int
 
 
 def attach_probes(state: PhotonState, probes: Sequence[str]) -> JointState:
@@ -176,7 +182,7 @@ def misread(magnitude: int) -> int | None:
 
 
 def homodyne_measure(joint: JointState, probe: str, misread_prob: float = 0.0,
-                     seed=None) -> HomodyneResult:
+                     seed=None) -> tuple[JointState, ProbeReadout]:
     """Measure one probe's X quadrature and detach it.
 
     Branches are grouped by the magnitude of the probe's phase multiple; one
@@ -188,8 +194,8 @@ def homodyne_measure(joint: JointState, probe: str, misread_prob: float = 0.0,
     A selected magnitude of 0 or 1 is *reported* as the other with
     probability ``misread_prob`` (the run's is :meth:`RunConfig.misread_prob`;
     above 0 it takes a seed); the collapse still follows the selected class,
-    so misreads corrupt only the readout record.  The returned probability
-    is that of the (class, report) event observed.
+    so misreads corrupt only the readout record.  Returns the collapsed state
+    and the readout; ``p`` is the probability of the (class, report) event.
     """
     # a bool is no number, a non-number has no __float__, and NaN fails the chain
     if (isinstance(misread_prob, bool) or not hasattr(misread_prob, "__float__")
@@ -207,14 +213,14 @@ def homodyne_measure(joint: JointState, probe: str, misread_prob: float = 0.0,
                              "a seed is required to sample it")
         magnitude, weight = pick(classes.items(), rng)
 
-    reported, probability = magnitude, weight if len(classes) > 1 else 1.0
+    reported, p = magnitude, weight if len(classes) > 1 else 1.0
     if misread_prob > 0 and misread(magnitude) is not None:
         if rng is None:
             raise ValueError("a readout with misread_prob > 0 requires a seed")
         if rng.random() < misread_prob:
-            reported, probability = misread(magnitude), probability * misread_prob
+            reported, p = misread(magnitude), p * misread_prob
         else:
-            probability *= 1.0 - misread_prob
+            p *= 1.0 - misread_prob
 
     scale = 1.0 / math.sqrt(weight)
     out: dict[JointKey, complex] = {}
@@ -226,5 +232,5 @@ def homodyne_measure(joint: JointState, probe: str, misread_prob: float = 0.0,
     # the one operation that adds amplitudes, so the one that can cancel them
     out = {key: a for key, a in out.items() if abs(a) >= PRUNE_EPS}
     probes = joint.probes[:idx] + joint.probes[idx + 1:]
-    return HomodyneResult(reported, probability,
-                          JointState._derived(joint.n_photons, probes, out), len(classes))
+    return (JointState._derived(joint.n_photons, probes, out),
+            ProbeReadout(probe, reported, p, len(classes)))

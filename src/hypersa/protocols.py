@@ -29,7 +29,8 @@ import operator
 from typing import NamedTuple, Sequence
 
 from . import _EXPORTS, _lazy_attributes, kerr
-from .kerr import HomodyneModel, JointState, attach_probes, homodyne_measure, parity_gadget
+from .kerr import (HomodyneModel, JointState, ProbeReadout, attach_probes, homodyne_measure,
+                   parity_gadget)
 from .optics import DetectorOutcome, apply_bs, apply_wp, outcome_json, sample_outcome
 from .rng import stream
 from .states import HyperLabel, PhotonState, _check_dof, split_product
@@ -107,17 +108,6 @@ class RunConfig(NamedTuple("RunConfig", [("theta", float), ("alpha", float),
                 if self.model is HomodyneModel.GAUSSIAN else 0.0)
 
 
-class ProbeReadout(NamedTuple):
-    """One homodyne record, JSON form {"probe": ..., "magnitude": ..., "p": ...}.
-    ``classes`` counts the magnitude classes the probe could have shown; 1
-    means the readout was certain."""
-
-    probe: str
-    magnitude: int
-    p: float
-    classes: int
-
-
 class Transcript(NamedTuple):
     """What a single analysis run observed, plus the config that drove it."""
 
@@ -151,11 +141,9 @@ def run_parity_stage(joint: JointState, dof: str,
         joint = parity_gadget(joint, pid, 0, k, dof)
     misread_prob, readouts = cfg.misread_prob(), []
     for pid in pids:
-        result = homodyne_measure(joint, pid, misread_prob,
-                                  stream(cfg.seed, f"probe:{pid}"))
-        readouts.append(ProbeReadout(pid, result.magnitude, result.probability,
-                                     result.classes))
-        joint = result.collapsed
+        joint, readout = homodyne_measure(joint, pid, misread_prob,
+                                          stream(cfg.seed, f"probe:{pid}"))
+        readouts.append(readout)
     return joint, readouts
 
 

@@ -23,6 +23,11 @@ For a hyperentangled label ``(p_sign, p_bits, s_sign, s_bits)``,
    "0" and its reported magnitudes, and its sign is "+" iff the V count
    (polarization) or the path-2 count (spatial) is even, which must hold
    alike on every outcome.
+
+For any joint vector, such as a product of two one-DOF factors whose
+readouts are not point masses, :func:`transcript_probabilities` gives what
+an ideal run's transcript has: the weight of the projection its readouts
+select, and its detector outcomes' probabilities in that projection.
 """
 
 import math
@@ -32,6 +37,7 @@ import numpy as np
 
 # a cancelled amplitude leaves float dust far below any outcome's 4^-(N-1)
 _SUPPORT_TOL = 1e-20
+_PROBES = {"alpha": "P", "beta": "S"}  # each probe name prefix's DOF
 
 
 class JointRun:
@@ -60,6 +66,48 @@ def label_vector(label):
     return vec
 
 
+def _photon_bits(indices, n, dof):
+    """Photon i's bit in ``dof`` at each index, for i = 0..N-1."""
+    shift = n if dof == "P" else 0
+    return [(indices >> (shift + n - 1 - i)) & 1 for i in range(n)]
+
+
+def _rotate(vec, n):
+    """``vec`` after H on all 2N qubits, and the probabilities of its detector
+    outcomes, 0 outside the support."""
+    # H on each qubit in turn: the entries whose indices differ only in that
+    # qubit's bit, (a, b), become (a + b, a - b); the 2N factors of 1/sqrt 2
+    # come to 2^-N
+    rotated = vec.copy()
+    for qubit in range(2 * n):
+        pairs = rotated.reshape(2 ** qubit, 2, -1)  # a view: writes land in rotated
+        pairs[:, 0], pairs[:, 1] = pairs[:, 0] + pairs[:, 1], pairs[:, 0] - pairs[:, 1]
+    rotated /= 2 ** n
+    probabilities = np.abs(rotated) ** 2
+    probabilities[probabilities < _SUPPORT_TOL] = 0.0
+    return rotated, probabilities
+
+
+def transcript_probabilities(vec, readouts):
+    """For any normalized 4^N joint vector ``vec`` and ``readouts`` as
+    (probe, magnitude, ...) tuples, probe ``alpha<k>`` or ``beta<k>``: the
+    weight of ``vec``'s projection onto the branches whose |bit_k - bit_0| in
+    the probe's DOF equals its magnitude for every readout, and the
+    probabilities of the detector outcomes, by index, in the renormalized
+    projection after H on all 2N qubits (0 outside the support).  An ideal
+    run's transcript has the weight times its event's probability."""
+    n = (len(vec).bit_length() - 1) // 2
+    indices = np.arange(len(vec))
+    kept = np.ones(len(vec), dtype=bool)
+    for probe, magnitude, *_ in readouts:
+        name = probe.rstrip("0123456789")
+        photon = _photon_bits(indices, n, _PROBES[name])
+        kept &= np.abs(photon[int(probe[len(name):])] - photon[0]) == magnitude
+    projected = np.where(kept, vec, 0)
+    weight = float(np.vdot(projected, projected).real)
+    return weight, _rotate(projected / math.sqrt(weight), n)[1]
+
+
 def joint_run(label, cfg):
     """Steps 1-5 of the module notes on ``label``.  ``cfg`` is anything with
     the fields of a run config: the homodyne ``model`` ("ideal" or
@@ -70,8 +118,8 @@ def joint_run(label, cfg):
     branches = np.flatnonzero(vec)
     err = math.erfc(cfg.alpha * (1 - math.cos(cfg.theta)) / math.sqrt(2)) / 2
     readouts, bits = [], {}
-    for dof, name, shift in (("P", "alpha", n), ("S", "beta", 0)):
-        photon = [(branches >> (shift + n - 1 - i)) & 1 for i in range(n)]
+    for name, dof in _PROBES.items():
+        photon = _photon_bits(branches, n, dof)
         for k in range(1, n):
             pid = f"{name}{k}"
             magnitudes = set(np.abs(photon[k] - photon[0]).tolist())
@@ -85,17 +133,7 @@ def joint_run(label, cfg):
             readouts.append((pid, magnitude, p, 1))
         bits[dof] = "0" + "".join(str(r[1]) for r in readouts if r[0].startswith(name))
 
-    # H on each qubit in turn: the entries whose indices differ only in that
-    # qubit's bit, (a, b), become (a + b, a - b); the 2N factors of 1/sqrt 2
-    # come to 2^-N
-    rotated = vec.copy()
-    for qubit in range(2 * n):
-        pairs = rotated.reshape(2 ** qubit, 2, -1)  # a view: writes land in rotated
-        pairs[:, 0], pairs[:, 1] = pairs[:, 0] + pairs[:, 1], pairs[:, 0] - pairs[:, 1]
-    rotated /= 2 ** n
-
-    probabilities = np.abs(rotated) ** 2
-    probabilities[probabilities < _SUPPORT_TOL] = 0.0
+    rotated, probabilities = _rotate(vec, n)
     support = np.flatnonzero(probabilities)
     # V count (the polarization half of the index) and path-2 count parities
     odd = np.array([bin(i).count("1") % 2 for i in range(2 ** n)])

@@ -223,6 +223,13 @@ class TestEnvironmentOverrides:
         assert doc["seed"] == 123
         assert doc["theta"] == 0.05
 
+    def test_env_sets_model_and_format(self, capsys, monkeypatch):
+        monkeypatch.setenv("HYPERSA_MODEL", "gaussian")
+        monkeypatch.setenv("HYPERSA_FORMAT", "json")
+        code, out, _ = run(capsys, "analyze", "P:+00;S:+00")
+        assert code == 0
+        assert json.loads(out)["model"] == "gaussian"
+
     def test_flag_beats_env(self, capsys, monkeypatch):
         monkeypatch.setenv("HYPERSA_SEED", "123")
         code, out, _ = run(capsys, "analyze", "P:+00;S:+00", "--seed", "7",
@@ -231,10 +238,17 @@ class TestEnvironmentOverrides:
         assert json.loads(out)["seed"] == 7
 
     def test_bad_env_value_exits_2(self, capsys, monkeypatch):
-        monkeypatch.setenv("HYPERSA_TRIALS", "many")
-        code, _, err = run(capsys, "verify", "--n", "2")
-        assert code == 2
-        assert "HYPERSA_TRIALS" in err
+        for name, value, argv, named in (
+                ("HYPERSA_TRIALS", "many", ("verify", "--n", "2"), "HYPERSA_TRIALS"),
+                ("HYPERSA_MODEL", "bogus", ("verify", "--n", "2"),
+                 "HYPERSA_MODEL='bogus' is not a valid choice('ideal', 'gaussian')"),
+                ("HYPERSA_FORMAT", "xml", ("analyze", "P:+00;S:+00"),
+                 "HYPERSA_FORMAT='xml' is not a valid choice('text', 'json', 'csv')")):
+            with monkeypatch.context() as env:
+                env.setenv(name, value)
+                code, _, err = run(capsys, *argv)
+            assert code == 2, name
+            assert named in err
 
 
 # every subcommand lists the same flags, from one parent parser

@@ -4,11 +4,13 @@ run of ``joint_reference.py``, which shares no code with the package
 (:func:`joint_run`), and the closed form of every rotated one-DOF factor in
 ``oracle.py`` (:func:`rotated_ghz_factor`)."""
 
+import math
 import random
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -18,10 +20,11 @@ from hypersa.optics import DetectorOutcome, PhotonRecord, detection_distribution
 from hypersa.protocols import (RunConfig, hgsa_n_analyze, pre_detection, probe_ids,
                                run_parity_stage, verify_complete)
 from hypersa.rng import pick
-from hypersa.states import (HyperLabel, all_canonical_labels, canonical_bit_strings,
-                            ghz_state, split_product, state_from_label)
+from hypersa.states import (BasisKet, HyperLabel, PhotonState, all_canonical_labels,
+                            canonical_bit_strings, ghz_state, hyper_product, split_product,
+                            state_from_label)
 
-from joint_reference import joint_run
+from joint_reference import joint_run, transcript_probabilities
 from oracle import rotated_ghz_factor
 from test_protocols import canonical_label
 
@@ -86,6 +89,16 @@ def joint_inputs():
         yield pytest.param(n, [random_label(n, rng) for _ in range(50)], id=f"n{n}")
 
 
+def random_factor(n: int, dof: str, rng: np.random.Generator):
+    """A random complex factor in ``dof``, its other DOF all 0s, and its 2^n
+    amplitudes indexed by int(bits, 2)."""
+    amps = rng.normal(size=2 ** n) + 1j * rng.normal(size=2 ** n)
+    amps /= np.linalg.norm(amps)
+    zeros, strings = "0" * n, (format(i, f"0{n}b") for i in range(2 ** n))
+    return PhotonState(n, {BasisKet(bits, zeros) if dof == "P" else BasisKet(zeros, bits): a
+                           for bits, a in zip(strings, amps)}), amps
+
+
 def outcome_index(outcome: DetectorOutcome) -> int:
     """An event's int(pol_bits + spa_bits, 2): V is polarization bit 1, path 2
     spatial bit 1."""
@@ -123,6 +136,28 @@ class TestAgainstTheJointPipeline:
                     p = want.probabilities[outcome_index(event)]
                     assert p > 0, (label, seed)
                     assert abs(event.probability - p) < 1e-12
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_random_products_against_the_transcript_probability(self, n):
+        # non-GHZ factors, so the readouts are no point masses: each
+        # transcript's readouts select a projection of the reference vector,
+        # and its event is drawn from that projection, renormalized
+        rng, classes = np.random.default_rng(n), set()
+        for _ in range(5):
+            (p_factor, p_amps), (s_factor, s_amps) = (random_factor(n, dof, rng)
+                                                      for dof in "PS")
+            state, vec = hyper_product(p_factor, s_factor), np.kron(p_amps, s_amps)
+            for seed in rng.integers(2 ** 31, size=3).tolist():
+                _, transcript = hgsa_n_analyze(state, RunConfig(seed=seed))
+                readouts = transcript.probe_readouts
+                classes.update(r.classes for r in readouts)
+                weight, probabilities = transcript_probabilities(vec, readouts)
+                assert abs(math.prod(r.p for r in readouts) - weight) < 1e-12
+                event = transcript.detector_outcome
+                p = probabilities[outcome_index(event)]
+                assert p > 0, (n, seed)
+                assert abs(event.probability - p) < 1e-12
+        assert max(classes) > 1
 
     @settings(max_examples=40, deadline=None)
     @given(label=canonical_label(max_n=6), u1=st.floats(0, 1, exclude_max=True),

@@ -133,18 +133,18 @@ class TestHomodyne:
     def test_odd_parity_point_mass(self):
         s = hyper_product(bell_state("psi+", "P"), bell_state("phi-", "S"))
         j = parity_gadget(joint_of(s), "alpha1", 0, 1, "P")
-        result = homodyne_measure(j, "alpha1")
-        assert result.magnitude == 1
-        assert (result.probability, result.classes) == (1.0, 1)  # exact, no float dust
-        assert equal_up_to_global_phase(result.collapsed.photon_state(), s, 1e-10)
+        collapsed, readout = homodyne_measure(j, "alpha1")
+        assert readout.magnitude == 1
+        assert (readout.p, readout.classes) == (1.0, 1)  # exact, no float dust
+        assert equal_up_to_global_phase(collapsed.photon_state(), s, 1e-10)
 
     def test_even_parity_point_mass(self):
         s = hyper_product(bell_state("phi-", "P"), bell_state("phi+", "S"))
         j = parity_gadget(joint_of(s), "alpha1", 0, 1, "P")
-        result = homodyne_measure(j, "alpha1")
-        assert result.magnitude == 0
-        assert (result.probability, result.classes) == (1.0, 1)
-        assert equal_up_to_global_phase(result.collapsed.photon_state(), s, 1e-10)
+        collapsed, readout = homodyne_measure(j, "alpha1")
+        assert readout.magnitude == 0
+        assert (readout.p, readout.classes) == (1.0, 1)
+        assert equal_up_to_global_phase(collapsed.photon_state(), s, 1e-10)
 
     def test_mixed_parity_collapses_each_way(self):
         sq = 1 / math.sqrt(2)
@@ -154,12 +154,11 @@ class TestHomodyne:
             0: pytest.approx(0.5), 1: pytest.approx(0.5)}
         hits = {0: 0, 1: 0}
         for seed in range(200):
-            result = homodyne_measure(j, "alpha1", seed=seed)
-            hits[result.magnitude] += 1
-            assert result.probability == pytest.approx(0.5)
-            expected = BasisKet("00", "00") if result.magnitude == 0 else BasisKet("01", "00")
-            collapsed = result.collapsed.photon_state()
-            assert collapsed.amplitude(expected) == pytest.approx(1.0)
+            collapsed, readout = homodyne_measure(j, "alpha1", seed=seed)
+            hits[readout.magnitude] += 1
+            assert readout.p == pytest.approx(0.5)
+            expected = BasisKet("00", "00") if readout.magnitude == 0 else BasisKet("01", "00")
+            assert collapsed.photon_state().amplitude(expected) == pytest.approx(1.0)
         assert hits[0] > 60 and hits[1] > 60
 
     def test_numpy_integer_seed_equals_int_seed(self):
@@ -168,10 +167,10 @@ class TestHomodyne:
         j = parity_gadget(joint_of(s), "alpha1", 0, 1, "P")
         for seed in range(8):
             for misread_prob in (0.0, gaussian_error_prob(5000, 0.01)):
-                a = homodyne_measure(j, "alpha1", misread_prob, np.uint32(seed))
-                b = homodyne_measure(j, "alpha1", misread_prob, seed)
-                assert (a.magnitude, a.probability) == (b.magnitude, b.probability)
-                assert a.collapsed.items() == b.collapsed.items()
+                a, a_read = homodyne_measure(j, "alpha1", misread_prob, np.uint32(seed))
+                b, b_read = homodyne_measure(j, "alpha1", misread_prob, seed)
+                assert a_read == b_read
+                assert a.items() == b.items()
 
     def test_mixed_parity_without_seed_rejected(self):
         sq = 1 / math.sqrt(2)
@@ -192,9 +191,8 @@ class TestHomodyne:
             for s in kinds:
                 state = hyper_product(bell_state(p, "P"), bell_state(s, "S"))
                 j = parity_gadget(joint_of(state), "alpha1", 0, 1, "P")
-                result = homodyne_measure(j, "alpha1")
-                assert equal_up_to_global_phase(
-                    result.collapsed.photon_state(), state, 1e-10)
+                collapsed, _ = homodyne_measure(j, "alpha1")
+                assert equal_up_to_global_phase(collapsed.photon_state(), state, 1e-10)
 
     @pytest.mark.parametrize("residue", [0.0, 1e-15])
     def test_cancelling_branches_are_pruned(self, residue):
@@ -203,9 +201,9 @@ class TestHomodyne:
         ket, other = BasisKet("00", "00"), BasisKet("01", "00")
         joint = JointState(2, (PROBE,), {(ket, (1,)): 0.5, (ket, (-1,)): residue - 0.5,
                                          (other, (1,)): math.sqrt(0.5)})
-        result = homodyne_measure(joint, "alpha1")
-        assert [key for key, _ in result.collapsed.items()] == [(other, ())]
-        assert all(abs(amp) >= PRUNE_EPS for _, amp in result.collapsed.items())
+        collapsed, _ = homodyne_measure(joint, "alpha1")
+        assert [key for key, _ in collapsed.items()] == [(other, ())]
+        assert all(abs(amp) >= PRUNE_EPS for _, amp in collapsed.items())
 
     def test_photon_state_requires_all_probes_measured(self):
         j = joint_of(bell_state("phi+", "P"))
@@ -257,9 +255,9 @@ class TestGaussianModel:
         rng = np.random.default_rng(77)
         reports = []
         for _ in range(400):
-            result = homodyne_measure(j, "alpha1", err, rng)
-            reports.append(result.magnitude)
-            assert equal_up_to_global_phase(result.collapsed.photon_state(), s)
+            collapsed, readout = homodyne_measure(j, "alpha1", err, rng)
+            reports.append(readout.magnitude)
+            assert equal_up_to_global_phase(collapsed.photon_state(), s)
         flips = reports.count(0)  # true magnitude is 1
         assert 140 < flips < 260  # ~Binomial(400, 0.5) within >4 sigma
 
@@ -275,19 +273,20 @@ class TestGaussianModel:
         s = bell_state("psi+", "P")
         j = parity_gadget(parity_gadget(joint_of(s), "alpha1", 0, 1, "P"),
                           "alpha1", 0, 1, "P")
-        ideal = homodyne_measure(j, "alpha1")
+        ideal, _ = homodyne_measure(j, "alpha1")
         for seed in (None, 3):
-            result = homodyne_measure(j, "alpha1", gaussian_error_prob(10.0, 0.2), seed)
-            assert (result.magnitude, result.probability, result.classes) == (2, 1.0, 1)
-            assert result.collapsed.items() == ideal.collapsed.items()
+            collapsed, readout = homodyne_measure(j, "alpha1",
+                                                  gaussian_error_prob(10.0, 0.2), seed)
+            assert readout == ("alpha1", 2, 1.0, 1)
+            assert collapsed.items() == ideal.items()
 
     @pytest.mark.parametrize("magnitude", [0, 1])
     def test_misread_prob_one_always_flips(self, magnitude):
         kind = "psi+" if magnitude else "phi+"
         j = parity_gadget(joint_of(bell_state(kind, "P")), "alpha1", 0, 1, "P")
         for seed in range(5):
-            result = homodyne_measure(j, "alpha1", 1.0, seed)
-            assert (result.magnitude, result.probability) == (misread(magnitude), 1.0)
+            _, readout = homodyne_measure(j, "alpha1", 1.0, seed)
+            assert (readout.magnitude, readout.p) == (misread(magnitude), 1.0)
 
     @pytest.mark.parametrize("misread_prob", [math.nan, -0.1, 1.5, True, "0.1"])
     def test_misread_prob_outside_unit_interval_rejected(self, misread_prob):
@@ -307,6 +306,13 @@ class TestJointState:
         with pytest.raises(ValueError, match=f"^probes must be a sequence of ids, "
                                              f"got '{probes}'$"):
             attach_probes(bell_state("phi+", "P"), probes)
+
+    @pytest.mark.parametrize("n, probes", [(0, ()), (-2, ("a",))])
+    def test_photon_count_below_one_rejected_as_photon_state_does(self, n, probes):
+        for build in (lambda: JointState(n, probes, {}).photon_state(),
+                      lambda: PhotonState(n, {})):
+            with pytest.raises(ValueError, match=f"^n_photons must be >= 1, got {n}$"):
+                build()
 
     def test_multiples_length_checked(self):
         with pytest.raises(ValueError, match="multiples"):
@@ -336,7 +342,7 @@ class TestJointState:
         # the checked constructor must give the same state
         joint = attach_probes(random_state(n, np.random.default_rng(seed)), (PROBE,))
         stages = [joint, parity_gadget(joint, "alpha1", 0, n - 1, dof)]
-        stages.append(homodyne_measure(stages[-1], "alpha1", seed=seed).collapsed)
+        stages.append(homodyne_measure(stages[-1], "alpha1", seed=seed)[0])
         for out in stages:
             checked = JointState(n, out.probes, dict(out.items()))
             assert checked.items() == out.items()

@@ -932,11 +932,11 @@ class TestPlumbing:
 # the verifier's, the noise study's and the tables' public names.  Each
 # resolves, imported on first use.
 HYPERSA_EXPORTS = {
-    "kerr": "HomodyneModel HomodyneResult JointState attach_probes "
+    "kerr": "HomodyneModel JointState ProbeReadout attach_probes "
             "gaussian_error_prob homodyne_measure magnitude_distribution parity_gadget",
     "optics": "DetectorOutcome PhotonRecord apply_bs apply_wp detection_distribution "
               "outcome_json outcome_tokens sample_outcome",
-    "protocols": "ProbeReadout RunConfig Transcript decode_signs hgsa_n_analyze "
+    "protocols": "RunConfig Transcript decode_signs hgsa_n_analyze "
                  "probe_ids sign_basis_transform stream",
     "verifier": "StateCheck VerificationReport verify_complete",
     "noise": "NoiseStats monte_carlo_misclassification predicted_error_rate "
@@ -948,7 +948,7 @@ HYPERSA_EXPORTS = {
               "ghz_state hyper_product parse_state_literal state_from_label",
 }
 PROTOCOLS_EXPORTS = {
-    "protocols": "PhotonCountError ProbeReadout RunConfig Transcript "
+    "protocols": "PhotonCountError RunConfig Transcript "
                  "VERIFY_MAX_PHOTONS _PROBES _decode_bits check_photon_count "
                  "decode_signs hgsa_n_analyze pre_detection probe_ids "
                  "run_parity_stage sign_basis_transform",
@@ -958,7 +958,8 @@ PROTOCOLS_EXPORTS = {
              "wilson_interval",
     "tables": "DetectionRow SignatureRow display_bits emit_detection_table "
               "emit_signature_table",
-    "kerr": "HomodyneModel JointState attach_probes homodyne_measure parity_gadget",
+    "kerr": "HomodyneModel JointState ProbeReadout attach_probes homodyne_measure "
+            "parity_gadget",
     "optics": "DetectorOutcome apply_bs apply_wp outcome_json sample_outcome",
     "states": "HyperLabel PhotonState _check_dof",
 }

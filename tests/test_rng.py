@@ -70,7 +70,7 @@ class TestPick:
         joint = JointState(1, ("alpha1",), {
             (BasisKet("0", "0"), (0,)): amp, (BasisKet("1", "0"), (-1,)): amp,
             (BasisKet("1", "1"), (2,)): amp})
-        result = homodyne_measure(joint, "alpha1", seed=Scripted(TOP))
-        assert (result.magnitude, result.classes) == (2, 3)
-        assert result.probability == abs(amp) ** 2
-        assert [key for key, _ in result.collapsed.items()] == [(BasisKet("1", "1"), ())]
+        collapsed, readout = homodyne_measure(joint, "alpha1", seed=Scripted(TOP))
+        assert (readout.magnitude, readout.classes) == (2, 3)
+        assert readout.p == abs(amp) ** 2
+        assert [key for key, _ in collapsed.items()] == [(BasisKet("1", "1"), ())]
