@@ -12,12 +12,13 @@ __version__ = "0.1.0"
 
 #: Public names by home module.
 _EXPORTS = {
-    "kerr": "HomodyneModel JointState ProbeReadout attach_probes "
+    "kerr": "JointState ProbeReadout attach_probes "
             "gaussian_error_prob homodyne_measure magnitude_distribution parity_gadget",
     "optics": "DetectorOutcome PhotonRecord apply_bs apply_wp detection_distribution "
               "outcome_json outcome_tokens sample_outcome",
-    "protocols": "RunConfig Transcript decode_signs hgsa_n_analyze "
-                 "probe_ids sign_basis_transform stream",
+    "protocols": "HomodyneModel RunConfig Transcript decode_signs hgsa_n_analyze "
+                 "probe_ids sign_basis_transform",
+    "rng": "stream",
     "verifier": "StateCheck VerificationReport verify_complete",
     "noise": "NoiseStats monte_carlo_misclassification predicted_error_rate "
              "wilson_interval",

@@ -18,9 +18,9 @@ import json
 import os
 import sys
 
-from .kerr import HomodyneModel
 from .optics import outcome_tokens
-from .protocols import PhotonCountError, RunConfig, check_photon_count, hgsa_n_analyze
+from .protocols import (HomodyneModel, PhotonCountError, RunConfig, check_photon_count,
+                        hgsa_n_analyze)
 from .states import HyperLabel, parse_state_literal, state_from_label
 
 ENV_PREFIX = "HYPERSA_"
@@ -31,25 +31,22 @@ EXIT_GUARD = 3
 
 
 def _env(name: str, cast, fallback):
-    """Flag default, overridable through HYPERSA_<NAME>.  Env values are
-    cast here because argparse only casts values given on the command line."""
+    """Flag default, overridable through HYPERSA_<NAME>; ``cast`` is the flag's
+    type or choices.  argparse checks only values given as flags, so env values
+    are checked here, and a bad one is worded as argparse words it as a flag."""
     raw = os.environ.get(ENV_PREFIX + name)
     if raw is None:
         return fallback
-    try:
-        return cast(raw)
-    except ValueError:
-        raise ValueError(f"environment variable {ENV_PREFIX}{name}={raw!r} "
-                         f"is not a valid {cast.__name__}") from None
-
-
-def _choice(options: tuple[str, ...]):
-    def cast(raw: str) -> str:
-        if raw not in options:
-            raise ValueError(f"{raw!r} not in {options}")
-        return raw
-    cast.__name__ = f"choice{options}"
-    return cast
+    if isinstance(cast, tuple):
+        if raw in cast:
+            return raw
+        problem = f"invalid choice: {raw!r} (choose from {', '.join(map(repr, cast))})"
+    else:
+        try:
+            return cast(raw)
+        except ValueError:
+            problem = f"invalid {cast.__name__} value: {raw!r}"
+    raise ValueError(f"environment variable {ENV_PREFIX}{name}={raw!r}: {problem}")
 
 
 MODELS = tuple(m.value for m in HomodyneModel)
@@ -73,14 +70,14 @@ def _common_flags() -> argparse.ArgumentParser:
     parser.add_argument("--alpha", type=float, default=_env("ALPHA", float, cfg.alpha),
                         help="coherent probe amplitude")
     parser.add_argument("--model", choices=MODELS,
-                        default=_env("MODEL", _choice(MODELS), cfg.model.value),
+                        default=_env("MODEL", MODELS, cfg.model.value),
                         help="homodyne readout model")
     parser.add_argument("--trials", type=int, default=_env("TRIALS", int, cfg.trials),
                         help="Monte Carlo trial count")
     parser.add_argument("--seed", type=int, default=_env("SEED", int, cfg.seed),
                         help="master seed; all streams derive from it")
     parser.add_argument("--format", choices=FORMATS,
-                        default=_env("FORMAT", _choice(FORMATS), "text"),
+                        default=_env("FORMAT", FORMATS, "text"),
                         dest="fmt", help="output format")
     return parser
 

@@ -14,29 +14,20 @@ not its sign; measurement therefore groups branches by ``abs(multiple)``,
 selects one magnitude class, drops the probe and returns the collapsed state
 with the readout's one record, a :class:`ProbeReadout`.  Branch amplitudes
 stay as they were (feed-forward phase correction is taken as perfect).  The
-caller passes the one readout error, a misread probability: the ``gaussian``
-model's is :func:`gaussian_error_prob`, the overlap of two unit-variance
-quadrature Gaussians separated by ``2*alpha*(1 - cos(theta))``.
+caller passes the one readout error, a misread probability, which
+:meth:`hypersa.protocols.RunConfig.misread_prob` makes of the run's readout
+model: the ``gaussian`` model's is :func:`gaussian_error_prob`, the overlap of
+two unit-variance quadrature Gaussians separated by ``2*alpha*(1 - cos(theta))``.
 """
 
 from __future__ import annotations
 
 import math
-from enum import Enum
 from typing import Mapping, NamedTuple, Sequence
 
 from .rng import as_generator, pick
-from .states import Dof, PRUNE_EPS, BasisKet, PhotonState, _check_dof, _check_ket
-
-
-class HomodyneModel(str, Enum):
-    """Readout model: ``ideal`` never misreads a magnitude; ``gaussian``
-    confuses magnitudes 0 and 1 with probability
-    :func:`gaussian_error_prob` of the run's alpha and theta."""
-
-    IDEAL = "ideal"
-    GAUSSIAN = "gaussian"
-
+from .states import (Dof, PRUNE_EPS, BasisKet, PhotonState, _check_dof, _check_ket,
+                     _check_photon_count)
 
 JointKey = tuple[BasisKet, tuple[int, ...]]
 
@@ -52,8 +43,7 @@ class JointState:
 
     def __init__(self, n_photons: int, probes: Sequence[str],
                  amplitudes: Mapping[JointKey, complex]):
-        if n_photons < 1:  # PhotonState's rule
-            raise ValueError(f"n_photons must be >= 1, got {n_photons}")
+        n_photons = _check_photon_count(n_photons)
         if isinstance(probes, str):  # a str is a sequence of one-letter ids
             raise ValueError(f"probes must be a sequence of ids, got {probes!r}")
         probes = tuple(probes)

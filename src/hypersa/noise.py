@@ -13,8 +13,8 @@ from collections import Counter
 from typing import NamedTuple, Sequence
 
 from . import protocols, states
-from .kerr import HomodyneModel, ProbeReadout, misread
-from .protocols import RunConfig, check_photon_count, probe_ids
+from .kerr import ProbeReadout, misread
+from .protocols import HomodyneModel, RunConfig, check_photon_count, probe_ids
 from .states import HyperLabel, all_canonical_labels
 
 MC_CHUNK = 1 << 14  # Monte Carlo trials drawn at once; bounds its draw lists

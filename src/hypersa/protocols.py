@@ -1,4 +1,5 @@
-"""The N-photon analysis pipeline and the sign and bit decoders.
+"""The N-photon analysis pipeline, its :class:`RunConfig` and readout model
+(:class:`HomodyneModel`), and the sign and bit decoders.
 
 The discrimination of an N-photon hyperentangled input runs in three steps:
 
@@ -26,11 +27,11 @@ from __future__ import annotations
 
 import math
 import operator
+from enum import Enum
 from typing import NamedTuple, Sequence
 
 from . import _EXPORTS, _lazy_attributes, kerr
-from .kerr import (HomodyneModel, JointState, ProbeReadout, attach_probes, homodyne_measure,
-                   parity_gadget)
+from .kerr import JointState, ProbeReadout, attach_probes, homodyne_measure, parity_gadget
 from .optics import DetectorOutcome, apply_bs, apply_wp, outcome_json, sample_outcome
 from .rng import stream
 from .states import HyperLabel, PhotonState, _check_dof, split_product
@@ -55,6 +56,14 @@ def check_photon_count(n: int, what: str) -> int:
         raise PhotonCountError(f"{what} supports 2 <= n <= {VERIFY_MAX_PHOTONS}, "
                                f"got {n}")
     return n
+
+
+class HomodyneModel(str, Enum):
+    """Readout model: ``ideal`` never misreads a magnitude; ``gaussian`` swaps
+    0 and 1 with the probability :meth:`RunConfig.misread_prob` gives."""
+
+    IDEAL = "ideal"
+    GAUSSIAN = "gaussian"
 
 
 class RunConfig(NamedTuple("RunConfig", [("theta", float), ("alpha", float),
@@ -147,16 +156,12 @@ def run_parity_stage(joint: JointState, dof: str,
     return joint, readouts
 
 
-def sign_basis_transform(state: PhotonState, dofs: str = "SP") -> PhotonState:
-    """Beam splitters ("S") and wave plates ("P") on every photon, in the
-    order named: the DOFs rotate into the basis where GHZ-sign information
-    becomes a count parity.  The elements commute; the two-DOF default puts
-    every beam splitter first, so the spatial DOF cancels down to 2^(n-1)
-    terms before the wave plates grow the polarization DOF."""
-    for dof in dofs:
-        rotate = {"P": apply_wp, "S": apply_bs}[_check_dof(dof)]
-        for photon in range(state.n_photons):
-            state = rotate(state, photon)
+def sign_basis_transform(state: PhotonState, dof: str) -> PhotonState:
+    """A wave plate ("P") or a beam splitter ("S") on every photon: ``dof``
+    rotates into the basis where GHZ-sign information becomes a count parity."""
+    rotate = {"P": apply_wp, "S": apply_bs}[_check_dof(dof)]
+    for photon in range(state.n_photons):
+        state = rotate(state, photon)
     return state
 
 

@@ -15,6 +15,7 @@ construction so float dust never accumulates through gate chains.
 from __future__ import annotations
 
 import math
+import operator
 from typing import Literal, Mapping, NamedTuple, Sequence
 
 Dof = Literal["P", "S"]
@@ -71,6 +72,16 @@ class BasisKet(NamedTuple):
     spa_bits: str
 
 
+def _check_photon_count(n) -> int:
+    """``n`` as a plain ``int`` of at least 1, or a ValueError; a bool is no count."""
+    try:
+        if not isinstance(n, bool) and operator.index(n) >= 1:
+            return operator.index(n)
+    except TypeError:  # a float has no __index__
+        pass
+    raise ValueError(f"n_photons must be an integer >= 1, got {n!r}")
+
+
 def _check_ket(ket, n_photons: int) -> BasisKet:
     """``ket`` as a :class:`BasisKet` of ``n_photons`` photons, or a ValueError."""
     if not isinstance(ket, BasisKet):
@@ -96,8 +107,7 @@ class PhotonState:
     __slots__ = ("n_photons", "_amps")
 
     def __init__(self, n_photons: int, amplitudes: Mapping[BasisKet, complex]):
-        if n_photons < 1:
-            raise ValueError(f"n_photons must be >= 1, got {n_photons}")
+        n_photons = _check_photon_count(n_photons)
         amps: dict[BasisKet, complex] = {}
         for ket, amp in amplitudes.items():
             ket = _check_ket(ket, n_photons)

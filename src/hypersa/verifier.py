@@ -24,8 +24,8 @@ import math
 from typing import TYPE_CHECKING, Iterator, NamedTuple
 
 from . import optics, protocols, states
-from .kerr import HomodyneModel, ProbeReadout
-from .protocols import RunConfig, check_photon_count
+from .kerr import ProbeReadout
+from .protocols import HomodyneModel, RunConfig, check_photon_count
 from .states import HyperLabel, PhotonState, canonical_bit_strings
 
 if TYPE_CHECKING:

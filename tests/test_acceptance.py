@@ -8,10 +8,10 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from hypersa.kerr import HomodyneModel, attach_probes, gaussian_error_prob
+from hypersa.kerr import attach_probes, gaussian_error_prob
 from hypersa.optics import detection_distribution, outcome_tokens
-from hypersa.protocols import (RunConfig, decode_signs, emit_detection_table,
-                               emit_signature_table,
+from hypersa.protocols import (HomodyneModel, RunConfig, decode_signs,
+                               emit_detection_table, emit_signature_table,
                                monte_carlo_misclassification, probe_ids,
                                run_parity_stage, sign_basis_transform,
                                verify_complete)
@@ -59,7 +59,8 @@ def test_criterion_2_two_photon_signature_table():
 def test_criterion_3_two_photon_detection_sets():
     with criterion(3, "each Bell product lands on its 4-outcome detector set", 1.0):
         for label in all_canonical_labels(2):
-            transformed = sign_basis_transform(state_from_label(label))
+            state = state_from_label(label)
+            transformed = sign_basis_transform(sign_basis_transform(state, "S"), "P")
             dist = detection_distribution(transformed)
             tokens = [outcome_tokens(o) for o in dist]
             assert tokens == DETECTION_GOLDEN_2[(label.p_sign, label.s_sign)]
@@ -107,7 +108,7 @@ def test_criterion_5_worked_group_amplitudes_against_dense_oracle():
         rotation = hadamard_everywhere(3)
         for label, p_amps, s_amps in cases:
             state = state_from_label(label)
-            transformed = sign_basis_transform(state)
+            transformed = sign_basis_transform(sign_basis_transform(state, "S"), "P")
             # dense-matrix oracle, amplitude for amplitude
             expected = rotation @ dense_vector(state)
             got = dense_vector(transformed)

@@ -239,11 +239,17 @@ class TestEnvironmentOverrides:
 
     def test_bad_env_value_exits_2(self, capsys, monkeypatch):
         for name, value, argv, named in (
-                ("HYPERSA_TRIALS", "many", ("verify", "--n", "2"), "HYPERSA_TRIALS"),
+                ("HYPERSA_TRIALS", "many", ("verify", "--n", "2"),
+                 "error: environment variable HYPERSA_TRIALS='many': "
+                 "invalid int value: 'many'\n"),
+                ("HYPERSA_N", "2.5", ("verify",),
+                 "error: environment variable HYPERSA_N='2.5': invalid int value: '2.5'\n"),
                 ("HYPERSA_MODEL", "bogus", ("verify", "--n", "2"),
-                 "HYPERSA_MODEL='bogus' is not a valid choice('ideal', 'gaussian')"),
+                 "error: environment variable HYPERSA_MODEL='bogus': "
+                 "invalid choice: 'bogus' (choose from 'ideal', 'gaussian')\n"),
                 ("HYPERSA_FORMAT", "xml", ("analyze", "P:+00;S:+00"),
-                 "HYPERSA_FORMAT='xml' is not a valid choice('text', 'json', 'csv')")):
+                 "error: environment variable HYPERSA_FORMAT='xml': "
+                 "invalid choice: 'xml' (choose from 'text', 'json', 'csv')\n")):
             with monkeypatch.context() as env:
                 env.setenv(name, value)
                 code, _, err = run(capsys, *argv)

@@ -15,10 +15,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hypersa import protocols
-from hypersa.kerr import HomodyneModel, JointState, attach_probes
+from hypersa.kerr import JointState, attach_probes
 from hypersa.optics import DetectorOutcome, PhotonRecord, detection_distribution
-from hypersa.protocols import (RunConfig, hgsa_n_analyze, pre_detection, probe_ids,
-                               run_parity_stage, verify_complete)
+from hypersa.protocols import (HomodyneModel, RunConfig, hgsa_n_analyze, pre_detection,
+                               probe_ids, run_parity_stage, verify_complete)
 from hypersa.rng import pick
 from hypersa.states import (BasisKet, HyperLabel, PhotonState, all_canonical_labels,
                             canonical_bit_strings, ghz_state, hyper_product, split_product,

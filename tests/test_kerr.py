@@ -307,12 +307,19 @@ class TestJointState:
                                              f"got '{probes}'$"):
             attach_probes(bell_state("phi+", "P"), probes)
 
-    @pytest.mark.parametrize("n, probes", [(0, ()), (-2, ("a",))])
+    @pytest.mark.parametrize("n, probes", [(0, ()), (-2, ("a",)), (2.5, ()),
+                                           (float("nan"), ("a",)), (True, ())])
     def test_photon_count_below_one_rejected_as_photon_state_does(self, n, probes):
+        # so is a count that is no integer, and a bool
         for build in (lambda: JointState(n, probes, {}).photon_state(),
                       lambda: PhotonState(n, {})):
-            with pytest.raises(ValueError, match=f"^n_photons must be >= 1, got {n}$"):
+            with pytest.raises(ValueError, match=f"^n_photons must be an integer >= 1, "
+                                                 f"got {re.escape(repr(n))}$"):
                 build()
+
+    def test_a_numpy_photon_count_is_stored_as_a_plain_int(self):
+        joint = JointState(np.int64(3), (), {})
+        assert joint.n_photons == 3 and type(joint.n_photons) is int
 
     def test_multiples_length_checked(self):
         with pytest.raises(ValueError, match="multiples"):

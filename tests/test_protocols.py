@@ -1,5 +1,6 @@
 import copy
 import importlib
+import inspect
 import itertools
 import json
 import math
@@ -16,17 +17,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hypersa.kerr import HomodyneModel, attach_probes, gaussian_error_prob
+from hypersa.kerr import attach_probes, gaussian_error_prob
 from hypersa.optics import (DetectorOutcome, PhotonRecord,
                             detection_distribution, outcome_json,
                             outcome_tokens, sample_outcome)
 import hypersa
 from hypersa import cli, noise, optics, protocols, states
 from hypersa.rng import as_generator
-from hypersa.protocols import (PhotonCountError, RunConfig, check_photon_count,
-                               decode_signs, emit_detection_table, emit_signature_table,
-                               hgsa_n_analyze, monte_carlo_misclassification,
-                               predicted_error_rate, probe_ids,
+from hypersa.protocols import (HomodyneModel, PhotonCountError, RunConfig,
+                               check_photon_count, decode_signs, emit_detection_table,
+                               emit_signature_table, hgsa_n_analyze,
+                               monte_carlo_misclassification, predicted_error_rate, probe_ids,
                                run_parity_stage, sign_basis_transform, stream,
                                verify_complete, wilson_interval)
 from hypersa.states import (BasisKet, HyperLabel, PhotonState,
@@ -35,8 +36,8 @@ from hypersa.states import (BasisKet, HyperLabel, PhotonState,
                             state_from_label)
 
 from joint_reference import joint_run
-from oracle import (assert_matches_dense, dense_vector, hadamard_everywhere,
-                    random_state)
+from oracle import (assert_matches_dense, dense_vector, gate_operator,
+                    hadamard_everywhere, random_state)
 
 BELL = ("phi+", "phi-", "psi+", "psi-")
 
@@ -96,7 +97,8 @@ class TestThreePhotonAnalysis:
     def test_branch_parities_of_mixed_sign_group(self):
         # "+" polarization with "-" spatial: every branch has even V, odd x2
         state = hyper_product(ghz_state("+", "000", "P"), ghz_state("-", "001", "S"))
-        for outcome in detection_distribution(sign_basis_transform(state)):
+        rotated = sign_basis_transform(sign_basis_transform(state, "S"), "P")
+        for outcome in detection_distribution(rotated):
             assert decode_signs(outcome) == ("+", "-")
 
 
@@ -144,11 +146,27 @@ class TestSignBasisTransform:
     @settings(max_examples=30, deadline=None)
     @given(n=st.integers(1, 4), seed=st.integers(0, 2 ** 32 - 1))
     def test_matches_dense_hadamard_everywhere(self, n, seed):
-        # the elements commute, so whatever order sign_basis_transform runs
-        # them in, the result must be the all-qubit Hadamard
+        # the elements commute, so the spatial rotation then the polarization
+        # one must be the all-qubit Hadamard
         state = random_state(n, np.random.default_rng(seed))
-        assert_matches_dense(sign_basis_transform(state),
+        assert_matches_dense(sign_basis_transform(sign_basis_transform(state, "S"), "P"),
                              hadamard_everywhere(n) @ dense_vector(state))
+
+    @pytest.mark.parametrize("dof", ["P", "S"])
+    def test_rotates_only_the_dof_it_is_named(self, dof):
+        state = random_state(3, np.random.default_rng(5))
+        h, rotation = np.array([[1, 1], [1, -1]]) / np.sqrt(2), np.eye(4 ** 3)
+        for photon in range(3):
+            rotation = gate_operator(3, photon, dof, h) @ rotation
+        assert_matches_dense(sign_basis_transform(state, dof),
+                             rotation @ dense_vector(state))
+
+    def test_takes_exactly_one_dof(self):
+        state = state_from_label(HyperLabel("+", "00", "-", "01"))
+        with pytest.raises(ValueError, match="^unknown degree of freedom 'SP'"):
+            sign_basis_transform(state, "SP")
+        with pytest.raises(TypeError):
+            sign_basis_transform(state)
 
 
 class TestSignDecoding:
@@ -213,7 +231,8 @@ class TestCompleteness:
     @pytest.mark.parametrize("n", [2, 3])
     def test_branch_totality(self, n):
         for label in all_canonical_labels(n):
-            transformed = sign_basis_transform(state_from_label(label))
+            state = state_from_label(label)
+            transformed = sign_basis_transform(sign_basis_transform(state, "S"), "P")
             signs = {decode_signs(o) for o in detection_distribution(transformed)}
             assert signs == {(label.p_sign, label.s_sign)}
 
@@ -413,11 +432,11 @@ class TestPerDofVerifier:
     def test_rotation_coupling_the_dofs_fails_separation(self, monkeypatch, n):
         real = protocols.sign_basis_transform
 
-        def coupled(state, dofs="SP"):
+        def coupled(state, dof):
             # after the rotation, photon 0's path flips wherever it is V
             return PhotonState(state.n_photons, {
                 BasisKet(pol, spa if pol[0] == "0" else "10"[int(spa[0])] + spa[1:]): amp
-                for (pol, spa), amp in real(state, dofs).items()})
+                for (pol, spa), amp in real(state, dof).items()})
 
         monkeypatch.setattr(protocols, "sign_basis_transform", coupled)
         report = verify_complete(n)
@@ -434,7 +453,8 @@ class TestPerDofVerifier:
         for label in all_canonical_labels(3):
             state = state_from_label(label)
             want = rotation @ dense_vector(state)
-            assert np.max(np.abs(dense_vector(sign_basis_transform(state)) - want)) > 1e-10
+            rotated = sign_basis_transform(sign_basis_transform(state, "S"), "P")
+            assert np.max(np.abs(dense_vector(rotated) - want)) > 1e-10
             assert hgsa_n_analyze(state, RunConfig())[0] == label
 
     @staticmethod
@@ -457,13 +477,17 @@ class TestPerDofVerifier:
         # longer splits into a polarization and a spatial factor
         inputs = [state_from_label(HyperLabel(s, b, s, b))
                   for b in canonical_bit_strings(n) for s in "+-"]
+
+        def rotated(state):
+            return sign_basis_transform(sign_basis_transform(state, "S"), "P")
+
         for state in inputs:
-            split_product(sign_basis_transform(state))
+            split_product(rotated(state))
         monkeypatch.setattr(protocols, "apply_wp", self.path_1_only(protocols.apply_wp))
         assert verify_complete(n).all_correct
         for state in inputs:
             with pytest.raises(ValueError, match="not a product"):
-                split_product(sign_basis_transform(state))
+                split_product(rotated(state))
 
     def test_beam_splitter_with_a_v_phase_reaches_no_factor_run(self, monkeypatch):
         def with_phase(real):
@@ -523,8 +547,12 @@ def swapped_bits(real):
     return lambda readouts: real(readouts)[::-1]
 
 
-def last_dof_only(real):
-    return lambda state, dofs="SP": real(state, dofs[-1:])
+def skips_the_last_photon(real):
+    def run(state, dof):
+        # the last photon's element again undoes its rotation: H H = 1
+        rotate = {"P": protocols.apply_wp, "S": protocols.apply_bs}[dof]
+        return rotate(real(state, dof), state.n_photons - 1)
+    return run
 
 
 def reversed_readouts(real):
@@ -540,7 +568,7 @@ class TestVerifyProvesTheAnalyser:
     analysis right."""
 
     @pytest.mark.parametrize("name, mutant", [("_decode_bits", swapped_bits),
-                                              ("sign_basis_transform", last_dof_only),
+                                              ("sign_basis_transform", skips_the_last_photon),
                                               ("run_parity_stage", reversed_readouts)])
     def test_a_passing_verify_means_right_labels(self, monkeypatch, name, mutant):
         monkeypatch.setattr(protocols, name, mutant(getattr(protocols, name)))
@@ -932,12 +960,13 @@ class TestPlumbing:
 # the verifier's, the noise study's and the tables' public names.  Each
 # resolves, imported on first use.
 HYPERSA_EXPORTS = {
-    "kerr": "HomodyneModel JointState ProbeReadout attach_probes "
+    "kerr": "JointState ProbeReadout attach_probes "
             "gaussian_error_prob homodyne_measure magnitude_distribution parity_gadget",
     "optics": "DetectorOutcome PhotonRecord apply_bs apply_wp detection_distribution "
               "outcome_json outcome_tokens sample_outcome",
-    "protocols": "RunConfig Transcript decode_signs hgsa_n_analyze "
-                 "probe_ids sign_basis_transform stream",
+    "protocols": "HomodyneModel RunConfig Transcript decode_signs hgsa_n_analyze "
+                 "probe_ids sign_basis_transform",
+    "rng": "stream",
     "verifier": "StateCheck VerificationReport verify_complete",
     "noise": "NoiseStats monte_carlo_misclassification predicted_error_rate "
              "wilson_interval",
@@ -948,7 +977,7 @@ HYPERSA_EXPORTS = {
               "ghz_state hyper_product parse_state_literal state_from_label",
 }
 PROTOCOLS_EXPORTS = {
-    "protocols": "PhotonCountError RunConfig Transcript "
+    "protocols": "HomodyneModel PhotonCountError RunConfig Transcript "
                  "VERIFY_MAX_PHOTONS _PROBES _decode_bits check_photon_count "
                  "decode_signs hgsa_n_analyze pre_detection probe_ids "
                  "run_parity_stage sign_basis_transform",
@@ -958,8 +987,7 @@ PROTOCOLS_EXPORTS = {
              "wilson_interval",
     "tables": "DetectionRow SignatureRow display_bits emit_detection_table "
               "emit_signature_table",
-    "kerr": "HomodyneModel JointState ProbeReadout attach_probes homodyne_measure "
-            "parity_gadget",
+    "kerr": "JointState ProbeReadout attach_probes homodyne_measure parity_gadget",
     "optics": "DetectorOutcome apply_bs apply_wp outcome_json sample_outcome",
     "states": "HyperLabel PhotonState _check_dof",
 }
@@ -1006,6 +1034,16 @@ class TestLazyExports:
             for name in names.split():
                 assert getattr(module, name) is getattr(home_module, name), name
                 assert name in dir(module), name
+
+    def test_each_export_is_listed_under_the_module_that_defines_it(self):
+        for home, names in hypersa._EXPORTS.items():
+            for name in names.split():
+                value = getattr(hypersa, name)
+                if inspect.isclass(value) or inspect.isfunction(value):
+                    assert value.__module__ == f"hypersa.{home}", (home, name)
+
+    def test_the_readout_model_left_kerr(self):
+        assert not hasattr(importlib.import_module("hypersa.kerr"), "HomodyneModel")
 
     def test_moved_private_names_live_only_in_their_home_modules(self, monkeypatch):
         assert_only_in_home_modules(MOVED_PRIVATE_NAMES, monkeypatch)

@@ -458,11 +458,18 @@ class TestStateContainer:
          "ket BasisKet(pol_bits='00', spa_bits='2') does not describe 2 photons"),
         (1, BasisKet("", ""),
          "ket BasisKet(pol_bits='', spa_bits='') does not describe 1 photons"),
-        (0, BasisKet("", ""), "n_photons must be >= 1, got 0"),
+        (0, BasisKet("", ""), "n_photons must be an integer >= 1, got 0"),
+        (2.5, BasisKet("", ""), "n_photons must be an integer >= 1, got 2.5"),
+        (float("nan"), BasisKet("", ""), "n_photons must be an integer >= 1, got nan"),
+        (True, BasisKet("0", "0"), "n_photons must be an integer >= 1, got True"),
     ])
     def test_bad_ket_rejected_naming_the_field(self, n, ket, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             PhotonState(n, {ket: 1.0})
+
+    def test_a_numpy_photon_count_is_stored_as_a_plain_int(self):
+        state = PhotonState(np.int64(3), {})
+        assert state.n_photons == 3 and type(state.n_photons) is int
 
     def test_repr_is_the_constructor_call(self):
         state = state_from_label(HyperLabel("-", "010", "+", "011"))

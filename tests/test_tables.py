@@ -133,7 +133,8 @@ class TestDetectionTable:
         # of the group's all-zeros member gives the same tokens in order
         for row in emit_detection_table(n):
             joint = state_from_label(HyperLabel(row.p_sign, "0" * n, row.s_sign, "0" * n))
-            support = detection_distribution(sign_basis_transform(joint))
+            rotated = sign_basis_transform(sign_basis_transform(joint, "S"), "P")
+            support = detection_distribution(rotated)
             assert row.outcomes == tuple(outcome_tokens(o) for o in support)
 
     def test_guard(self):
