@@ -9,6 +9,9 @@ The one interaction is the parity gadget: two passes of opposite phase, one
 per photon of a pair, onto one probe.  It stays exact: it permutes branch
 keys and never touches amplitudes.
 
+A :class:`JointState` is :class:`hypersa.states.PhotonState`'s container
+keyed by ``(ket, multiples)``, and checks, prunes and freezes as it does.
+
 X-quadrature homodyne readout resolves the magnitude of a probe's shift but
 not its sign; measurement therefore groups branches by ``abs(multiple)``,
 selects one magnitude class, drops the probe and returns the collapsed state
@@ -26,58 +29,35 @@ import math
 from typing import Mapping, NamedTuple, Sequence
 
 from .rng import as_generator, pick
-from .states import (Dof, PRUNE_EPS, BasisKet, PhotonState, _check_dof, _check_ket,
-                     _check_photon_count)
+from .states import (Dof, BasisKet, PhotonState, _Amplitudes, _check_dof, _check_ket,
+                     _check_photon_count, _check_photon_index)
 
 JointKey = tuple[BasisKet, tuple[int, ...]]
 
 
-class JointState:
-    """Photon amplitudes extended with one integer phase multiple per probe id.
+class JointState(_Amplitudes):
+    """Photon amplitudes keyed by ``(ket, multiples)``, one integer phase
+    multiple per probe id; construction checks kets and multiples lengths."""
 
-    Keys are ``(ket, multiples)`` pairs; construction checks kets as
-    :class:`PhotonState` does and multiples lengths, and prunes.  Immutable.
-    """
-
-    __slots__ = ("n_photons", "probes", "_amps")
+    __slots__ = ("probes",)
 
     def __init__(self, n_photons: int, probes: Sequence[str],
                  amplitudes: Mapping[JointKey, complex]):
-        n_photons = _check_photon_count(n_photons)
+        _check_photon_count(n_photons)  # the count is refused before the probes
         if isinstance(probes, str):  # a str is a sequence of one-letter ids
             raise ValueError(f"probes must be a sequence of ids, got {probes!r}")
         probes = tuple(probes)
         if len(set(probes)) != len(probes):
             raise ValueError(f"duplicate probe ids in {list(probes)}")
-        amps: dict[JointKey, complex] = {}
-        for (ket, mults), amp in amplitudes.items():
-            ket = _check_ket(ket, n_photons)
-            if len(mults) != len(probes):
-                raise ValueError(f"phase multiples {mults} do not match "
-                                 f"{len(probes)} probes")
-            a = complex(amp)
-            if abs(a) >= PRUNE_EPS:
-                amps[(ket, tuple(mults))] = a
-        for name, value in zip(self.__slots__, (n_photons, probes, amps)):
-            object.__setattr__(self, name, value)
+        object.__setattr__(self, "probes", probes)
+        super().__init__(n_photons, amplitudes)
 
-    @classmethod
-    def _derived(cls, n_photons: int, probes: tuple[str, ...],
-                 amplitudes: dict[JointKey, complex]) -> JointState:
-        """Built from valid kets, probes and ``complex`` amplitudes, taken as they are."""
-        self = object.__new__(cls)
-        for name, value in zip(cls.__slots__, (n_photons, probes, amplitudes)):
-            object.__setattr__(self, name, value)
-        return self
-
-    def __setattr__(self, name, value):  # pragma: no cover - defensive
-        raise AttributeError("JointState is immutable")
-
-    def items(self) -> list[tuple[JointKey, complex]]:
-        return sorted(self._amps.items())
-
-    def __len__(self) -> int:
-        return len(self._amps)
+    def _check_key(self, key, n_photons: int) -> JointKey:
+        ket, mults = key
+        ket = _check_ket(ket, n_photons)
+        if len(mults) != len(self.probes):
+            raise ValueError(f"phase multiples {mults} do not match {len(self.probes)} probes")
+        return ket, tuple(mults)
 
     def probe_index(self, probe: str) -> int:
         if probe not in self.probes:
@@ -124,9 +104,8 @@ def parity_gadget(joint: JointState, probe: str, ref_photon: int,
     if ref_photon == other_photon:
         raise ValueError("parity gadget needs two distinct photons")
     _check_dof(dof)
-    for photon in (ref_photon, other_photon):
-        if not 0 <= photon < joint.n_photons:
-            raise ValueError(f"photon index {photon} out of range")
+    ref_photon = _check_photon_index(ref_photon, joint.n_photons)
+    other_photon = _check_photon_index(other_photon, joint.n_photons)
     idx = joint.probe_index(probe)
     pos = 0 if dof == "P" else 1
     out: dict[JointKey, complex] = {}
@@ -136,7 +115,7 @@ def parity_gadget(joint: JointState, probe: str, ref_photon: int,
         if shift:
             mults = mults[:idx] + (mults[idx] + shift,) + mults[idx + 1:]
         out[(ket, mults)] = amp  # the ket is kept, so no two branches collide
-    return JointState._derived(joint.n_photons, joint.probes, out)
+    return JointState._derived(joint.n_photons, out, joint.probes)
 
 
 def magnitude_distribution(joint: JointState, probe: str) -> dict[int, float]:
@@ -219,8 +198,6 @@ def homodyne_measure(joint: JointState, probe: str, misread_prob: float = 0.0,
             continue
         key = (ket, mults[:idx] + mults[idx + 1:])
         out[key] = out.get(key, 0j) + amp * scale
-    # the one operation that adds amplitudes, so the one that can cancel them
-    out = {key: a for key, a in out.items() if abs(a) >= PRUNE_EPS}
     probes = joint.probes[:idx] + joint.probes[idx + 1:]
-    return (JointState._derived(joint.n_photons, probes, out),
+    return (JointState._derived(joint.n_photons, out, probes),
             ProbeReadout(probe, reported, p, len(classes)))

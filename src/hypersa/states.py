@@ -7,9 +7,10 @@ entangled inputs handled here have four nonzero terms; after the sign-basis
 rotation an N-photon state holds 4^(N-1), a quarter of the 4^N entries a
 dense vector would need.
 
-All values are immutable after construction; every operation returns a new
-state.  Amplitudes with magnitude below :data:`PRUNE_EPS` are dropped on
-construction so float dust never accumulates through gate chains.
+:class:`PhotonState` and :class:`hypersa.kerr.JointState` share one immutable
+container; every operation returns a new state.  Amplitudes with magnitude
+below :data:`PRUNE_EPS` are dropped whenever a state is built, so float dust
+never accumulates through gate chains.
 """
 
 from __future__ import annotations
@@ -96,50 +97,67 @@ def _check_ket(ket, n_photons: int) -> BasisKet:
     return ket
 
 
-class PhotonState:
-    """Sparse N-photon state: map from :class:`BasisKet` to complex amplitude.
+def _check_photon_index(photon, n_photons: int) -> int:
+    """``photon`` as a plain ``int`` below ``n_photons``, or a ValueError (a bool too)."""
+    try:
+        if not isinstance(photon, bool) and 0 <= (index := operator.index(photon)) < n_photons:
+            return index
+    except TypeError:  # a float has no __index__
+        pass
+    raise ValueError(f"photon index {photon} out of range for {n_photons} photons")
 
-    Immutable; operations return new instances.  Construction validates ket
-    lengths, coerces amplitudes to ``complex`` and prunes entries below
-    :data:`PRUNE_EPS`.
-    """
+
+class _Amplitudes:
+    """The container both state types are: a photon count and a sparse map from
+    keys to complex amplitudes, immutable, with ``items`` in sorted key order.
+    Construction checks the count and each key (the subclass's ``_check_key``),
+    coerces amplitudes to ``complex`` and prunes those below :data:`PRUNE_EPS`."""
 
     __slots__ = ("n_photons", "_amps")
 
-    def __init__(self, n_photons: int, amplitudes: Mapping[BasisKet, complex]):
-        n_photons = _check_photon_count(n_photons)
-        amps: dict[BasisKet, complex] = {}
-        for ket, amp in amplitudes.items():
-            ket = _check_ket(ket, n_photons)
+    def __init__(self, n_photons: int, amplitudes: Mapping):
+        object.__setattr__(self, "n_photons", _check_photon_count(n_photons))
+        amps = {}
+        for key, amp in amplitudes.items():
+            key = self._check_key(key, self.n_photons)
             a = complex(amp)
             if abs(a) >= PRUNE_EPS:
-                amps[ket] = a
-        object.__setattr__(self, "n_photons", n_photons)
+                amps[key] = a
         object.__setattr__(self, "_amps", amps)
 
     @classmethod
-    def _derived(cls, n_photons: int, amplitudes: dict[BasisKet, complex]) -> PhotonState:
-        """A state that an operation built from a valid one, so every key is
-        already a :class:`BasisKet` of ``n_photons`` photons and every
-        amplitude a ``complex``: only the pruning of construction is left."""
+    def _derived(cls, n_photons: int, amplitudes: dict, *own):
+        """A state an operation built from valid ones (keys checked, amplitudes
+        ``complex``), so only pruning is left; ``own`` fills the subclass's slots."""
         self = object.__new__(cls)
         object.__setattr__(self, "n_photons", n_photons)
-        object.__setattr__(self, "_amps", {ket: a for ket, a in amplitudes.items()
+        object.__setattr__(self, "_amps", {key: a for key, a in amplitudes.items()
                                            if abs(a) >= PRUNE_EPS})
+        if own:  # a PhotonState, which has none, skips the loop
+            for name, value in zip(cls.__slots__, own):
+                object.__setattr__(self, name, value)
         return self
 
-    def __setattr__(self, name, value):  # pragma: no cover - defensive
-        raise AttributeError("PhotonState is immutable")
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
-    def items(self) -> list[tuple[BasisKet, complex]]:
-        """Amplitudes in deterministic (lexicographic ket) order."""
+    def items(self) -> list[tuple]:
         return sorted(self._amps.items())
-
-    def amplitude(self, ket: BasisKet) -> complex:
-        return self._amps.get(ket, 0j)
 
     def __len__(self) -> int:
         return len(self._amps)
+
+
+class PhotonState(_Amplitudes):
+    """Sparse N-photon state: map from :class:`BasisKet` to complex amplitude;
+    construction checks each ket's length and bits."""
+
+    __slots__ = ()
+
+    _check_key = staticmethod(_check_ket)
+
+    def amplitude(self, ket: BasisKet) -> complex:
+        return self._amps.get(ket, 0j)
 
     def norm(self) -> float:
         return math.sqrt(sum(abs(a) ** 2 for a in self._amps.values()))
@@ -204,8 +222,7 @@ class HyperLabel(NamedTuple):
 
 def canonical_bit_strings(n: int) -> list[str]:
     """All 2^(n-1) canonical GHZ bit-strings of length n, lexicographic."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    n = _check_photon_count(n)
     return [format(i, f"0{n}b") for i in range(2 ** (n - 1))]
 
 
@@ -309,9 +326,7 @@ def apply_gate(state: PhotonState, photon: int, dof: Dof,
     with bit b' collects ``gate[b', b]`` times every old amplitude with bit b.
     """
     _check_dof(dof)
-    if not 0 <= photon < state.n_photons:
-        raise ValueError(f"photon index {photon} out of range for "
-                         f"{state.n_photons} photons")
+    photon = _check_photon_index(photon, state.n_photons)
     try:
         (g00, g01), (g10, g11) = gate
         g00, g01, g10, g11 = complex(g00), complex(g01), complex(g10), complex(g11)

@@ -89,6 +89,14 @@ class TestParityGadget:
         with pytest.raises(ValueError, match=r"photon index -?\d out of range"):
             parity_gadget(joint_of(bell_state("phi+", "P")), "alpha1", ref, other, "P")
 
+    @pytest.mark.parametrize("ref, other, bad", [(0, True, True), (True, 0, True),
+                                                 (1.0, 0, 1.0), (0, 1.0, 1.0)])
+    def test_a_bool_or_float_photon_index_rejected(self, ref, other, bad):
+        # True once passed as photon 1, and 1.0 failed on string indexing
+        with pytest.raises(ValueError, match=f"^photon index {bad} out of range "
+                                             f"for 2 photons$"):
+            parity_gadget(joint_of(bell_state("phi+", "P")), "alpha1", ref, other, "P")
+
     def test_unknown_dof_rejected(self):
         with pytest.raises(ValueError, match="degree of freedom"):
             parity_gadget(joint_of(bell_state("phi+", "P")), "alpha1", 0, 1, "X")

@@ -80,6 +80,12 @@ class TestElements:
             with pytest.raises(ValueError, match="out of range"):
                 element(bell_state("phi+", "P"), 5)
 
+    @pytest.mark.parametrize("photon", [True, 1.0])
+    def test_a_bool_or_float_index_rejected(self, photon):
+        for element in (apply_wp, apply_bs):
+            with pytest.raises(ValueError, match=f"photon index {photon} out of range"):
+                element(bell_state("phi+", "P"), photon)
+
 
 def transform_all(state):
     for photon in range(state.n_photons):

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hypersa.kerr import JointState, attach_probes, homodyne_measure, parity_gadget
 from hypersa.protocols import RunConfig, hgsa_n_analyze
-from hypersa.states import (BasisKet, HyperLabel, PhotonState,
+from hypersa.states import (PRUNE_EPS, BasisKet, HyperLabel, PhotonState,
                             all_canonical_labels, apply_gate, bell_state,
                             canonical_bit_strings, complement,
                             equal_up_to_global_phase, ghz_state,
@@ -324,6 +325,18 @@ class TestApplyGate:
         with pytest.raises(ValueError, match="out of range"):
             apply_gate(bell_state("phi+", "P"), 2, "P", PAULI_X)
 
+    @pytest.mark.parametrize("photon", [True, 1.0])
+    def test_a_bool_or_float_photon_index_rejected(self, photon):
+        # True once rotated photon 1, and 1.0 failed on string indexing
+        with pytest.raises(ValueError, match=f"^photon index {photon} out of range "
+                                             f"for 2 photons$"):
+            apply_gate(bell_state("phi+", "P"), photon, "P", PAULI_X)
+
+    def test_a_numpy_photon_index_is_accepted(self):
+        state = bell_state("phi+", "P")
+        assert (apply_gate(state, np.int64(1), "P", PAULI_X).items()
+                == apply_gate(state, 1, "P", PAULI_X).items())
+
     @pytest.mark.parametrize("gate", [
         np.eye(3), [[1, 0, 0], [0, 1, 0], [0, 0, 1]], [1, 0], np.array([1, 0]),
         [[1, 0], [0]], [["a", "b"], ["c", "d"]], [[None, 0], [0, 1]],
@@ -422,8 +435,13 @@ class TestLabels:
         assert canonical_bit_strings(2) == ["00", "01"]
         assert canonical_bit_strings(3) == ["000", "001", "010", "011"]
         assert len(canonical_bit_strings(5)) == 16
-        with pytest.raises(ValueError, match="^n must be >= 1$"):
-            canonical_bit_strings(0)
+        assert canonical_bit_strings(np.int64(2)) == ["00", "01"]
+        # the photon-count rule: no bool, no float, nothing below 1
+        for n in (0, 2.5, float("nan"), True):
+            for build in (canonical_bit_strings, all_canonical_labels):
+                with pytest.raises(ValueError, match=f"^n_photons must be an integer >= 1, "
+                                                     f"got {re.escape(repr(n))}$"):
+                    build(n)
 
     @pytest.mark.parametrize("n", range(1, 11))
     def test_canonical_bit_strings_are_the_first_bit_0_strings(self, n):
@@ -436,7 +454,45 @@ class TestLabels:
         assert complement("0110") == "1001"
 
 
+def container_states():
+    """A PhotonState, a JointState and the output of each operation that
+    derives a state, by name."""
+    state = hyper_product(bell_state("psi-", "P"), bell_state("phi+", "S"))
+    joint = attach_probes(ghz_state("+", "011", "P"), ("alpha1",))
+    gadget = parity_gadget(joint, "alpha1", 0, 1, "P")
+    collapsed, _ = homodyne_measure(gadget, "alpha1", seed=3)
+    return {"PhotonState": state, "JointState": joint,
+            "apply_gate": apply_gate(state, 1, "S", HADAMARD),
+            "split_product": split_product(state)[1],
+            "parity_gadget": gadget, "homodyne_measure": collapsed,
+            "photon_state": collapsed.photon_state()}
+
+
+CONTAINER_STATES = container_states()
+
+
 class TestStateContainer:
+    @pytest.mark.parametrize("name", CONTAINER_STATES)
+    def test_every_state_is_the_one_container(self, name):
+        state = CONTAINER_STATES[name]
+        cls = type(state)
+        for attr in ("n_photons", "_amps"):
+            with pytest.raises(AttributeError, match=f"^{cls.__name__} is immutable$"):
+                setattr(state, attr, getattr(state, attr))
+        assert state.items() and all(abs(amp) >= PRUNE_EPS for _, amp in state.items())
+        # the checked constructor and the unchecked derivation both drop dust
+        (dusted, _), *kept = state.items()
+        amps = {dusted: PRUNE_EPS / 2, **dict(kept)}
+        own = (state.probes,) if cls is JointState else ()
+        for built in (cls(state.n_photons, *own, amps),
+                      cls._derived(state.n_photons, amps, *own)):
+            assert type(built) is cls and built.items() == kept
+
+    def test_a_joint_state_is_no_photon_state(self):
+        # they share the container, but apply_gate must not take a JointState
+        assert set(PhotonState.__mro__) & set(JointState.__mro__) - {object}
+        assert not issubclass(JointState, PhotonState)
+
     def test_pruning_drops_dust(self):
         s = PhotonState(1, {BasisKet("0", "0"): 1.0, BasisKet("1", "0"): 1e-13})
         assert len(s) == 1
