@@ -179,19 +179,43 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_PARSE
 
 
-def entry() -> None:  # console-script hook
+def _watched() -> bool:
+    """Whether a tracer, profiler or debugger watches this process: through
+    ``sys.settrace``/``sys.setprofile``, or (3.12+) a ``sys.monitoring`` tool,
+    as cProfile and coverage's sysmon core are there."""
+    monitoring = getattr(sys, "monitoring", None)
+    return (sys.gettrace() is not None or sys.getprofile() is not None
+            or monitoring is not None
+            and any(monitoring.get_tool(i) is not None for i in range(6)))
+
+
+def entry() -> None:
+    """Console-script hook: run :func:`main`, flush stdout and stderr, and end
+    the process with ``os._exit``.  That skips interpreter teardown (module
+    teardown and the final collections), about 10 ms of a call on a 2-CPU
+    Linux machine with Python 3.11.  What is given up: atexit handlers and
+    finalizers of other code do not run.  The CLI opens no files, starts no
+    threads and registers no atexit handler.  Under a tracer, profiler or
+    debugger (``python -m cProfile -m hypersa.cli``, pdb, coverage) the
+    process exits normally, so their reports are written; so does an
+    exception that escapes :func:`main`."""
     try:
         code = main()
         sys.stdout.flush()  # a closed pipe shows here at the latest
+        sys.stderr.flush()
     except BrokenPipeError:  # the reader left (`| head`): die by SIGPIPE, as filters do
         import signal
         signal.signal(signal.SIGPIPE, signal.SIG_DFL)
         os.kill(os.getpid(), signal.SIGPIPE)
+    if not _watched():
+        os._exit(code)
     sys.exit(code)
 
 
 if __name__ == "__main__":  # pragma: no cover
     # run as -m: the dispatch in main and the handlers' `from .cli import`
-    # then find this module, not a second copy of it
-    sys.modules.setdefault(f"{__package__}.cli", sys.modules[__name__])
+    # then find this module, not a second copy of it.  Under a runner that
+    # keeps its own __main__ (python -m cProfile -m), they import hypersa.cli
+    if vars(sys.modules[__name__]) is globals():
+        sys.modules.setdefault(f"{__package__}.cli", sys.modules[__name__])
     entry()

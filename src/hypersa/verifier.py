@@ -111,7 +111,16 @@ class VerificationReport(NamedTuple):
 
     @property
     def all_correct(self) -> bool:
-        return self.correct == self.total_states
+        """Every input correct, and each DOF's table keyed by exactly the 2^n
+        (sign, bits) its factor runs must cover.  The keys are checked
+        without :func:`canonical_bit_strings`, whose enumeration is under
+        test: 2^n distinct keys, each a sign and n 0/1 characters from 0."""
+        n = self.n_photons
+        return self.correct == self.total_states and all(
+            len(table) == 2 ** n and all(
+                sign in ("+", "-") and len(bits) == n and bits[0] == "0"
+                and set(bits) <= {"0", "1"} for sign, bits in table)
+            for table in self.factors.values())
 
     @property
     def per_state(self) -> Iterator[StateCheck]:

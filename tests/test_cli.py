@@ -119,6 +119,17 @@ class TestVerify:
         assert fails[0] == "FAIL P:+00;S:-00 signature=(0, 0) broken=S signs"
         assert all(";S:-" in line and line.endswith(" broken=S signs") for line in fails)
 
+    def test_a_table_with_the_wrong_keys_fails(self, capsys, monkeypatch):
+        # an enumeration that also yields the complement representatives
+        # leaves each factor run unbroken and the product at 4^n, yet 3 in 4
+        # of the records it yields fail
+        monkeypatch.setattr(verifier, "canonical_bit_strings",
+                            lambda n: [format(i, f"0{n}b") for i in range(2 ** n)])
+        report = verifier.verify_complete(3)
+        assert report.correct == report.total_states == 64
+        assert not report.all_correct
+        assert run(capsys, "verify", "--n", "3")[0] == 1
+
     @pytest.mark.parametrize("fmt", ["json", "text"])
     def test_passing_report_builds_no_per_input_records(self, monkeypatch, fmt):
         def no_records(*args):
@@ -152,6 +163,7 @@ class TestTables:
         code, out, _ = run(capsys, "tables", "--n", "2", "--format", "json")
         assert code == 0
         doc = json.loads(out)
+        jsonschema.validate(doc, schema("tables.schema.json"))
         assert len(doc["signature_table"]) == 4
         assert len(doc["detection_table"]) == 4
 
@@ -193,10 +205,11 @@ class TestMonteCarlo:
         assert "gaussian" in err
 
     def test_text_output_mentions_prediction(self, capsys):
-        code, out, _ = run(capsys, *self.ARGS)
+        code, out, err = run(capsys, *self.ARGS)
         assert code == 0
         assert "aggregate error rate" in out
         assert "predicted" in out
+        assert err.startswith("feasibility alpha*theta^2 = 2.4 (weak-probe ")
 
 
 class TestDeterminism:
@@ -420,13 +433,18 @@ def test_seeded_draws_print_the_pinned_stdout(capsys, argv):
     assert out == PINNED_STDOUT[argv]
 
 
+def child_env(**env):
+    """This process's environment with this hypersa importable and ``env``
+    added."""
+    src = str(Path(hypersa.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return {**os.environ, "PYTHONPATH": path, **env}
+
+
 def run_python(*args, **env):
     """A fresh interpreter, run on ``args`` with this hypersa importable and
     ``env`` added to its environment, which must exit 0."""
-    src = str(Path(hypersa.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    done = subprocess.run([sys.executable, *args],
-                          env={**os.environ, "PYTHONPATH": path, **env},
+    done = subprocess.run([sys.executable, *args], env=child_env(**env),
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     return done
@@ -536,11 +554,9 @@ class TestImportGraph:
 def test_a_closed_pipe_ends_quietly(argv):
     # `hypersa ... | head -n 1`: each output is far larger than the pipe
     # buffer, so the process writes again after the reader has gone
-    src = str(Path(hypersa.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     with subprocess.Popen([sys.executable, "-m", "hypersa.cli", *argv, "--format", "csv"],
-                          env={**os.environ, "PYTHONPATH": path},
-                          stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+                          env=child_env(), stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE) as proc:
         assert proc.stdout.readline().startswith(b"state,")
         proc.stdout.close()
         err = proc.stderr.read().decode()
@@ -548,6 +564,80 @@ def test_a_closed_pipe_ends_quietly(argv):
     assert "Traceback" not in err
     # not 0, and none of the codes that mean a result (1) or a usage error (2, 3)
     assert code not in range(4), (code, err)
+
+
+# entry() as the console script runs it, with canonical_bit_strings mutated
+# to also yield the complement representatives, so verify exits 1
+MUTANT_ENTRY_SCRIPT = """
+import sys
+from hypersa import verifier
+verifier.canonical_bit_strings = lambda n: [format(i, f"0{n}b") for i in range(2 ** n)]
+from hypersa.cli import entry
+entry()
+"""
+
+
+@pytest.mark.parametrize("args, code", [
+    (["-m", "hypersa.cli", "verify", "--n", "2"], 0),
+    (["-c", MUTANT_ENTRY_SCRIPT, "verify", "--n", "3"], 1),
+    (["-m", "hypersa.cli", "analyze", "P:+00;S:+00", "--n", "3"], 2),
+    (["-m", "hypersa.cli", "verify", "--n", "11"], 3)], ids=["0", "1", "2", "3"])
+def test_a_fresh_process_exits_with_the_documented_code(args, code):
+    done = subprocess.run([sys.executable, *args], env=child_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == code, done.stderr
+    assert "Traceback" not in done.stderr
+
+
+def test_buffered_stdout_is_flushed_before_the_process_ends():
+    # entry() ends the process without interpreter teardown, so it must
+    # flush the block-buffered stdout of a pipe itself
+    env = child_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    done = subprocess.run([sys.executable, "-m", "hypersa.cli", "verify", "--n", "6",
+                           "--format", "csv"], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.count("\n") == 4 ** 6 + 1
+    assert done.stdout.endswith("P:-011111;S:-011111,1,1,1,1,1,1,1,1,1,1,1024,1\n")
+
+
+# registers an atexit handler, sets a trace function if asked, then runs
+# entry() as the console script does
+ATEXIT_SCRIPT = """
+import atexit, sys
+atexit.register(print, "atexit ran")
+if sys.argv.pop(1) == "traced":
+    sys.settrace(lambda *args: None)
+from hypersa.cli import entry
+entry()
+"""
+
+
+@pytest.mark.parametrize("hook", ["untraced", "traced"])
+def test_entry_skips_teardown_unless_a_tracer_watches(hook):
+    # untraced, the process ends at os._exit once its output is flushed;
+    # under a tracer it exits normally, so the tracer can write its report
+    done = run_python("-c", ATEXIT_SCRIPT, hook, "verify", "--n", "2")
+    assert done.stdout.startswith("n=2 total=16 correct=16 ")
+    assert done.stdout.endswith("atexit ran\n") == (hook == "traced")
+
+
+@pytest.mark.parametrize("argv, first", [
+    (["analyze", "P:+00;S:-01"], "label: P:+00;S:-01  (phi+_P psi-_S)"),
+    (["verify", "--n", "2"], "n=2 total=16 correct=16 groups=4 model=ideal"),
+    (["tables", "--n", "2"], "probe shift signatures (4 groups):"),
+    (["montecarlo", "--n", "2", "--model", "gaussian", "--trials", "20"], "trials: 20")],
+    ids=["analyze", "verify", "tables", "montecarlo"])
+def test_every_command_runs_under_cprofile(argv, first):
+    # cProfile runs the module with its own __main__ in sys.modules; its
+    # report ("... function calls ...") shows the process exited normally.
+    # cProfile swallows the SystemExit, so its exit code says nothing
+    done = subprocess.run([sys.executable, "-m", "cProfile", "-m", "hypersa.cli", *argv],
+                          env=child_env(), capture_output=True, text=True, timeout=120)
+    assert "Traceback" not in done.stderr, done.stderr
+    assert done.stdout.splitlines()[0] == first
+    assert " function calls " in done.stdout
 
 
 DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))

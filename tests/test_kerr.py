@@ -237,8 +237,9 @@ class TestGaussianModel:
     def test_domain_checks(self):
         with pytest.raises(ValueError, match="alpha"):
             gaussian_error_prob(0.0, 0.1)
-        with pytest.raises(ValueError, match="theta"):
-            gaussian_error_prob(1.0, math.pi)
+        for theta in (math.pi, math.pi / 2, -0.1):
+            with pytest.raises(ValueError, match="theta"):
+                gaussian_error_prob(1.0, theta)
 
     @pytest.mark.parametrize("alpha, theta, field", [
         (math.nan, 0.1, "alpha"),

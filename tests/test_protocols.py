@@ -140,6 +140,7 @@ class TestNPhotonAnalysis:
                     assert hgsa_n_analyze(state_from_label(label), cfg)[0] == label
         with pytest.raises(PhotonCountError, match="2 <= n <= 10, got 1$"):
             check_photon_count(1, "analysis")
+        assert [check_photon_count(n, "analysis") for n in (2, 10)] == [2, 10]
 
 
 class TestSignBasisTransform:
@@ -926,6 +927,7 @@ class TestPlumbing:
 
     def test_runconfig_validation(self):
         for field, value in (("trials", 0), ("theta", 0.0), ("theta", 2.0),
+                             ("theta", math.pi / 2),
                              ("theta", float("nan")), ("alpha", 0.0),
                              ("alpha", float("inf")), ("seed", -1),
                              ("seed", 1.5), ("seed", "7"), ("trials", 2.5),
@@ -934,6 +936,10 @@ class TestPlumbing:
             with pytest.raises(ValueError, match=f"^{field} must be"):
                 RunConfig(**{field: value})
         assert RunConfig(model="gaussian").model is HomodyneModel.GAUSSIAN
+        # the last values inside each open bound, and the least trial count
+        for field, value in (("theta", math.nextafter(math.pi / 2, 0)),
+                             ("alpha", 5e-324), ("trials", 1)):
+            assert getattr(RunConfig(**{field: value}), field) == value
 
     def test_transcript_json_records(self):
         cfg = RunConfig(theta=0.2, alpha=60.0, seed=4)

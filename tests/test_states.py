@@ -170,6 +170,11 @@ class TestSplitProduct:
         for got, want in zip(split_product(scaled), split_product(state)):
             assert got.items() == want.items()
 
+    def test_a_one_ket_product_splits(self):
+        p, s = split_product(PhotonState(3, {BasisKet("011", "101"): -1.0}))
+        assert [(k, abs(a)) for k, a in p.items()] == [(BasisKet("011", "000"), 1.0)]
+        assert [(k, abs(a)) for k, a in s.items()] == [(BasisKet("000", "101"), 1.0)]
+
     def test_an_empty_state_is_rejected(self):
         with pytest.raises(ValueError, match="not a product"):
             split_product(PhotonState(3, {}))
