@@ -14,8 +14,8 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "kerr": "JointState ProbeReadout attach_probes "
             "gaussian_error_prob homodyne_measure magnitude_distribution parity_gadget",
-    "optics": "DetectorOutcome PhotonRecord apply_bs apply_wp detection_distribution "
-              "outcome_json outcome_tokens sample_outcome",
+    "optics": "DetectorOutcome PhotonRecord detection_distribution outcome_json "
+              "outcome_tokens sample_outcome",
     "protocols": "HomodyneModel RunConfig Transcript decode_signs hgsa_n_analyze "
                  "probe_ids sign_basis_transform",
     "rng": "stream",

@@ -1,8 +1,8 @@
-"""Linear-optical elements and the single-photon detection stage.
+"""The product-basis detection stage.
 
-Wave plates and beam splitters apply the Hadamard rotation to polarization
-and spatial mode respectively.  Detection projects onto the per-photon
-{H,V} x {path 1, path 2} product basis.
+Detection projects onto the per-photon {H,V} x {path 1, path 2} product
+basis.  The wave plates and beam splitters before it are
+:func:`hypersa.states.apply_gate`, the Hadamard on polarization or path.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ import functools
 from typing import NamedTuple
 
 from .rng import as_generator, pick
-from .states import HADAMARD, NORM_TOL, PhotonState, apply_gate
+from .states import NORM_TOL, PhotonState
 
 
 class PhotonRecord(NamedTuple):
@@ -29,16 +29,6 @@ class DetectorOutcome(NamedTuple):
 
     records: tuple[PhotonRecord, ...]
     probability: float
-
-
-def apply_wp(state: PhotonState, photon: int) -> PhotonState:
-    """Wave plate: Hadamard on the photon's polarization."""
-    return apply_gate(state, photon, "P", HADAMARD)
-
-
-def apply_bs(state: PhotonState, photon: int) -> PhotonState:
-    """Beam splitter: Hadamard on the photon's spatial mode."""
-    return apply_gate(state, photon, "S", HADAMARD)
 
 
 @functools.cache

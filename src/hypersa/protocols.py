@@ -32,9 +32,9 @@ from typing import NamedTuple, Sequence
 
 from . import _EXPORTS, _lazy_attributes, kerr
 from .kerr import JointState, ProbeReadout, attach_probes, homodyne_measure, parity_gadget
-from .optics import DetectorOutcome, apply_bs, apply_wp, outcome_json, sample_outcome
+from .optics import DetectorOutcome, outcome_json, sample_outcome
 from .rng import stream
-from .states import HyperLabel, PhotonState, _check_dof, split_product
+from .states import HyperLabel, PhotonState, _check_dof, apply_gate, split_product
 
 VERIFY_MAX_PHOTONS = 10  # 4^N enumeration guard
 _PROBES = {"P": "alpha", "S": "beta"}  # each DOF's probe name prefix
@@ -157,11 +157,11 @@ def run_parity_stage(joint: JointState, dof: str,
 
 
 def sign_basis_transform(state: PhotonState, dof: str) -> PhotonState:
-    """A wave plate ("P") or a beam splitter ("S") on every photon: ``dof``
-    rotates into the basis where GHZ-sign information becomes a count parity."""
-    rotate = {"P": apply_wp, "S": apply_bs}[_check_dof(dof)]
+    """The Hadamard (:func:`~hypersa.states.apply_gate`) on every photon's
+    ``dof``, a wave plate ("P") or a beam splitter ("S") each: it rotates into
+    the basis where GHZ-sign information becomes a count parity."""
     for photon in range(state.n_photons):
-        state = rotate(state, photon)
+        state = apply_gate(state, photon, dof)
     return state
 
 

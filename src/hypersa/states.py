@@ -5,19 +5,22 @@ spatial bit (0 = first path, 1 = second path).  An N-photon pure state is a
 sparse map from :class:`BasisKet` to a complex amplitude.  The maximally
 entangled inputs handled here have four nonzero terms; after the sign-basis
 rotation an N-photon state holds 4^(N-1), a quarter of the 4^N entries a
-dense vector would need.
+dense vector would need.  That rotation is the one gate the analyser uses,
+the Hadamard (:func:`apply_gate`): a wave plate on polarization, a beam
+splitter on path.
 
 :class:`PhotonState` and :class:`hypersa.kerr.JointState` share one immutable
 container; every operation returns a new state.  Amplitudes with magnitude
 below :data:`PRUNE_EPS` are dropped whenever a state is built, so float dust
-never accumulates through gate chains.
+never accumulates through chains of rotations.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
-from typing import Literal, Mapping, NamedTuple, Sequence
+from typing import Iterator, Literal, Mapping, NamedTuple
 
 Dof = Literal["P", "S"]
 
@@ -29,9 +32,10 @@ NORM_TOL = 1e-10
 
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
 
-#: Single-qubit Hadamard, used by wave plates (P) and beam splitters (S).
-HADAMARD = ((complex(_SQRT_HALF), complex(_SQRT_HALF)),
-            (complex(_SQRT_HALF), complex(-_SQRT_HALF)))
+#: The Hadamard, the one rotation (wave plates on P, beam splitters on S), by
+#: old bit: (entry keeping it, flipped bit, entry flipping to it).
+_HADAMARD = {"0": (complex(_SQRT_HALF), "1", complex(_SQRT_HALF)),
+             "1": (complex(-_SQRT_HALF), "0", complex(_SQRT_HALF))}
 
 #: Bell kind -> (sign, bits) of the two-photon GHZ label it names.
 _BELL_BITS = {"phi+": ("+", "00"), "phi-": ("-", "00"),
@@ -212,12 +216,14 @@ class HyperLabel(NamedTuple):
         return f"P:{self.p_sign}{self.p_bits};S:{self.s_sign}{self.s_bits}"
 
     def bell_names(self) -> tuple[str, str] | None:
-        """Two-photon alias pair like ``("phi+", "psi-")``, else None."""
+        """Two-photon alias pair like ``("phi+", "psi-")``, else None: phi
+        where a DOF's two bits agree, psi where they differ (a complement
+        representative keeps its sign, so the sign carries over)."""
         if self.n_photons != 2:
             return None
-        p = ("phi" if self.p_bits == "00" else "psi") + self.p_sign
-        s = ("phi" if self.s_bits == "00" else "psi") + self.s_sign
-        return p, s
+        return tuple(("phi" if bits[0] == bits[1] else "psi") + sign
+                     for sign, bits in ((self.p_sign, self.p_bits),
+                                        (self.s_sign, self.s_bits)))
 
 
 def canonical_bit_strings(n: int) -> list[str]:
@@ -229,13 +235,15 @@ def canonical_bit_strings(n: int) -> list[str]:
 def all_canonical_labels(n: int) -> list[HyperLabel]:
     """The 4^n canonical hyperentangled labels, grouped by bit classes and
     ordered (+,+), (+,-), (-,+), (-,-) within each class."""
-    labels = []
-    for p_bits in canonical_bit_strings(n):
-        for s_bits in canonical_bit_strings(n):
-            for p_sign in "+-":
-                for s_sign in "+-":
-                    labels.append(HyperLabel(p_sign, p_bits, s_sign, s_bits))
-    return labels
+    return list(_canonical_labels(n))
+
+
+def _canonical_labels(n: int) -> Iterator[HyperLabel]:
+    """:func:`all_canonical_labels` one label at a time, for walks that keep
+    none (4^10 labels held at once take about 100 MB)."""
+    bits, new_label = canonical_bit_strings(n), tuple.__new__
+    return (new_label(HyperLabel, (p_sign, p_bits, s_sign, s_bits))
+            for p_bits, s_bits, p_sign, s_sign in itertools.product(bits, bits, "+-", "+-"))
 
 
 def ghz_state(sign: str, bits: str, dof: Dof) -> PhotonState:
@@ -317,31 +325,13 @@ def state_from_label(label: HyperLabel) -> PhotonState:
                          ghz_state(label.s_sign, label.s_bits, "S"))
 
 
-def apply_gate(state: PhotonState, photon: int, dof: Dof,
-               gate: Sequence[Sequence[complex]]) -> PhotonState:
-    """Apply a 2x2 unitary to one photon's bit in one DOF.
-
-    The gate is any 2x2 nested sequence of numbers (tuples, lists or an
-    ndarray) and must be unitary within 1e-10; the new amplitude of a ket
-    with bit b' collects ``gate[b', b]`` times every old amplitude with bit b.
-    """
+def apply_gate(state: PhotonState, photon: int, dof: Dof) -> PhotonState:
+    """The Hadamard on one photon's bit in one DOF: a wave plate on ``"P"``, a
+    beam splitter on ``"S"``.  Each old amplitude sends ``1/sqrt(2)`` of itself
+    to the ket with that bit flipped and keeps ``1/sqrt(2)`` of itself, negated
+    where the bit is 1."""
     _check_dof(dof)
     photon = _check_photon_index(photon, state.n_photons)
-    try:
-        (g00, g01), (g10, g11) = gate
-        g00, g01, g10, g11 = complex(g00), complex(g01), complex(g10), complex(g11)
-    except (TypeError, ValueError):
-        raise ValueError(f"gate must be 2x2 numbers, got {gate!r}") from None
-    # the entries of |gate @ gate^dagger - 1| (the lower off-diagonal one is
-    # the conjugate of the upper); a NaN fails every comparison
-    d0, d1, d2 = (abs(g00 * g00.conjugate() + g01 * g01.conjugate() - 1.0),
-                  abs(g00 * g10.conjugate() + g01 * g11.conjugate()),
-                  abs(g10 * g10.conjugate() + g11 * g11.conjugate() - 1.0))
-    if not (d0 <= 1e-10 and d1 <= 1e-10 and d2 <= 1e-10):
-        defect = max((d0, d1, d2), key=lambda d: (math.isnan(d), d))  # NaN ranks highest
-        raise ValueError(f"gate is not unitary (defect {defect:.3g})")
-    # old bit -> (coefficient keeping it, flipped bit, coefficient flipping to it)
-    table = {"0": (g00, "1", g10), "1": (g11, "0", g01)}
     on_pol = dof == "P"
     new_ket = tuple.__new__
     out: dict[BasisKet, complex] = {}
@@ -349,13 +339,11 @@ def apply_gate(state: PhotonState, photon: int, dof: Dof,
     for ket, amp in state._amps.items():
         pol, spa = ket
         bits = pol if on_pol else spa
-        keep, flipped, flip = table[bits[photon]]
-        if keep:
-            out[ket] = get(ket, 0j) + keep * amp
-        if flip:
-            nbits = bits[:photon] + flipped + bits[photon + 1:]
-            nk = new_ket(BasisKet, (nbits, spa) if on_pol else (pol, nbits))
-            out[nk] = get(nk, 0j) + flip * amp
+        keep, flipped, flip = _HADAMARD[bits[photon]]
+        out[ket] = get(ket, 0j) + keep * amp
+        nbits = bits[:photon] + flipped + bits[photon + 1:]
+        nk = new_ket(BasisKet, (nbits, spa) if on_pol else (pol, nbits))
+        out[nk] = get(nk, 0j) + flip * amp
     return PhotonState._derived(state.n_photons, out)
 
 

@@ -130,13 +130,11 @@ class VerificationReport(NamedTuple):
         then the spatial ones, ``branches`` the product of the two supports,
         and a failure names the first broken invariant of either factor."""
         p_checks, s_checks = self.factors["P"], self.factors["S"]
-        bits = canonical_bit_strings(self.n_photons)
-        for p_bits, s_bits, p_sign, s_sign in itertools.product(bits, bits, "+-", "+-"):
-            p, s = p_checks[p_sign, p_bits], s_checks[s_sign, s_bits]
+        for label in states._canonical_labels(self.n_photons):
+            p, s = p_checks[label.p_sign, label.p_bits], s_checks[label.s_sign, label.s_bits]
             broken = (min(p.broken | s.broken, key=_INVARIANTS.index)
                       if p.broken or s.broken else "")
-            yield StateCheck(f"P:{p_sign}{p_bits};S:{s_sign}{s_bits}",
-                             p.magnitudes + s.magnitudes,
+            yield StateCheck(label.literal(), p.magnitudes + s.magnitudes,
                              p.support * s.support, not broken, broken)
 
     def to_json_dict(self) -> dict:

@@ -67,12 +67,6 @@ def random_state(n_photons: int, rng: np.random.Generator) -> PhotonState:
     return state_from_dense(vec, n_photons)
 
 
-def random_unitary(rng: np.random.Generator) -> np.ndarray:
-    m = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    q, r = np.linalg.qr(m)
-    return q * (np.diag(r) / np.abs(np.diag(r)))
-
-
 def assert_matches_dense(state: PhotonState, vec: np.ndarray, tol: float = 1e-10):
     got = dense_vector(state)
     err = np.max(np.abs(got - vec))

@@ -5,10 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats
 
-from hypersa.optics import (DetectorOutcome, PhotonRecord, apply_bs,
-                            apply_wp, detection_distribution, outcome_json,
-                            outcome_tokens, sample_outcome)
-from hypersa.states import (BasisKet, PhotonState, bell_state,
+from hypersa.optics import (DetectorOutcome, PhotonRecord, detection_distribution,
+                            outcome_json, outcome_tokens, sample_outcome)
+from hypersa.states import (BasisKet, PhotonState, apply_gate, bell_state,
                             equal_up_to_global_phase, hyper_product)
 
 from oracle import dense_vector, gate_operator, random_state, assert_matches_dense
@@ -22,74 +21,76 @@ def single(pol, spa):
 
 
 class TestElements:
+    """The wave plate is ``apply_gate`` on "P", the beam splitter on "S"."""
+
     def test_wp_rotates_h_and_v(self):
-        plus = apply_wp(single("0", "0"), 0)
+        plus = apply_gate(single("0", "0"), 0, "P")
         assert plus.amplitude(BasisKet("0", "0")) == pytest.approx(SQ)
         assert plus.amplitude(BasisKet("1", "0")) == pytest.approx(SQ)
-        minus = apply_wp(single("1", "0"), 0)
+        minus = apply_gate(single("1", "0"), 0, "P")
         assert minus.amplitude(BasisKet("0", "0")) == pytest.approx(SQ)
         assert minus.amplitude(BasisKet("1", "0")) == pytest.approx(-SQ)
 
     def test_bs_rotates_path(self):
-        out = apply_bs(single("0", "0"), 0)
+        out = apply_gate(single("0", "0"), 0, "S")
         assert out.amplitude(BasisKet("0", "0")) == pytest.approx(SQ)
         assert out.amplitude(BasisKet("0", "1")) == pytest.approx(SQ)
 
     def test_bs_invariance_of_even_spatial_pair(self):
         # H (x) H fixes the equal-bits "+" pair; checked against the oracle
         s = bell_state("phi+", "S")
-        out = apply_bs(apply_bs(s, 0), 1)
+        out = apply_gate(apply_gate(s, 0, "S"), 1, "S")
         op = gate_operator(2, 1, "S", H2) @ gate_operator(2, 0, "S", H2)
         assert_matches_dense(out, op @ dense_vector(s))
         assert equal_up_to_global_phase(out, s)
 
     def test_bs_on_antisymmetric_spatial_pair(self):
         s = bell_state("psi-", "S")
-        out = apply_bs(apply_bs(s, 0), 1)
+        out = apply_gate(apply_gate(s, 0, "S"), 1, "S")
         op = gate_operator(2, 1, "S", H2) @ gate_operator(2, 0, "S", H2)
         assert_matches_dense(out, op @ dense_vector(s))
         assert equal_up_to_global_phase(out, s)  # antisymmetric up to sign
 
-    @pytest.mark.parametrize("element", [apply_wp, apply_bs])
-    def test_norm_preserving_involutions(self, element):
+    @pytest.mark.parametrize("dof", "PS")
+    def test_norm_preserving_involutions(self, dof):
         rng = np.random.default_rng(29)
         for _ in range(5):
             s = random_state(2, rng)
-            once = element(s, 0)
+            once = apply_gate(s, 0, dof)
             assert abs(once.norm() - 1.0) < 1e-10
-            assert equal_up_to_global_phase(element(once, 0), s, 1e-10)
+            assert equal_up_to_global_phase(apply_gate(once, 0, dof), s, 1e-10)
 
     def test_elements_on_different_photons_commute(self):
         rng = np.random.default_rng(31)
         s = random_state(2, rng)
-        ab = apply_wp(apply_bs(s, 0), 1)
-        ba = apply_bs(apply_wp(s, 1), 0)
+        ab = apply_gate(apply_gate(s, 0, "S"), 1, "P")
+        ba = apply_gate(apply_gate(s, 1, "P"), 0, "S")
         for ket, amp in ab.items():
             assert abs(amp - ba.amplitude(ket)) < 1e-10
 
     def test_wp_and_bs_on_same_photon_commute(self):
         rng = np.random.default_rng(37)
         s = random_state(2, rng)
-        ab = apply_wp(apply_bs(s, 0), 0)
-        ba = apply_bs(apply_wp(s, 0), 0)
+        ab = apply_gate(apply_gate(s, 0, "S"), 0, "P")
+        ba = apply_gate(apply_gate(s, 0, "P"), 0, "S")
         for ket, amp in ab.items():
             assert abs(amp - ba.amplitude(ket)) < 1e-10
 
     def test_index_out_of_range(self):
-        for element in (apply_wp, apply_bs):
+        for dof in "PS":
             with pytest.raises(ValueError, match="out of range"):
-                element(bell_state("phi+", "P"), 5)
+                apply_gate(bell_state("phi+", "P"), 5, dof)
 
     @pytest.mark.parametrize("photon", [True, 1.0])
     def test_a_bool_or_float_index_rejected(self, photon):
-        for element in (apply_wp, apply_bs):
+        for dof in "PS":
             with pytest.raises(ValueError, match=f"photon index {photon} out of range"):
-                element(bell_state("phi+", "P"), photon)
+                apply_gate(bell_state("phi+", "P"), photon, dof)
 
 
 def transform_all(state):
     for photon in range(state.n_photons):
-        state = apply_wp(apply_bs(state, photon), photon)
+        state = apply_gate(apply_gate(state, photon, "S"), photon, "P")
     return state
 
 

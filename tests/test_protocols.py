@@ -369,27 +369,28 @@ class TestPerDofVerifier:
     def test_no_stage_receives_the_other_dof(self, monkeypatch, n):
         # what verify and the analyser hand the gadgets, the rotations and
         # the detectors always holds its other DOF all 0s
-        seen = []
+        seen = set()
 
         def spy(module, name, dofs_of):
             real = getattr(module, name)
 
             def run(state, *args):
-                seen.append(name)
+                seen.add((name, dofs_of(args)))
                 assert any(other_dof_zeros(state, dof) for dof in dofs_of(args)), (name, state)
                 return real(state, *args)
             monkeypatch.setattr(module, name, run)
 
         spy(protocols, "parity_gadget", lambda args: args[3])
-        spy(protocols, "apply_wp", lambda args: "P")
-        spy(protocols, "apply_bs", lambda args: "S")
+        # the wave plates ("P") and the beam splitters ("S")
+        spy(protocols, "apply_gate", lambda args: args[1])
         # a rotated factor of either DOF
         spy(optics, "detection_distribution", lambda args: "PS")
         assert verify_complete(n).all_correct
         for label in random.Random(n).sample(all_canonical_labels(n), 16):
             assert hgsa_n_analyze(state_from_label(label), RunConfig(seed=n))[0] == label
-        assert set(seen) == {"parity_gadget", "apply_wp", "apply_bs",
-                             "detection_distribution"}
+        assert seen == {("parity_gadget", "P"), ("parity_gadget", "S"),
+                        ("apply_gate", "P"), ("apply_gate", "S"),
+                        ("detection_distribution", "PS")}
 
     def test_swapped_factors_fail(self, monkeypatch):
         # verify runs the split itself: factors handed to the wrong DOF fail
@@ -459,6 +460,16 @@ class TestPerDofVerifier:
             assert hgsa_n_analyze(state, RunConfig())[0] == label
 
     @staticmethod
+    def only_on(dof, mutant):
+        """A mutant of one DOF's element (``mutant(real)(state, photon)``) as a
+        mutant of ``apply_gate``; the other DOF's element is the real one."""
+        def patch(real):
+            changed = mutant(lambda state, photon: real(state, photon, dof))
+            return lambda state, photon, d: (changed(state, photon) if d == dof
+                                             else real(state, photon, d))
+        return patch
+
+    @staticmethod
     def path_1_only(real):
         def run(state, photon):
             # a polarization factor is all in path 1
@@ -470,7 +481,8 @@ class TestPerDofVerifier:
         return run
 
     def test_wave_plate_only_in_path_1_reaches_no_factor_run(self, monkeypatch):
-        self.reaches_no_factor_run(monkeypatch, "apply_wp", self.path_1_only)
+        self.reaches_no_factor_run(monkeypatch, "apply_gate",
+                                   self.only_on("P", self.path_1_only))
 
     @pytest.mark.parametrize("n", [3, 6])
     def test_wave_plate_only_in_path_1_fails_separation(self, monkeypatch, n):
@@ -484,7 +496,8 @@ class TestPerDofVerifier:
 
         for state in inputs:
             split_product(rotated(state))
-        monkeypatch.setattr(protocols, "apply_wp", self.path_1_only(protocols.apply_wp))
+        monkeypatch.setattr(protocols, "apply_gate",
+                            self.only_on("P", self.path_1_only)(protocols.apply_gate))
         assert verify_complete(n).all_correct
         for state in inputs:
             with pytest.raises(ValueError, match="not a product"):
@@ -501,7 +514,7 @@ class TestPerDofVerifier:
                     for ket, amp in rotated.items()})
             return run
 
-        self.reaches_no_factor_run(monkeypatch, "apply_bs", with_phase)
+        self.reaches_no_factor_run(monkeypatch, "apply_gate", self.only_on("S", with_phase))
 
     @pytest.mark.parametrize("n", [3, 6])
     def test_inverted_spatial_sign_breaks_s_signs(self, monkeypatch, n):
@@ -551,8 +564,7 @@ def swapped_bits(real):
 def skips_the_last_photon(real):
     def run(state, dof):
         # the last photon's element again undoes its rotation: H H = 1
-        rotate = {"P": protocols.apply_wp, "S": protocols.apply_bs}[dof]
-        return rotate(real(state, dof), state.n_photons - 1)
+        return protocols.apply_gate(real(state, dof), state.n_photons - 1, dof)
     return run
 
 
@@ -968,8 +980,8 @@ class TestPlumbing:
 HYPERSA_EXPORTS = {
     "kerr": "JointState ProbeReadout attach_probes "
             "gaussian_error_prob homodyne_measure magnitude_distribution parity_gadget",
-    "optics": "DetectorOutcome PhotonRecord apply_bs apply_wp detection_distribution "
-              "outcome_json outcome_tokens sample_outcome",
+    "optics": "DetectorOutcome PhotonRecord detection_distribution outcome_json "
+              "outcome_tokens sample_outcome",
     "protocols": "HomodyneModel RunConfig Transcript decode_signs hgsa_n_analyze "
                  "probe_ids sign_basis_transform",
     "rng": "stream",
@@ -994,8 +1006,8 @@ PROTOCOLS_EXPORTS = {
     "tables": "DetectionRow SignatureRow display_bits emit_detection_table "
               "emit_signature_table",
     "kerr": "JointState ProbeReadout attach_probes homodyne_measure parity_gadget",
-    "optics": "DetectorOutcome apply_bs apply_wp outcome_json sample_outcome",
-    "states": "HyperLabel PhotonState _check_dof",
+    "optics": "DetectorOutcome outcome_json sample_outcome",
+    "states": "HyperLabel PhotonState _check_dof apply_gate",
 }
 
 # Names of the modules split out of protocols that only their own module
@@ -1047,6 +1059,16 @@ class TestLazyExports:
                 value = getattr(hypersa, name)
                 if inspect.isclass(value) or inspect.isfunction(value):
                     assert value.__module__ == f"hypersa.{home}", (home, name)
+
+    def test_the_rotation_has_one_name(self):
+        # the wave plate and beam splitter wrappers and the gate constant are gone
+        for module, name in ((hypersa, "apply_wp"), (hypersa, "apply_bs"),
+                             (optics, "apply_wp"), (optics, "apply_bs"),
+                             (protocols, "apply_wp"), (protocols, "apply_bs"),
+                             (states, "HADAMARD")):
+            assert not hasattr(module, name), (module.__name__, name)
+        assert list(inspect.signature(states.apply_gate).parameters) == [
+            "state", "photon", "dof"]
 
     def test_the_readout_model_left_kerr(self):
         assert not hasattr(importlib.import_module("hypersa.kerr"), "HomodyneModel")
