@@ -30,7 +30,7 @@ from typing import Mapping, NamedTuple, Sequence
 
 from .rng import as_generator, pick
 from .states import (Dof, BasisKet, PhotonState, _Amplitudes, _check_dof, _check_ket,
-                     _check_photon_count, _check_photon_index)
+                     _check_photon_count, _check_photon_index, _checked)
 
 JointKey = tuple[BasisKet, tuple[int, ...]]
 
@@ -136,10 +136,8 @@ def gaussian_error_prob(alpha: float, theta: float) -> float:
     Zero separation (theta -> 0) gives the indistinguishable-distribution
     limit of exactly 0.5.
     """
-    if not 0 < alpha < math.inf:
-        raise ValueError(f"alpha must be finite and > 0, got {alpha}")
-    if not 0 <= theta < math.pi / 2:
-        raise ValueError(f"theta must lie in [0, pi/2), got {theta}")
+    _checked("alpha", alpha, "finite and > 0", lambda v: 0 < v < math.inf)
+    _checked("theta", theta, "finite and in [0, pi/2)", lambda v: 0 <= v < math.pi / 2)
     return 0.5 * math.erfc(alpha * (1.0 - math.cos(theta)) / math.sqrt(2.0))
 
 
@@ -166,10 +164,7 @@ def homodyne_measure(joint: JointState, probe: str, misread_prob: float = 0.0,
     so misreads corrupt only the readout record.  Returns the collapsed state
     and the readout; ``p`` is the probability of the (class, report) event.
     """
-    # a bool is no number, a non-number has no __float__, and NaN fails the chain
-    if (isinstance(misread_prob, bool) or not hasattr(misread_prob, "__float__")
-            or not 0 <= misread_prob <= 1):
-        raise ValueError(f"misread_prob must be a real number in [0, 1], got {misread_prob!r}")
+    _checked("misread_prob", misread_prob, "a real number in [0, 1]", lambda v: 0 <= v <= 1)
     idx = joint.probe_index(probe)
     classes = magnitude_distribution(joint, probe)
     rng = as_generator(seed)

@@ -9,15 +9,17 @@ object.
 from __future__ import annotations
 
 import math
+import operator
 from collections import Counter
 from typing import NamedTuple, Sequence
 
 from . import protocols, states
 from .kerr import ProbeReadout, misread
 from .protocols import HomodyneModel, RunConfig, check_photon_count, probe_ids
-from .states import HyperLabel, all_canonical_labels
+from .states import HyperLabel, _checked, all_canonical_labels
 
 MC_CHUNK = 1 << 14  # Monte Carlo trials drawn at once; bounds its draw lists
+_Z95 = 1.96  # the normal quantile of a two-sided 95% interval
 
 
 class NoiseStats(NamedTuple):
@@ -37,15 +39,12 @@ class NoiseStats(NamedTuple):
                                                 for k, (t, e) in self.per_state.items()}}
 
 
-def wilson_interval(errors: int, trials: int, z: float = 1.96) -> tuple[float, float]:
-    """Wilson score interval for a binomial rate (default 95%)."""
-    for name, value, low, high in (("trials", trials, 1, math.inf),
-                                   ("errors", errors, 0, trials)):
-        # a bool is no count; a float, NaN or infinity has no __index__
-        if (isinstance(value, bool) or not hasattr(value, "__index__")
-                or not low <= value <= high):
-            raise ValueError(f"{name} must be an integer in [{low}, {high}], got {value!r}")
-    p = errors / trials
+def wilson_interval(errors: int, trials: int) -> tuple[float, float]:
+    """Wilson score interval (95%) for a binomial rate."""
+    _checked("trials", trials, "an integer in [1, inf]", lambda v: operator.index(v) >= 1)
+    _checked("errors", errors, f"an integer in [0, {trials}]",
+             lambda v: 0 <= operator.index(v) <= trials)
+    z, p = _Z95, errors / trials
     denom = 1.0 + z * z / trials
     center = (p + z * z / (2 * trials)) / denom
     half = z * math.sqrt(p * (1 - p) / trials + z * z / (4 * trials ** 2)) / denom

@@ -34,7 +34,8 @@ from . import _EXPORTS, _lazy_attributes, kerr
 from .kerr import JointState, ProbeReadout, attach_probes, homodyne_measure, parity_gadget
 from .optics import DetectorOutcome, outcome_json, sample_outcome
 from .rng import stream
-from .states import HyperLabel, PhotonState, _check_dof, apply_gate, split_product
+from .states import (HyperLabel, PhotonState, _check_dof, _check_photon_count, _checked,
+                     apply_gate, split_product)
 
 VERIFY_MAX_PHOTONS = 10  # 4^N enumeration guard
 _PROBES = {"P": "alpha", "S": "beta"}  # each DOF's probe name prefix
@@ -48,6 +49,8 @@ def check_photon_count(n: int, what: str) -> int:
     """The enumeration guard for everything that walks all 4^n inputs (and
     for the CLI, which applies it to every subcommand); returns ``n``."""
     try:
+        if isinstance(n, bool):  # operator.index reads a bool as 0 or 1
+            raise TypeError
         n = operator.index(n)
     except TypeError:
         raise PhotonCountError(f"{what} needs an integer photon count, "
@@ -84,25 +87,17 @@ class RunConfig(NamedTuple("RunConfig", [("theta", float), ("alpha", float),
     def __new__(cls, theta: float = 0.01, alpha: float = 5000.0,
                 model: HomodyneModel = HomodyneModel.IDEAL, trials: int = 10000,
                 seed: int = 0):
-        self = super().__new__(cls, theta, alpha, model, trials, seed)
-        # chained comparisons are False for NaN, so these also reject it; a
-        # non-number, a float count, a bool and an unknown model raise
-        for name, rule, check in (
-                ("theta", "finite and in (0, pi/2)", lambda v: 0 < v < math.pi / 2),
-                ("alpha", "finite and > 0", lambda v: 0 < v < math.inf),
-                ("model", f"one of {', '.join(HomodyneModel)}", HomodyneModel),
-                ("trials", "an integer >= 1", lambda v: operator.index(v) >= 1),
-                ("seed", "an integer >= 0", lambda v: operator.index(v) >= 0)):
-            value = getattr(self, name)
-            try:
-                ok = not isinstance(value, bool) and check(value)
-            except (TypeError, ValueError):
-                ok = False
-            if not ok:
-                raise ValueError(f"{name} must be {rule}, got {value!r}")
         # plain ints, so a numpy integer reaches no JSON output
-        return super().__new__(cls, theta, alpha, HomodyneModel(model),
-                               operator.index(trials), operator.index(seed))
+        return super().__new__(
+            cls,
+            _checked("theta", theta, "finite and in (0, pi/2)", lambda v: 0 < v < math.pi / 2),
+            _checked("alpha", alpha, "finite and > 0", lambda v: 0 < v < math.inf),
+            HomodyneModel(_checked("model", model, f"one of {', '.join(HomodyneModel)}",
+                                   HomodyneModel)),
+            operator.index(_checked("trials", trials, "an integer >= 1",
+                                    lambda v: operator.index(v) >= 1)),
+            operator.index(_checked("seed", seed, "an integer >= 0",
+                                    lambda v: operator.index(v) >= 0)))
 
     # _replace builds with _make, so a changed copy is validated again
     _make = classmethod(lambda cls, values: cls(*values))
@@ -138,6 +133,7 @@ class Transcript(NamedTuple):
 
 def probe_ids(n: int, dofs: str = "PS") -> list[str]:
     """Probe names for an n-photon run: alpha1..alpha_{n-1}, beta1..beta_{n-1}."""
+    n = _check_photon_count(n)
     return [f"{_PROBES[_check_dof(dof)]}{k}" for dof in dofs for k in range(1, n)]
 
 

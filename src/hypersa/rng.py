@@ -11,17 +11,15 @@ from __future__ import annotations
 import operator
 import random
 
+from .states import _checked
+
 
 def stream(seed: int, name: str) -> random.Random:
     """Named child stream, ``random.Random(f"{seed}:{name}")``: all
     randomness flows from one seed, split by purpose ("probe:alpha1",
     "detection", ...) so streams never collide."""
-    try:
-        seed = operator.index(seed)
-    except TypeError:
-        raise ValueError(f"expected an integer seed, got {seed!r}") from None
-    if seed < 0:
-        raise ValueError(f"expected a non-negative seed, got {seed}")
+    seed = operator.index(_checked("seed", seed, "an integer >= 0",
+                                   lambda v: operator.index(v) >= 0))
     return random.Random(f"{seed}:{name}")
 
 

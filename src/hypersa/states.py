@@ -77,14 +77,23 @@ class BasisKet(NamedTuple):
     spa_bits: str
 
 
-def _check_photon_count(n) -> int:
-    """``n`` as a plain ``int`` of at least 1, or a ValueError; a bool is no count."""
+def _checked(name: str, value, rule: str, test):
+    """``value`` if ``test(value)`` holds, else ``ValueError: {name} must be
+    {rule}, got {value!r}``: the one rule for a number a caller passes.  A bool
+    is no number, and a test that raises TypeError or ValueError fails, as NaN
+    fails every comparison."""
     try:
-        if not isinstance(n, bool) and operator.index(n) >= 1:
-            return operator.index(n)
-    except TypeError:  # a float has no __index__
+        if not isinstance(value, bool) and test(value):
+            return value
+    except (TypeError, ValueError):
         pass
-    raise ValueError(f"n_photons must be an integer >= 1, got {n!r}")
+    raise ValueError(f"{name} must be {rule}, got {value!r}")
+
+
+def _check_photon_count(n) -> int:
+    """``n`` as a plain ``int`` of at least 1, or a ValueError."""
+    return operator.index(_checked("n_photons", n, "an integer >= 1",
+                                   lambda v: operator.index(v) >= 1))
 
 
 def _check_ket(ket, n_photons: int) -> BasisKet:

@@ -24,7 +24,6 @@ import math
 from typing import TYPE_CHECKING, Iterator, NamedTuple
 
 from . import optics, protocols, states
-from .kerr import ProbeReadout
 from .protocols import HomodyneModel, RunConfig, check_photon_count
 from .states import HyperLabel, PhotonState, canonical_bit_strings
 
@@ -60,24 +59,18 @@ class _DofCheck(NamedTuple):
     broken: frozenset[str]
 
 
-_Run = tuple[PhotonState, list[ProbeReadout], set[str]]
-
-
-def _run_dof(state: PhotonState, dof: str, cfg: RunConfig) -> _Run:
-    """``state`` through only ``dof``'s stages: the rotated state, the
-    readouts and the signs its detector branches decode to in ``dof``."""
-    rotated, readouts = protocols.pre_detection(state, cfg, dof)
-    i = "PS".index(dof)
-    return rotated, readouts, {protocols.decode_signs(o)[i]
-                               for o in optics.detection_distribution(rotated)}
-
-
-def _check_factor(sign: str, bits: str, dof: str, run: _Run) -> _DofCheck:
-    rotated, readouts, signs = run
-    zeros, other = "0" * len(bits), "SP".index(dof)  # the other DOF's ket field
+def _factor_run(sign: str, bits: str, dof: str, factor: PhotonState,
+                cfg: RunConfig) -> _DofCheck:
+    """The (sign, bits) factor of ``dof`` through only ``dof``'s stages
+    (:func:`~hypersa.protocols.pre_detection`), every detector branch
+    decoded, and the invariants it broke."""
+    rotated, readouts = protocols.pre_detection(factor, cfg, dof)
+    own, other = "PS".index(dof), "SP".index(dof)  # (P, S) positions of each DOF
+    signs = {protocols.decode_signs(o)[own] for o in optics.detection_distribution(rotated)}
+    zeros = "0" * len(bits)
     broken = {"separation": any(ket[other] != zeros for ket, _ in rotated.items()),
               f"{dof} readout": any(r.classes != 1 for r in readouts),
-              f"{dof} bits": protocols._decode_bits(readouts)["PS".index(dof)] != bits,
+              f"{dof} bits": protocols._decode_bits(readouts)[own] != bits,
               f"{dof} signs": signs != {sign}}
     # with the other DOF all 0s, each branch is one string of this DOF
     return _DofCheck(tuple(r.magnitude for r in readouts), len(rotated),
@@ -172,8 +165,7 @@ def verify_complete(n: int, cfg: RunConfig | None = None) -> VerificationReport:
     for bits, sign in itertools.product(canonical_bit_strings(n), "+-"):
         state = states.state_from_label(HyperLabel(sign, bits, sign, bits))
         for dof, factor in zip("PS", states.split_product(state)):
-            factors[dof][sign, bits] = _check_factor(sign, bits, dof,
-                                                     _run_dof(factor, dof, ideal))
+            factors[dof][sign, bits] = _factor_run(sign, bits, dof, factor, ideal)
     noise = (protocols.monte_carlo_misclassification(n, cfg)
              if cfg.model is HomodyneModel.GAUSSIAN else None)
     return VerificationReport(n, cfg.model, factors, noise)

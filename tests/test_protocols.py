@@ -142,6 +142,13 @@ class TestNPhotonAnalysis:
             check_photon_count(1, "analysis")
         assert [check_photon_count(n, "analysis") for n in (2, 10)] == [2, 10]
 
+    @pytest.mark.parametrize("n", [True, False, 2.5, "3", None])
+    def test_guard_refuses_what_is_no_count(self, n):
+        # operator.index reads True as 1, so the guard refuses a bool itself
+        with pytest.raises(PhotonCountError, match=f"^analyze needs an integer photon "
+                                                   f"count, got {re.escape(repr(n))}$"):
+            check_photon_count(n, "analyze")
+
 
 class TestSignBasisTransform:
     @settings(max_examples=30, deadline=None)
@@ -879,16 +886,18 @@ class TestPlumbing:
     def test_non_integer_seed_raises_naming_it(self, seed):
         for draw in (lambda: stream(seed, "detection"), lambda: as_generator(seed),
                      lambda: sample_outcome(bell_state("phi+", "P"), seed)):
-            with pytest.raises(ValueError, match=f"integer seed, got {re.escape(repr(seed))}$"):
+            with pytest.raises(ValueError, match=f"^seed must be an integer >= 0, "
+                                                 f"got {re.escape(repr(seed))}$"):
                 draw()
 
     def test_negative_seed_raises_and_a_generator_passes_through(self):
         with pytest.raises(ValueError):
             np.random.default_rng(-1)
         for seed in (-1, np.int64(-5), -2 ** 70):
-            with pytest.raises(ValueError, match="non-negative"):
+            with pytest.raises(ValueError, match=f"^seed must be an integer >= 0, "
+                                                 f"got {re.escape(repr(seed))}$"):
                 as_generator(seed)
-        with pytest.raises(ValueError, match="non-negative"):
+        with pytest.raises(ValueError, match=r"^seed must be an integer >= 0, got -1$"):
             sample_outcome(bell_state("phi+", "P"), -1)
         generator = np.random.default_rng(3)
         assert as_generator(generator) is generator
@@ -1013,7 +1022,7 @@ PROTOCOLS_EXPORTS = {
 # Names of the modules split out of protocols that only their own module
 # reads, which protocols no longer exposes.
 MOVED_PRIVATE_NAMES = {
-    "verifier": "_DofCheck _INVARIANTS _check_factor _run_dof",
+    "verifier": "_DofCheck _INVARIANTS _factor_run",
     "noise": "MC_CHUNK _misread_label",
     "tables": "_SIGN_ORDER _member_literal",
 }
