@@ -88,14 +88,15 @@ def _photon_count(command: str, n: int | None) -> int:
 
 
 def _config(args) -> RunConfig:
-    """The flags' config; its feasibility figure goes to stderr."""
+    """The flags' config; its weak-probe feasibility figure ``alpha * theta**2``
+    goes to stderr (magnitude discrimination is reliable when it is large)."""
     try:
         cfg = RunConfig(theta=args.theta, alpha=args.alpha, model=args.model,
                         trials=args.trials, seed=args.seed)
     except ValueError as exc:
         # RunConfig names the field first, and each field has a flag of that name
         raise ValueError(f"--{exc}") from None
-    print(f"feasibility alpha*theta^2 = {cfg.feasibility():g} "
+    print(f"feasibility alpha*theta^2 = {cfg.alpha * cfg.theta ** 2:g} "
           "(weak-probe discrimination wants this large)", file=sys.stderr)
     return cfg
 

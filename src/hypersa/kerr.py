@@ -128,6 +128,11 @@ def magnitude_distribution(joint: JointState, probe: str) -> dict[int, float]:
     return dict(sorted(classes.items()))
 
 
+def _check_alpha(alpha: float) -> float:
+    """The probe amplitude, finite and > 0, or a ValueError."""
+    return _checked("alpha", alpha, "finite and > 0", lambda v: 0 < v < math.inf)
+
+
 def gaussian_error_prob(alpha: float, theta: float) -> float:
     """Misclassification probability of X-quadrature homodyne telling shift
     0 from shift +-theta: the overlap of two unit-variance Gaussians whose
@@ -136,7 +141,7 @@ def gaussian_error_prob(alpha: float, theta: float) -> float:
     Zero separation (theta -> 0) gives the indistinguishable-distribution
     limit of exactly 0.5.
     """
-    _checked("alpha", alpha, "finite and > 0", lambda v: 0 < v < math.inf)
+    _check_alpha(alpha)
     _checked("theta", theta, "finite and in [0, pi/2)", lambda v: 0 <= v < math.pi / 2)
     return 0.5 * math.erfc(alpha * (1.0 - math.cos(theta)) / math.sqrt(2.0))
 

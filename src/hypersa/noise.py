@@ -9,14 +9,13 @@ object.
 from __future__ import annotations
 
 import math
-import operator
 from collections import Counter
 from typing import NamedTuple, Sequence
 
 from . import protocols, states
 from .kerr import ProbeReadout, misread
 from .protocols import HomodyneModel, RunConfig, check_photon_count, probe_ids
-from .states import HyperLabel, _checked, all_canonical_labels
+from .states import HyperLabel, _check_photon_count, _checked_int, all_canonical_labels
 
 MC_CHUNK = 1 << 14  # Monte Carlo trials drawn at once; bounds its draw lists
 _Z95 = 1.96  # the normal quantile of a two-sided 95% interval
@@ -41,9 +40,8 @@ class NoiseStats(NamedTuple):
 
 def wilson_interval(errors: int, trials: int) -> tuple[float, float]:
     """Wilson score interval (95%) for a binomial rate."""
-    _checked("trials", trials, "an integer in [1, inf]", lambda v: operator.index(v) >= 1)
-    _checked("errors", errors, f"an integer in [0, {trials}]",
-             lambda v: 0 <= operator.index(v) <= trials)
+    trials = _checked_int("trials", trials, "an integer in [1, inf]", 1)
+    errors = _checked_int("errors", errors, f"an integer in [0, {trials}]", 0, trials)
     z, p = _Z95, errors / trials
     denom = 1.0 + z * z / trials
     center = (p + z * z / (2 * trials)) / denom
@@ -54,6 +52,7 @@ def wilson_interval(errors: int, trials: int) -> tuple[float, float]:
 def predicted_error_rate(n: int, cfg: RunConfig) -> float:
     """Chance that at least one of the 2(n-1) probes misreads: the binomial
     composition of :meth:`RunConfig.misread_prob` (0.0 under ideal)."""
+    n = _check_photon_count(n)
     return 1.0 - (1.0 - cfg.misread_prob()) ** (2 * (n - 1))
 
 

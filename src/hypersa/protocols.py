@@ -26,16 +26,16 @@ there.  Patch a moved name on its home module: setting
 from __future__ import annotations
 
 import math
-import operator
 from enum import Enum
 from typing import NamedTuple, Sequence
 
 from . import _EXPORTS, _lazy_attributes, kerr
-from .kerr import JointState, ProbeReadout, attach_probes, homodyne_measure, parity_gadget
+from .kerr import (JointState, ProbeReadout, _check_alpha, attach_probes, homodyne_measure,
+                   parity_gadget)
 from .optics import DetectorOutcome, outcome_json, sample_outcome
 from .rng import stream
 from .states import (HyperLabel, PhotonState, _check_dof, _check_photon_count, _checked,
-                     apply_gate, split_product)
+                     _checked_int, apply_gate, split_product)
 
 VERIFY_MAX_PHOTONS = 10  # 4^N enumeration guard
 _PROBES = {"P": "alpha", "S": "beta"}  # each DOF's probe name prefix
@@ -49,10 +49,8 @@ def check_photon_count(n: int, what: str) -> int:
     """The enumeration guard for everything that walks all 4^n inputs (and
     for the CLI, which applies it to every subcommand); returns ``n``."""
     try:
-        if isinstance(n, bool):  # operator.index reads a bool as 0 or 1
-            raise TypeError
-        n = operator.index(n)
-    except TypeError:
+        n = _checked_int("n", n, "an integer", -math.inf)
+    except ValueError:
         raise PhotonCountError(f"{what} needs an integer photon count, "
                                f"got {n!r}") from None
     if not 2 <= n <= VERIFY_MAX_PHOTONS:
@@ -74,12 +72,11 @@ class RunConfig(NamedTuple("RunConfig", [("theta", float), ("alpha", float),
                                           ("seed", int)])):
     """Knobs for a pipeline run.
 
-    ``alpha * theta**2`` is the weak-probe feasibility figure: magnitude
-    discrimination is reliable when it is large.  Defaults are illustrative.
-    ``trials`` sizes the Monte Carlo study, and the noise study that
-    ``verify_complete`` attaches under the gaussian model.  A config is an
-    immutable tuple: it iterates and equals a plain tuple of the same values;
-    ``cfg._replace(seed=1)`` returns a changed copy, validated again.
+    Defaults are illustrative.  ``trials`` sizes the Monte Carlo study, and
+    the noise study that ``verify_complete`` attaches under the gaussian
+    model.  A config is an immutable tuple: it iterates and equals a plain
+    tuple of the same values; ``cfg._replace(seed=1)`` returns a changed
+    copy, validated again.
     """
 
     __slots__ = ()
@@ -91,19 +88,14 @@ class RunConfig(NamedTuple("RunConfig", [("theta", float), ("alpha", float),
         return super().__new__(
             cls,
             _checked("theta", theta, "finite and in (0, pi/2)", lambda v: 0 < v < math.pi / 2),
-            _checked("alpha", alpha, "finite and > 0", lambda v: 0 < v < math.inf),
+            _check_alpha(alpha),
             HomodyneModel(_checked("model", model, f"one of {', '.join(HomodyneModel)}",
                                    HomodyneModel)),
-            operator.index(_checked("trials", trials, "an integer >= 1",
-                                    lambda v: operator.index(v) >= 1)),
-            operator.index(_checked("seed", seed, "an integer >= 0",
-                                    lambda v: operator.index(v) >= 0)))
+            _checked_int("trials", trials, "an integer >= 1", 1),
+            _checked_int("seed", seed, "an integer >= 0", 0))
 
     # _replace builds with _make, so a changed copy is validated again
     _make = classmethod(lambda cls, values: cls(*values))
-
-    def feasibility(self) -> float:
-        return self.alpha * self.theta ** 2
 
     def misread_prob(self) -> float:
         """Each probe's chance to report magnitude 0 as 1 or 1 as 0: 0.0 under

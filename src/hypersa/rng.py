@@ -8,18 +8,16 @@ so a stream draws the same numbers on every Python version and under any
 
 from __future__ import annotations
 
-import operator
 import random
 
-from .states import _checked
+from .states import _checked_int
 
 
 def stream(seed: int, name: str) -> random.Random:
     """Named child stream, ``random.Random(f"{seed}:{name}")``: all
     randomness flows from one seed, split by purpose ("probe:alpha1",
     "detection", ...) so streams never collide."""
-    seed = operator.index(_checked("seed", seed, "an integer >= 0",
-                                   lambda v: operator.index(v) >= 0))
+    seed = _checked_int("seed", seed, "an integer >= 0", 0)
     return random.Random(f"{seed}:{name}")
 
 

@@ -17,6 +17,7 @@ never accumulates through chains of rotations.
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
 import operator
@@ -79,21 +80,27 @@ class BasisKet(NamedTuple):
 
 def _checked(name: str, value, rule: str, test):
     """``value`` if ``test(value)`` holds, else ``ValueError: {name} must be
-    {rule}, got {value!r}``: the one rule for a number a caller passes.  A bool
-    is no number, and a test that raises TypeError or ValueError fails, as NaN
-    fails every comparison."""
+    {rule}, got {value!r}``: the one rule for a number a caller passes.  A bool,
+    Python's or numpy's, is no number, and a test that raises TypeError or
+    ValueError fails, as NaN fails every comparison."""
     try:
-        if not isinstance(value, bool) and test(value):
+        if type(value).__name__ not in ("bool", "bool_") and test(value):
             return value
     except (TypeError, ValueError):
         pass
     raise ValueError(f"{name} must be {rule}, got {value!r}")
 
 
+def _checked_int(name: str, value, rule: str, low: float, high: float = math.inf) -> int:
+    """``value`` as a plain ``int`` in ``low..high`` (a float is none, even
+    ``2.0``), else :func:`_checked`'s ValueError: the one integer rule."""
+    return operator.index(_checked(name, value, rule,
+                                   lambda v: low <= operator.index(v) <= high))
+
+
 def _check_photon_count(n) -> int:
     """``n`` as a plain ``int`` of at least 1, or a ValueError."""
-    return operator.index(_checked("n_photons", n, "an integer >= 1",
-                                   lambda v: operator.index(v) >= 1))
+    return _checked_int("n_photons", n, "an integer >= 1", 1)
 
 
 def _check_ket(ket, n_photons: int) -> BasisKet:
@@ -111,20 +118,18 @@ def _check_ket(ket, n_photons: int) -> BasisKet:
 
 
 def _check_photon_index(photon, n_photons: int) -> int:
-    """``photon`` as a plain ``int`` below ``n_photons``, or a ValueError (a bool too)."""
+    """``photon`` as a plain ``int`` below ``n_photons``, or a ValueError."""
     try:
-        if not isinstance(photon, bool) and 0 <= (index := operator.index(photon)) < n_photons:
-            return index
-    except TypeError:  # a float has no __index__
-        pass
-    raise ValueError(f"photon index {photon} out of range for {n_photons} photons")
+        return _checked_int("photon", photon, "a photon index", 0, n_photons - 1)
+    except ValueError:
+        raise ValueError(f"photon index {photon} out of range for {n_photons} photons") from None
 
 
 class _Amplitudes:
     """The container both state types are: a photon count and a sparse map from
     keys to complex amplitudes, immutable, with ``items`` in sorted key order.
-    Construction checks the count and each key (the subclass's ``_check_key``),
-    coerces amplitudes to ``complex`` and prunes those below :data:`PRUNE_EPS`."""
+    Construction checks the count, each key (the subclass's ``_check_key``) and
+    each amplitude, and prunes amplitudes below :data:`PRUNE_EPS`."""
 
     __slots__ = ("n_photons", "_amps")
 
@@ -133,7 +138,7 @@ class _Amplitudes:
         amps = {}
         for key, amp in amplitudes.items():
             key = self._check_key(key, self.n_photons)
-            a = complex(amp)
+            a = complex(_checked("amplitude", amp, "a finite complex number", cmath.isfinite))
             if abs(a) >= PRUNE_EPS:
                 amps[key] = a
         object.__setattr__(self, "_amps", amps)
@@ -356,13 +361,12 @@ def apply_gate(state: PhotonState, photon: int, dof: Dof) -> PhotonState:
     return PhotonState._derived(state.n_photons, out)
 
 
-def equal_up_to_global_phase(a: PhotonState, b: PhotonState,
-                             tol: float = NORM_TOL) -> bool:
+def equal_up_to_global_phase(a: PhotonState, b: PhotonState) -> bool:
     """True iff two normalized states differ only by a global phase,
-    i.e. ``|<a|b>| >= 1 - tol``."""
+    i.e. ``|<a|b>| >= 1 - NORM_TOL``."""
     if a.n_photons != b.n_photons:
         raise ValueError("photon counts differ")
-    return abs(a.inner(b)) >= 1.0 - tol
+    return abs(a.inner(b)) >= 1.0 - NORM_TOL
 
 
 def parse_state_literal(text: str, n: int | None = None) -> HyperLabel:
@@ -370,8 +374,8 @@ def parse_state_literal(text: str, n: int | None = None) -> HyperLabel:
 
     Two-photon Bell aliases are accepted per DOF (``P:phi+;S:psi-``).
     Raises ValueError naming the offending token on malformed input; if
-    ``n`` is given the parsed photon count must match it.  Only the syntax
-    is checked here: the range of the count is the guard's
+    ``n`` is given it must be a photon count (an integer >= 1) and the
+    parsed count must match it.  The guard's range is not checked here
     (:func:`hypersa.protocols.check_photon_count`).
     """
     parts = text.strip().split(";")
@@ -395,6 +399,6 @@ def parse_state_literal(text: str, n: int | None = None) -> HyperLabel:
     (p_sign, p_bits), (s_sign, s_bits) = parsed["P"], parsed["S"]
     if len(p_bits) != len(s_bits):
         raise ValueError(f"P and S bit-strings differ in length in {text!r}")
-    if n is not None and len(p_bits) != n:
+    if n is not None and len(p_bits) != _check_photon_count(n):
         raise ValueError(f"state literal {text!r} has {len(p_bits)} photons, expected {n}")
     return HyperLabel.canonical(p_sign, p_bits, s_sign, s_bits)

@@ -51,9 +51,9 @@ def emit_signature_table(n: int) -> list[SignatureRow]:
     """The probe-shift signature of every QND group, 4^(n-1) rows, ordered by
     (polarization, spatial) bit class."""
     check_photon_count(n, "signature table")
-    rows = []
-    for p_bits in canonical_bit_strings(n):
-        for s_bits in canonical_bit_strings(n):
+    rows, bits = [], canonical_bit_strings(n)
+    for p_bits in bits:
+        for s_bits in bits:
             members = tuple(_member_literal(ps, p_bits, ss, s_bits)
                             for ps, ss in _SIGN_ORDER)
             shifts = tuple(int(c) for c in p_bits[1:] + s_bits[1:])
@@ -70,11 +70,10 @@ def emit_detection_table(n: int) -> list[DetectionRow]:
     so the member's rotated state is the product of its two rotated factors.
     """
     check_photon_count(n, "detection table")
-    rows = []
+    rows, bits = [], canonical_bit_strings(n)
     for gi, (p_sign, s_sign) in enumerate(_SIGN_ORDER, start=1):
         members = tuple(_member_literal(p_sign, pb, s_sign, sb)
-                        for pb in canonical_bit_strings(n)
-                        for sb in canonical_bit_strings(n))
+                        for pb in bits for sb in bits)
         factors = (protocols.sign_basis_transform(ghz_state(sign, "0" * n, dof), dof)
                    for sign, dof in ((p_sign, "P"), (s_sign, "S")))
         support = optics.detection_distribution(hyper_product(*factors))

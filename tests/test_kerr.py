@@ -144,7 +144,7 @@ class TestHomodyne:
         collapsed, readout = homodyne_measure(j, "alpha1")
         assert readout.magnitude == 1
         assert (readout.p, readout.classes) == (1.0, 1)  # exact, no float dust
-        assert equal_up_to_global_phase(collapsed.photon_state(), s, 1e-10)
+        assert equal_up_to_global_phase(collapsed.photon_state(), s)
 
     def test_even_parity_point_mass(self):
         s = hyper_product(bell_state("phi-", "P"), bell_state("phi+", "S"))
@@ -152,7 +152,7 @@ class TestHomodyne:
         collapsed, readout = homodyne_measure(j, "alpha1")
         assert readout.magnitude == 0
         assert (readout.p, readout.classes) == (1.0, 1)
-        assert equal_up_to_global_phase(collapsed.photon_state(), s, 1e-10)
+        assert equal_up_to_global_phase(collapsed.photon_state(), s)
 
     def test_mixed_parity_collapses_each_way(self):
         sq = 1 / math.sqrt(2)
@@ -200,7 +200,7 @@ class TestHomodyne:
                 state = hyper_product(bell_state(p, "P"), bell_state(s, "S"))
                 j = parity_gadget(joint_of(state), "alpha1", 0, 1, "P")
                 collapsed, _ = homodyne_measure(j, "alpha1")
-                assert equal_up_to_global_phase(collapsed.photon_state(), state, 1e-10)
+                assert equal_up_to_global_phase(collapsed.photon_state(), state)
 
     @pytest.mark.parametrize("residue", [0.0, 1e-15])
     def test_cancelling_branches_are_pruned(self, residue):

@@ -5,20 +5,24 @@ number, and a non-number, NaN or a value out of range raises
 import math
 import re
 
+import numpy as np
 import pytest
 
 from hypersa.kerr import JointState, attach_probes, gaussian_error_prob, homodyne_measure
-from hypersa.noise import wilson_interval
+from hypersa.noise import predicted_error_rate, wilson_interval
 from hypersa.optics import sample_outcome
 from hypersa.protocols import RunConfig, probe_ids
 from hypersa.rng import as_generator, stream
-from hypersa.states import PhotonState, bell_state, canonical_bit_strings
+from hypersa.states import (BasisKet, PhotonState, bell_state, canonical_bit_strings,
+                            parse_state_literal)
 
-REFUSED = (True, "1", None, math.nan, math.inf)
-SEEDS_REFUSED = (True, "1", math.nan, math.inf)  # None means "no generator"
+REFUSED = (True, np.True_, "1", None, math.nan, math.inf)
+SEEDS_REFUSED = (True, np.True_, "1", math.nan, math.inf)  # None means "no generator"
 
 COUNT = ("n_photons", "an integer >= 1")
 SEED = ("seed", "an integer >= 0")
+AMPLITUDE = ("amplitude", "a finite complex number")
+KET = BasisKet("0", "0")
 
 #: entry point -> (argument, rule, call with that argument set[, values refused])
 GUARDED = {
@@ -47,6 +51,12 @@ GUARDED = {
     "JointState-n_photons": (*COUNT, lambda v: JointState(v, (), {})),
     "canonical_bit_strings-n": (*COUNT, canonical_bit_strings),
     "probe_ids-n": (*COUNT, probe_ids),
+    "predicted_error_rate-n": (*COUNT, lambda v: predicted_error_rate(v, RunConfig())),
+    # None means "no count given"
+    "parse_state_literal-n": (*COUNT, lambda v: parse_state_literal("P:+0;S:+0", v),
+                              SEEDS_REFUSED),
+    "PhotonState-amplitude": (*AMPLITUDE, lambda v: PhotonState(1, {KET: v})),
+    "JointState-amplitude": (*AMPLITUDE, lambda v: JointState(1, (), {(KET, ()): v})),
 }
 
 

@@ -246,7 +246,7 @@ class TestApplyGate:
         for _ in range(10):
             state = random_state(2, rng)
             out = apply_gate(apply_gate(state, 0, "S"), 0, "S")
-            assert equal_up_to_global_phase(out, state, 1e-10)
+            assert equal_up_to_global_phase(out, state)
 
     @settings(max_examples=80, deadline=None)
     @given(n=st.integers(1, 4), data=st.data(), seed=st.integers(0, 2 ** 32 - 1))
