@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 from typing import Mapping, NamedTuple, Sequence
 
-from .rng import as_generator, pick
+from .rng import pick
 from .states import (Dof, BasisKet, PhotonState, _Amplitudes, _check_dof, _check_ket,
                      _check_photon_count, _check_photon_index, _checked)
 
@@ -154,38 +154,35 @@ def misread(magnitude: int) -> int | None:
 
 
 def homodyne_measure(joint: JointState, probe: str, misread_prob: float = 0.0,
-                     seed=None) -> tuple[JointState, ProbeReadout]:
+                     rng=None) -> tuple[JointState, ProbeReadout]:
     """Measure one probe's X quadrature and detach it.
 
-    Branches are grouped by the magnitude of the probe's phase multiple; one
-    class is selected by exact branch weight (a point-mass class needs no
-    randomness and has probability exactly 1; otherwise a seed is
-    required).  The collapsed state is the renormalized projection onto the
-    selected class with the probe removed and branch amplitudes preserved.
-
-    A selected magnitude of 0 or 1 is *reported* as the other with
-    probability ``misread_prob`` (the run's is :meth:`RunConfig.misread_prob`;
-    above 0 it takes a seed); the collapse still follows the selected class,
-    so misreads corrupt only the readout record.  Returns the collapsed state
-    and the readout; ``p`` is the probability of the (class, report) event.
+    Branches are grouped by the magnitude of the probe's phase multiple, and
+    one class is selected by exact branch weight: a point mass, with
+    probability exactly 1, or a draw from ``rng`` (anything with a
+    ``random()`` method, such as ``stream(seed, name)``).  The collapsed
+    state is the renormalized projection onto that class, with the probe
+    removed and branch amplitudes preserved.  A selected magnitude of 0 or 1
+    is *reported* as the other with probability ``misread_prob`` (the run's
+    is :meth:`RunConfig.misread_prob`; above 0 it draws from ``rng``); the
+    collapse still follows the selected class, so misreads corrupt only the
+    readout.  Returns the collapsed state and the readout; ``p`` is the
+    probability of the (class, report) event.
     """
     _checked("misread_prob", misread_prob, "a real number in [0, 1]", lambda v: 0 <= v <= 1)
     idx = joint.probe_index(probe)
     classes = magnitude_distribution(joint, probe)
-    rng = as_generator(seed)
+    sampled = len(classes) != 1
+    if sampled and not hasattr(rng, "random"):
+        raise ValueError("magnitude distribution is not deterministic; sampling it requires "
+                         f"a generator, such as stream(seed, name), got {rng!r}")
+    magnitude, weight = pick(classes.items(), rng) if sampled else next(iter(classes.items()))
 
-    if len(classes) == 1:
-        magnitude, weight = next(iter(classes.items()))
-    else:
-        if rng is None:
-            raise ValueError("magnitude distribution is not deterministic; "
-                             "a seed is required to sample it")
-        magnitude, weight = pick(classes.items(), rng)
-
-    reported, p = magnitude, weight if len(classes) > 1 else 1.0
+    reported, p = magnitude, weight if sampled else 1.0
     if misread_prob > 0 and misread(magnitude) is not None:
-        if rng is None:
-            raise ValueError("a readout with misread_prob > 0 requires a seed")
+        if not hasattr(rng, "random"):
+            raise ValueError("a readout with misread_prob > 0 requires a generator, "
+                             f"such as stream(seed, name), got {rng!r}")
         if rng.random() < misread_prob:
             reported, p = misread(magnitude), p * misread_prob
         else:

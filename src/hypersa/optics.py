@@ -10,7 +10,7 @@ from __future__ import annotations
 import functools
 from typing import NamedTuple
 
-from .rng import as_generator, pick
+from .rng import pick
 from .states import NORM_TOL, PhotonState
 
 
@@ -60,15 +60,12 @@ def detection_distribution(state: PhotonState) -> list[DetectorOutcome]:
     return outcomes
 
 
-def sample_outcome(state: PhotonState, seed) -> DetectorOutcome:
-    """Draw one detection event; reproducible for a given seed.
-
-    Accepts an integer seed or an existing generator or stream (so callers
-    can thread one stream through many draws).
-    """
-    rng = as_generator(seed)
-    if rng is None:
-        raise ValueError("a seed is required to sample a detection event")
+def sample_outcome(state: PhotonState, rng) -> DetectorOutcome:
+    """Draw one detection event from ``rng``, anything with a ``random()``
+    method, such as ``stream(seed, name)``."""
+    if not hasattr(rng, "random"):
+        raise ValueError("sampling a detection event requires a generator, "
+                         f"such as stream(seed, name), got {rng!r}")
     return pick(((o, o.probability) for o in detection_distribution(state)), rng)[0]
 
 

@@ -21,15 +21,6 @@ def stream(seed: int, name: str) -> random.Random:
     return random.Random(f"{seed}:{name}")
 
 
-def as_generator(seed):
-    """The one seed-to-generator rule: ``None`` and a generator (anything
-    with a ``random()`` method: a ``random.Random``, a numpy ``Generator``)
-    pass through, and an int becomes the stream with the empty name."""
-    if seed is None or hasattr(seed, "random"):
-        return seed
-    return stream(seed, "")
-
-
 def pick(weighted, rng):
     """Inverse-CDF draw from ``(item, weight)`` pairs: the first pair whose
     running weight sum exceeds one ``rng.random()``, or the last pair when

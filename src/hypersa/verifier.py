@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING, Iterator, NamedTuple
 
 from . import optics, protocols, states
 from .protocols import HomodyneModel, RunConfig, check_photon_count
-from .states import HyperLabel, PhotonState, canonical_bit_strings
+from .states import NORM_TOL, HyperLabel, PhotonState, canonical_bit_strings
 
 if TYPE_CHECKING:
     from .noise import NoiseStats
@@ -45,9 +45,10 @@ class StateCheck(NamedTuple):
 
 #: What a verified input must satisfy, in the order a failure is named: each
 #: factor run left its other DOF all 0s, then each DOF's point-mass readouts,
-#: bits and signs.
+#: bits, detector branch probabilities (each a float in (0, 1], summing to 1)
+#: and signs.
 _INVARIANTS = ("separation", "P readout", "S readout", "P bits", "S bits",
-               "P signs", "S signs")
+               "P probabilities", "S probabilities", "P signs", "S signs")
 
 
 class _DofCheck(NamedTuple):
@@ -66,12 +67,15 @@ def _factor_run(sign: str, bits: str, dof: str, factor: PhotonState,
     decoded, and the invariants it broke."""
     rotated, readouts = protocols.pre_detection(factor, cfg, dof)
     own, other = "PS".index(dof), "SP".index(dof)  # (P, S) positions of each DOF
-    signs = {protocols.decode_signs(o)[own] for o in optics.detection_distribution(rotated)}
+    outcomes = optics.detection_distribution(rotated)
+    probs = [o.probability for o in outcomes]
     zeros = "0" * len(bits)
     broken = {"separation": any(ket[other] != zeros for ket, _ in rotated.items()),
               f"{dof} readout": any(r.classes != 1 for r in readouts),
               f"{dof} bits": protocols._decode_bits(readouts)[own] != bits,
-              f"{dof} signs": signs != {sign}}
+              f"{dof} probabilities": not all(isinstance(p, float) and 0 < p <= 1 for p in probs)
+              or abs(math.fsum(probs) - 1) > NORM_TOL,
+              f"{dof} signs": {protocols.decode_signs(o)[own] for o in outcomes} != {sign}}
     # with the other DOF all 0s, each branch is one string of this DOF
     return _DofCheck(tuple(r.magnitude for r in readouts), len(rotated),
                      frozenset(k for k, bad in broken.items() if bad))
@@ -148,7 +152,8 @@ def verify_complete(n: int, cfg: RunConfig | None = None) -> VerificationReport:
     tests cover.
 
     An input is correct when each factor run left its other DOF all 0s,
-    every probe readout was a point mass, the readouts decode to its bits
+    every probe readout was a point mass, the readouts decode to its bits,
+    each detector branch has a float probability in (0, 1], summing to 1,
     and every branch decodes to its signs.  Those checks split by degree of
     freedom (see the module notes), so the 2^n inputs P:s b;S:s b, one per
     (sign, bits), run every factor once.  The report keeps the two tables of

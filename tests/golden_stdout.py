@@ -7,20 +7,17 @@ holds each case to ``tests/golden_stdout.json``; this script regenerates that
 file and prints the cases whose digests changed.  Regenerate only together
 with a declared output change.  Run from the repository root::
 
-    PYTHONPATH=src python tests/golden_stdout.py           # rewrite the file
-    PYTHONPATH=src python tests/golden_stdout.py --check   # report only
+    PYTHONPATH=src python tests/golden_stdout.py
 """
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import hashlib
 import io
 import json
 import os
 import shlex
-import sys
 from pathlib import Path
 from unittest import mock
 
@@ -66,21 +63,16 @@ def run_case(argv: list[str]) -> dict:
     return {"exit": code, "stdout": _digest(out.getvalue()), "stderr": _digest(err.getvalue())}
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--check", action="store_true",
-                        help="print the changed cases without rewriting the file")
-    args = parser.parse_args(argv)
+def main() -> None:
+    """Rewrite the corpus and print the cases whose record changed."""
     old = json.loads(GOLDEN.read_text(encoding="utf-8")) if GOLDEN.exists() else {}
     new = {key: run_case(case) for key, case in CASES.items()}
-    changed = [key for key in new.keys() | old.keys() if old.get(key) != new.get(key)]
-    for key in sorted(changed):
+    changed = sorted(key for key in new.keys() | old.keys() if old.get(key) != new.get(key))
+    for key in changed:
         print(f"changed: {key}")
     print(f"{len(new)} cases, {len(changed)} changed")
-    if not args.check:
-        GOLDEN.write_text(json.dumps(new, indent=1) + "\n", encoding="utf-8")
-    return 1 if args.check and changed else 0
+    GOLDEN.write_text(json.dumps(new, indent=1) + "\n", encoding="utf-8")
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    main()

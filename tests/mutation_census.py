@@ -1,11 +1,15 @@
 """Mutation census of the analyser's stages: how many one-site defects in
-``states``, ``kerr``, ``optics`` and ``protocols`` the verifier catches, and,
-on request, how many the test suite catches.
+``states``, ``kerr``, ``optics``, ``protocols`` and ``rng`` the verifier
+catches, and, on request, how many the test suite catches.
 
-Each mutant changes one site of one module: a comparison (``==``/``!=``,
-``<``/``<=``, ``>``/``>=``), an arithmetic operator (``+``/``-``,
-``*``/``/``) or a constant (``"P"``/``"S"``, ``"+"``/``"-"``,
-``"0"``/``"1"``, ``0``/``1``, ``"H"``/``"V"``, ``2`` -> ``1``).  It runs in a
+Each mutant changes one site of one module, with one of the sufficient
+operators of Offutt, Lee, Rothermel, Untch & Zapf (ACM TOSEM 5(2), 1996): a
+comparison (``==``/``!=``, ``<``/``<=``, ``>``/``>=``, ``in``/``not in``,
+``is``/``is not``), an arithmetic operator (``+``/``-``, ``*``/``/``), a
+connective (``and``/``or``, ``not x`` -> ``x``), a call (``any``/``all``,
+``min``/``max``, ``abs(x)`` -> ``x``) or a constant (``"P"``/``"S"``,
+``"+"``/``"-"``, ``"0"``/``"1"``, ``0``/``1``, ``True``/``False``,
+``"H"``/``"V"``, ``2`` -> ``1``).  It runs in a
 temporary copy of the repository, in its own subprocess with a timeout and
 with no bytecode written.  The subprocess runs ``verify_complete(3)``, then
 ``hgsa_n_analyze`` on each of the 64 n=3 labels at seeds 0 and 1, under the
@@ -23,7 +27,8 @@ It prints one JSON line per mutant (module, line, function, operator, the
 ``--tier1``, whether the suite killed it), then a totals line.  A mutant
 passes ``verify`` with a wrong label when ``verify`` passes but an analysis
 returns a wrong label or raises.  The census exits 1 when a mutant that
-:data:`BY_DESIGN` does not list does so.
+:data:`BY_DESIGN` does not list does so, and, with ``--tier1``, when a
+mutant that :data:`EQUIVALENT` does not list survives the suite.
 """
 
 from __future__ import annotations
@@ -41,30 +46,64 @@ from functools import partial
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-MODULES = ("states", "kerr", "optics", "protocols")
+MODULES = ("states", "kerr", "optics", "protocols", "rng")
 COPIED = ("src", "tests", "bench", "demos", "pyproject.toml")
 VERIFY_TIMEOUT_S = 30  # an unmutated verify half takes about 0.1 s
 TIER1_TIMEOUT_S = 1200  # an unmutated pytest run takes about 20 s
 
 _SYMBOLS = {ast.Eq: "==", ast.NotEq: "!=", ast.Lt: "<", ast.LtE: "<=", ast.Gt: ">",
-            ast.GtE: ">=", ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.Div: "/"}
+            ast.GtE: ">=", ast.In: "in", ast.NotIn: "not in", ast.Is: "is",
+            ast.IsNot: "is not", ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.Div: "/",
+            ast.And: "and", ast.Or: "or"}
 #: operator type -> the type it becomes
 OPERATORS = {ast.Eq: ast.NotEq, ast.NotEq: ast.Eq, ast.Lt: ast.LtE, ast.LtE: ast.Lt,
-             ast.Gt: ast.GtE, ast.GtE: ast.Gt, ast.Add: ast.Sub, ast.Sub: ast.Add,
-             ast.Mult: ast.Div, ast.Div: ast.Mult}
+             ast.Gt: ast.GtE, ast.GtE: ast.Gt, ast.In: ast.NotIn, ast.NotIn: ast.In,
+             ast.Is: ast.IsNot, ast.IsNot: ast.Is, ast.Add: ast.Sub, ast.Sub: ast.Add,
+             ast.Mult: ast.Div, ast.Div: ast.Mult, ast.And: ast.Or, ast.Or: ast.And}
 #: (type, value) of a constant -> the value it becomes; keyed by type too, as 0 == 0.0 == False
 CONSTANTS = {(str, "P"): "S", (str, "S"): "P", (str, "+"): "-", (str, "-"): "+",
              (str, "0"): "1", (str, "1"): "0", (str, "H"): "V", (str, "V"): "H",
-             (int, 0): 1, (int, 1): 0, (int, 2): 1}
+             (int, 0): 1, (int, 1): 0, (int, 2): 1, (bool, True): False, (bool, False): True}
+#: built-in called by name -> the built-in called instead
+CALLS = {"any": "all", "all": "any", "min": "max", "max": "min"}
 
 #: (module, function, operator) -> why a mutant there passes ``verify`` with a wrong label
 BY_DESIGN = {
     ("optics", "sample_outcome", "0 -> 1"):
         "returns the drawn outcome's probability, not the outcome: verify walks "
         "every detector branch and never draws one, so only the tests cover the draw",
+    ("optics", "sample_outcome", "not x -> x"):
+        "refuses every generator, so each draw raises: verify never draws a "
+        "detector event, so only the tests cover the draw",
+    ("rng", "pick", "1 -> 0"):
+        "sums the drawn items, not their weights, and raises: verify's readouts "
+        "are point masses and it never draws a detector event, so it never picks",
+    ("rng", "pick", "is -> is not"):
+        "refuses every distribution as empty: verify never picks (as above)",
     ("protocols", "hgsa_n_analyze", "+ -> -"):
         "`readouts -= reads` raises: verify runs each factor's pre_detection, not "
         "the analyser's join of the two factors, which the tests cover",
+}
+
+#: (module, function, operator) -> why a mutant there that passes ``verify``
+#: survives the suite: it changes no behaviour the package has
+EQUIVALENT = {
+    ("states", "<module>", "'P' -> 'S'"):
+        "a letter of the `Dof` alias, a type hint only: nothing reads its arguments",
+    ("states", "<module>", "'S' -> 'P'"):
+        "a letter of the `Dof` alias, a type hint only: nothing reads its arguments",
+    ("states", "_Amplitudes.__init__", ">= -> >"):
+        "the prune of a small amplitude: no amplitude's modulus is exactly PRUNE_EPS",
+    ("states", "_Amplitudes._derived", ">= -> >"):
+        "the prune of a small amplitude: no amplitude's modulus is exactly PRUNE_EPS",
+    ("states", "split_product", ">= -> >"):
+        "the overlap test: no overlap lands exactly on (1 - NORM_TOL) times the norm",
+    ("states", "equal_up_to_global_phase", ">= -> >"):
+        "the overlap test: no overlap is exactly 1 - NORM_TOL",
+    ("kerr", "homodyne_measure", "< -> <="):
+        "the misread draw: no uniform equals misread_prob exactly (probability 2**-53)",
+    ("optics", "detection_distribution", "> -> >="):
+        "the norm check: no state's norm defect is exactly NORM_TOL",
 }
 
 #: run in each mutant's subprocess; prints {"verify": ..., "wrong_labels": ..., "raised": ...}
@@ -93,6 +132,16 @@ def _swap(op: ast.AST, new: type) -> str:
     return f"{_SYMBOLS[type(op)]} -> {_SYMBOLS[new]}"
 
 
+def _replacing(parent: ast.AST, child: ast.AST, new: ast.AST) -> partial:
+    """What puts ``new`` where ``child`` sits in ``parent``."""
+    for field, value in ast.iter_fields(parent):
+        if value is child:
+            return partial(setattr, parent, field, new)
+        if isinstance(value, list) and any(item is child for item in value):
+            return partial(value.__setitem__, [id(item) for item in value].index(id(child)), new)
+    raise ValueError(f"{child!r} is not a child of {parent!r}")
+
+
 def sites(tree: ast.Module) -> list[tuple[int, str, str, partial]]:
     """``(line, function, operator, apply)`` for every site of ``tree`` the
     census mutates, in a fixed walk order; ``apply()`` mutates that site."""
@@ -110,10 +159,22 @@ def sites(tree: ast.Module) -> list[tuple[int, str, str, partial]]:
                         new = OPERATORS[type(op)]
                         found.append((child.lineno, where, _swap(op, new),
                                       partial(child.ops.__setitem__, i, new())))
-            elif isinstance(child, (ast.BinOp, ast.AugAssign)) and type(child.op) in OPERATORS:
+            elif (isinstance(child, (ast.BinOp, ast.AugAssign, ast.BoolOp))
+                  and type(child.op) in OPERATORS):
                 new = OPERATORS[type(child.op)]
                 found.append((child.lineno, where, _swap(child.op, new),
                               partial(setattr, child, "op", new())))
+            elif isinstance(child, ast.UnaryOp) and isinstance(child.op, ast.Not):
+                found.append((child.lineno, where, "not x -> x",
+                              _replacing(node, child, child.operand)))
+            elif isinstance(child, ast.Call) and isinstance(child.func, ast.Name):
+                name = child.func.id
+                if name in CALLS:
+                    found.append((child.lineno, where, f"{name} -> {CALLS[name]}",
+                                  partial(setattr, child.func, "id", CALLS[name])))
+                elif name == "abs" and len(child.args) == 1 and not child.keywords:
+                    found.append((child.lineno, where, "abs(x) -> x",
+                                  _replacing(node, child, child.args[0])))
             elif isinstance(child, ast.Constant) and (type(child.value), child.value) in CONSTANTS:
                 new = CONSTANTS[type(child.value), child.value]
                 found.append((child.lineno, where, f"{child.value!r} -> {new!r}",
@@ -170,7 +231,7 @@ def main(argv: list[str] | None = None) -> int:
     start, totals = time.perf_counter(), {"mutants": 0, "verify_failed": 0, "verify_passed": 0,
                                           "wrong_label": 0, "unlisted": 0}
     if args.tier1:
-        totals.update(tier1_killed=0, tier1_survived=0)
+        totals.update(tier1_killed=0, tier1_survived=0, tier1_unlisted=0)
     with tempfile.TemporaryDirectory(prefix="mutation-census-") as tmp:
         copy = Path(tmp)
         for name in COPIED:
@@ -199,11 +260,14 @@ def main(argv: list[str] | None = None) -> int:
                 if args.tier1 and passed:
                     record["tier1"] = "killed" if tier1_kills(copy) else "survived"
                     totals[f"tier1_{record['tier1']}"] += 1
+                    if record["tier1"] == "survived":
+                        record["equivalent"] = EQUIVALENT.get((module, function, operator))
+                        totals["tier1_unlisted"] += record["equivalent"] is None
                 print(json.dumps(record), flush=True)
             path.write_text(source, encoding="utf-8")
     totals["seconds"] = round(time.perf_counter() - start, 1)
     print(json.dumps({"totals": totals}), flush=True)
-    return 1 if totals["unlisted"] else 0
+    return 1 if totals["unlisted"] or totals.get("tier1_unlisted") else 0
 
 
 if __name__ == "__main__":

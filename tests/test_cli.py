@@ -1,3 +1,4 @@
+import inspect
 import json
 import os
 import subprocess
@@ -9,7 +10,7 @@ import jsonschema
 import pytest
 
 import hypersa
-from hypersa import cli, protocols, verifier
+from hypersa import cli, optics, protocols, verifier
 
 
 def run(capsys, *argv):
@@ -118,6 +119,22 @@ class TestVerify:
         assert code == 1 and len(fails) == 8
         assert fails[0] == "FAIL P:+00;S:-00 signature=(0, 0) broken=S signs"
         assert all(";S:-" in line and line.endswith(" broken=S signs") for line in fails)
+
+    def test_complex_branch_probabilities_fail_and_are_named(self, capsys, monkeypatch):
+        # the one-site mutant abs(amp) ** 2 -> amp ** 2: every branch keeps
+        # its signs, but its probability is a complex number no draw can use
+        source = inspect.getsource(optics.detection_distribution)
+        assert source.count("abs(amp) ** 2") == 1
+        namespace = dict(vars(optics))
+        exec(source.replace("abs(amp) ** 2", "amp ** 2"), namespace)
+        monkeypatch.setattr(optics, "detection_distribution", namespace["detection_distribution"])
+        code, out, _ = run(capsys, "verify", "--n", "2")
+        fails = [line for line in out.splitlines() if line.startswith("FAIL ")]
+        assert code == 1 and len(fails) == 16
+        assert all(line.endswith(" broken=P probabilities") for line in fails)
+        assert all(check.broken == frozenset({f"{dof} probabilities"})
+                   for dof, table in verifier.verify_complete(3).factors.items()
+                   for check in table.values())
 
     def test_a_table_with_the_wrong_keys_fails(self, capsys, monkeypatch):
         # an enumeration that also yields the complement representatives

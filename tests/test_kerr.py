@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from hypersa.kerr import (JointState, attach_probes, gaussian_error_prob,
                           homodyne_measure, magnitude_distribution, misread,
                           parity_gadget)
+from hypersa.rng import stream
 from hypersa.states import (PRUNE_EPS, BasisKet, PhotonState, bell_state,
                             equal_up_to_global_phase, ghz_state,
                             hyper_product)
@@ -162,23 +163,12 @@ class TestHomodyne:
             0: pytest.approx(0.5), 1: pytest.approx(0.5)}
         hits = {0: 0, 1: 0}
         for seed in range(200):
-            collapsed, readout = homodyne_measure(j, "alpha1", seed=seed)
+            collapsed, readout = homodyne_measure(j, "alpha1", rng=stream(seed, ""))
             hits[readout.magnitude] += 1
             assert readout.p == pytest.approx(0.5)
             expected = BasisKet("00", "00") if readout.magnitude == 0 else BasisKet("01", "00")
             assert collapsed.photon_state().amplitude(expected) == pytest.approx(1.0)
         assert hits[0] > 60 and hits[1] > 60
-
-    def test_numpy_integer_seed_equals_int_seed(self):
-        sq = 1 / math.sqrt(2)
-        s = PhotonState(2, {BasisKet("00", "00"): sq, BasisKet("01", "00"): sq})
-        j = parity_gadget(joint_of(s), "alpha1", 0, 1, "P")
-        for seed in range(8):
-            for misread_prob in (0.0, gaussian_error_prob(5000, 0.01)):
-                a, a_read = homodyne_measure(j, "alpha1", misread_prob, np.uint32(seed))
-                b, b_read = homodyne_measure(j, "alpha1", misread_prob, seed)
-                assert a_read == b_read
-                assert a.items() == b.items()
 
     def test_mixed_parity_without_seed_rejected(self):
         sq = 1 / math.sqrt(2)
@@ -283,9 +273,9 @@ class TestGaussianModel:
         j = parity_gadget(parity_gadget(joint_of(s), "alpha1", 0, 1, "P"),
                           "alpha1", 0, 1, "P")
         ideal, _ = homodyne_measure(j, "alpha1")
-        for seed in (None, 3):
+        for rng in (None, stream(3, "")):
             collapsed, readout = homodyne_measure(j, "alpha1",
-                                                  gaussian_error_prob(10.0, 0.2), seed)
+                                                  gaussian_error_prob(10.0, 0.2), rng)
             assert readout == ("alpha1", 2, 1.0, 1)
             assert collapsed.items() == ideal.items()
 
@@ -294,7 +284,7 @@ class TestGaussianModel:
         kind = "psi+" if magnitude else "phi+"
         j = parity_gadget(joint_of(bell_state(kind, "P")), "alpha1", 0, 1, "P")
         for seed in range(5):
-            _, readout = homodyne_measure(j, "alpha1", 1.0, seed)
+            _, readout = homodyne_measure(j, "alpha1", 1.0, stream(seed, ""))
             assert (readout.magnitude, readout.p) == (misread(magnitude), 1.0)
 
     @pytest.mark.parametrize("misread_prob", [math.nan, -0.1, 1.5, True, "0.1"])
@@ -302,7 +292,7 @@ class TestGaussianModel:
         j = joint_of(bell_state("phi+", "P"))
         with pytest.raises(ValueError, match=r"^misread_prob must be a real number "
                                              r"in \[0, 1\], got "):
-            homodyne_measure(j, "alpha1", misread_prob, seed=1)
+            homodyne_measure(j, "alpha1", misread_prob, rng=stream(1, ""))
 
 
 class TestJointState:
@@ -358,7 +348,7 @@ class TestJointState:
         # the checked constructor must give the same state
         joint = attach_probes(random_state(n, np.random.default_rng(seed)), (PROBE,))
         stages = [joint, parity_gadget(joint, "alpha1", 0, n - 1, dof)]
-        stages.append(homodyne_measure(stages[-1], "alpha1", seed=seed)[0])
+        stages.append(homodyne_measure(stages[-1], "alpha1", rng=stream(seed, ""))[0])
         for out in stages:
             checked = JointState(n, out.probes, dict(out.items()))
             assert checked.items() == out.items()

@@ -10,14 +10,13 @@ import pytest
 
 from hypersa.kerr import JointState, attach_probes, gaussian_error_prob, homodyne_measure
 from hypersa.noise import predicted_error_rate, wilson_interval
-from hypersa.optics import sample_outcome
 from hypersa.protocols import RunConfig, probe_ids
-from hypersa.rng import as_generator, stream
+from hypersa.rng import stream
 from hypersa.states import (BasisKet, PhotonState, bell_state, canonical_bit_strings,
                             parse_state_literal)
 
 REFUSED = (True, np.True_, "1", None, math.nan, math.inf)
-SEEDS_REFUSED = (True, np.True_, "1", math.nan, math.inf)  # None means "no generator"
+NONE_ALLOWED = (True, np.True_, "1", math.nan, math.inf)  # where None means "not given"
 
 COUNT = ("n_photons", "an integer >= 1")
 SEED = ("seed", "an integer >= 0")
@@ -38,15 +37,12 @@ GUARDED = {
     "homodyne_measure-misread_prob": (
         "misread_prob", "a real number in [0, 1]",
         lambda v: homodyne_measure(attach_probes(bell_state("phi+", "P"), ["alpha1"]),
-                                   "alpha1", v, seed=1)),
+                                   "alpha1", v, rng=stream(1, ""))),
     "wilson_interval-trials": ("trials", "an integer in [1, inf]",
                                lambda v: wilson_interval(0, v)),
     "wilson_interval-errors": ("errors", "an integer in [0, 10]",
                                lambda v: wilson_interval(v, 10)),
     "stream-seed": (*SEED, lambda v: stream(v, "detection")),
-    "as_generator-seed": (*SEED, as_generator, SEEDS_REFUSED),
-    "sample_outcome-seed": (*SEED, lambda v: sample_outcome(bell_state("phi+", "P"), v),
-                            SEEDS_REFUSED),
     "PhotonState-n_photons": (*COUNT, lambda v: PhotonState(v, {})),
     "JointState-n_photons": (*COUNT, lambda v: JointState(v, (), {})),
     "canonical_bit_strings-n": (*COUNT, canonical_bit_strings),
@@ -54,7 +50,7 @@ GUARDED = {
     "predicted_error_rate-n": (*COUNT, lambda v: predicted_error_rate(v, RunConfig())),
     # None means "no count given"
     "parse_state_literal-n": (*COUNT, lambda v: parse_state_literal("P:+0;S:+0", v),
-                              SEEDS_REFUSED),
+                              NONE_ALLOWED),
     "PhotonState-amplitude": (*AMPLITUDE, lambda v: PhotonState(1, {KET: v})),
     "JointState-amplitude": (*AMPLITUDE, lambda v: JointState(1, (), {(KET, ()): v})),
 }

@@ -19,11 +19,9 @@ from hypothesis import given, settings, strategies as st
 
 from hypersa.kerr import attach_probes, gaussian_error_prob
 from hypersa.optics import (DetectorOutcome, PhotonRecord,
-                            detection_distribution, outcome_json,
-                            outcome_tokens, sample_outcome)
+                            detection_distribution, outcome_json, outcome_tokens)
 import hypersa
 from hypersa import cli, noise, optics, protocols, states
-from hypersa.rng import as_generator
 from hypersa.protocols import (HomodyneModel, PhotonCountError, RunConfig,
                                check_photon_count, decode_signs, emit_detection_table,
                                emit_signature_table, hgsa_n_analyze,
@@ -628,9 +626,9 @@ class TestNoiseStudy:
     def test_every_readout_gets_the_runs_misread_prob(self, monkeypatch):
         seen, real = [], protocols.homodyne_measure
 
-        def spy(joint, probe, misread_prob=0.0, seed=None):
+        def spy(joint, probe, misread_prob=0.0, rng=None):
             seen.append(misread_prob)
-            return real(joint, probe, misread_prob, seed)
+            return real(joint, probe, misread_prob, rng)
 
         monkeypatch.setattr(protocols, "homodyne_measure", spy)
         cfg = RunConfig(theta=0.2, alpha=30.0, model="gaussian", seed=3)
@@ -833,7 +831,6 @@ class TestPlumbing:
         seen = {(seed, name): tuple(draws(stream(seed, name), 4))
                 for seed in (0, 1, 10, 2 ** 64 + 3) for name in names}
         assert len(set(seen.values())) == len(seen)
-        assert tuple(draws(as_generator(10), 4)) == seen[10, ""]
 
     @staticmethod
     def assert_stream_equals_eager_generator(seed, name):
@@ -868,40 +865,19 @@ class TestPlumbing:
         if width == 1:
             assert picks[:2] == [[0], [-7, -7, -7]]
 
-    @settings(max_examples=60, deadline=None)
-    @given(seed=st.integers(0, 2 ** 130))
-    def test_int_seed_draws_equal_the_unnamed_stream(self, seed):
-        # an int seed, or a numpy integer, is the stream with the empty name;
-        # a random.Random passes as it is
-        for as_int in (seed, np.uint64(seed % 2 ** 64)):
-            eager, rng = named_generator(int(as_int), ""), as_generator(as_int)
-            assert type(rng) is random.Random
-            assert draws(rng, 8) == draws(eager, 8)
-        generator = named_generator(seed, "")
-        assert as_generator(generator) is generator
-        state = random_state(2, np.random.default_rng(5))
-        assert sample_outcome(state, seed) == sample_outcome(state, generator)
-
     @pytest.mark.parametrize("seed", [1.5, 2.0, "7"])
     def test_non_integer_seed_raises_naming_it(self, seed):
-        for draw in (lambda: stream(seed, "detection"), lambda: as_generator(seed),
-                     lambda: sample_outcome(bell_state("phi+", "P"), seed)):
-            with pytest.raises(ValueError, match=f"^seed must be an integer >= 0, "
-                                                 f"got {re.escape(repr(seed))}$"):
-                draw()
+        with pytest.raises(ValueError, match=f"^seed must be an integer >= 0, "
+                                             f"got {re.escape(repr(seed))}$"):
+            stream(seed, "detection")
 
-    def test_negative_seed_raises_and_a_generator_passes_through(self):
+    def test_negative_seed_raises(self):
         with pytest.raises(ValueError):
             np.random.default_rng(-1)
         for seed in (-1, np.int64(-5), -2 ** 70):
             with pytest.raises(ValueError, match=f"^seed must be an integer >= 0, "
                                                  f"got {re.escape(repr(seed))}$"):
-                as_generator(seed)
-        with pytest.raises(ValueError, match=r"^seed must be an integer >= 0, got -1$"):
-            sample_outcome(bell_state("phi+", "P"), -1)
-        generator = np.random.default_rng(3)
-        assert as_generator(generator) is generator
-        assert as_generator(None) is None
+                stream(seed, "")
 
     def test_stream_copies_and_pickles_continue_where_it_is(self):
         # clones made after scalar draws and integer picks continue where

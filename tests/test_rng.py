@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 
 from hypersa.kerr import JointState, homodyne_measure
 from hypersa.optics import detection_distribution, sample_outcome
-from hypersa.rng import pick
+from hypersa.rng import pick, stream
 from hypersa.states import BasisKet, PhotonState
 
 # the largest double below 1, the highest uniform random() can return
@@ -50,7 +50,7 @@ class TestPick:
         # a joint state whose every branch was pruned has no magnitude class
         empty = JointState(1, ("alpha1",), {})
         for draw in (lambda: pick([], Scripted(0.5)),
-                     lambda: homodyne_measure(empty, "alpha1", seed=1)):
+                     lambda: homodyne_measure(empty, "alpha1", rng=stream(1, ""))):
             with pytest.raises(ValueError, match="distribution is empty"):
                 draw()
 
@@ -70,7 +70,25 @@ class TestPick:
         joint = JointState(1, ("alpha1",), {
             (BasisKet("0", "0"), (0,)): amp, (BasisKet("1", "0"), (-1,)): amp,
             (BasisKet("1", "1"), (2,)): amp})
-        collapsed, readout = homodyne_measure(joint, "alpha1", seed=Scripted(TOP))
+        collapsed, readout = homodyne_measure(joint, "alpha1", rng=Scripted(TOP))
         assert (readout.magnitude, readout.classes) == (2, 3)
         assert readout.p == abs(amp) ** 2
         assert [key for key, _ in collapsed.items()] == [(BasisKet("1", "1"), ())]
+
+
+class TestGenerators:
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_an_int_is_no_generator(self, seed):
+        # a seed enters only through stream(seed, name): an int where a
+        # sampler must draw raises instead of drawing
+        amp = math.sqrt(0.5)
+        state = PhotonState(1, {BasisKet("0", "0"): amp, BasisKet("1", "1"): amp})
+        mixed = JointState(1, ("alpha1",), {(BasisKet("0", "0"), (0,)): amp,
+                                            (BasisKet("1", "0"), (1,)): amp})
+        certain = JointState(1, ("alpha1",), {(BasisKet("1", "0"), (1,)): 1})
+        for draw in (lambda: sample_outcome(state, seed),
+                     lambda: homodyne_measure(mixed, "alpha1", rng=seed),
+                     lambda: homodyne_measure(certain, "alpha1", 0.25, seed)):
+            with pytest.raises(ValueError, match=r"requires a generator, such as "
+                                                 rf"stream\(seed, name\), got {seed}$"):
+                draw()

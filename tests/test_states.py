@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from hypersa.kerr import JointState, attach_probes, homodyne_measure, parity_gadget
 from hypersa.protocols import RunConfig, hgsa_n_analyze
+from hypersa.rng import stream
 from hypersa.states import (PRUNE_EPS, BasisKet, HyperLabel, PhotonState,
                             all_canonical_labels, apply_gate, bell_state,
                             canonical_bit_strings, complement,
@@ -353,6 +354,8 @@ class TestLabels:
         ("P:+00;S:+00;", "state literal 'P:+00;S:+00;' must have two ';'-separated parts"),
         ("P:+0x;S:+00", "token '+0x' must carry a 0/1 bit-string after the sign"),
         ("P:+00;S:-", "token '-' must carry a 0/1 bit-string after the sign"),
+        ("P:;S:+0", "token '' must start with a '+' or '-' sign"),
+        ("P:x0;S:+0", "token 'x0' must start with a '+' or '-' sign"),
     ])
     def test_malformed_literal_named_in_error(self, text, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
@@ -408,7 +411,7 @@ def container_states():
     state = hyper_product(bell_state("psi-", "P"), bell_state("phi+", "S"))
     joint = attach_probes(ghz_state("+", "011", "P"), ("alpha1",))
     gadget = parity_gadget(joint, "alpha1", 0, 1, "P")
-    collapsed, _ = homodyne_measure(gadget, "alpha1", seed=3)
+    collapsed, _ = homodyne_measure(gadget, "alpha1", rng=stream(3, ""))
     return {"PhotonState": state, "JointState": joint,
             "apply_gate": apply_gate(state, 1, "S"),
             "split_product": split_product(state)[1],
