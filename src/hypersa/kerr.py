@@ -159,34 +159,25 @@ def homodyne_measure(joint: JointState, probe: str, misread_prob: float = 0.0,
 
     Branches are grouped by the magnitude of the probe's phase multiple, and
     one class is selected by exact branch weight: a point mass, with
-    probability exactly 1, or a draw from ``rng`` (anything with a
-    ``random()`` method, such as ``stream(seed, name)``).  The collapsed
-    state is the renormalized projection onto that class, with the probe
-    removed and branch amplitudes preserved.  A selected magnitude of 0 or 1
-    is *reported* as the other with probability ``misread_prob`` (the run's
-    is :meth:`RunConfig.misread_prob`; above 0 it draws from ``rng``); the
-    collapse still follows the selected class, so misreads corrupt only the
-    readout.  Returns the collapsed state and the readout; ``p`` is the
+    probability exactly 1, or a :func:`~hypersa.rng.pick` from ``rng``.  The
+    collapsed state is the renormalized projection onto that class, with the
+    probe removed and branch amplitudes preserved.  A selected magnitude of 0
+    or 1 is *reported* as the other with probability ``misread_prob`` (the
+    run's is :meth:`RunConfig.misread_prob`; above 0 it is a second pick);
+    the collapse still follows the selected class, so misreads corrupt only
+    the readout.  Returns the collapsed state and the readout; ``p`` is the
     probability of the (class, report) event.
     """
     _checked("misread_prob", misread_prob, "a real number in [0, 1]", lambda v: 0 <= v <= 1)
     idx = joint.probe_index(probe)
     classes = magnitude_distribution(joint, probe)
     sampled = len(classes) != 1
-    if sampled and not hasattr(rng, "random"):
-        raise ValueError("magnitude distribution is not deterministic; sampling it requires "
-                         f"a generator, such as stream(seed, name), got {rng!r}")
     magnitude, weight = pick(classes.items(), rng) if sampled else next(iter(classes.items()))
 
     reported, p = magnitude, weight if sampled else 1.0
     if misread_prob > 0 and misread(magnitude) is not None:
-        if not hasattr(rng, "random"):
-            raise ValueError("a readout with misread_prob > 0 requires a generator, "
-                             f"such as stream(seed, name), got {rng!r}")
-        if rng.random() < misread_prob:
-            reported, p = misread(magnitude), p * misread_prob
-        else:
-            p *= 1.0 - misread_prob
+        flipped, q = pick(((True, misread_prob), (False, 1.0 - misread_prob)), rng)
+        reported, p = misread(magnitude) if flipped else magnitude, p * q
 
     scale = 1.0 / math.sqrt(weight)
     out: dict[JointKey, complex] = {}

@@ -61,11 +61,7 @@ def detection_distribution(state: PhotonState) -> list[DetectorOutcome]:
 
 
 def sample_outcome(state: PhotonState, rng) -> DetectorOutcome:
-    """Draw one detection event from ``rng``, anything with a ``random()``
-    method, such as ``stream(seed, name)``."""
-    if not hasattr(rng, "random"):
-        raise ValueError("sampling a detection event requires a generator, "
-                         f"such as stream(seed, name), got {rng!r}")
+    """One detection event, a :func:`~hypersa.rng.pick` from ``rng``."""
     return pick(((o, o.probability) for o in detection_distribution(state)), rng)[0]
 
 

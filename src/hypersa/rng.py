@@ -24,7 +24,11 @@ def stream(seed: int, name: str) -> random.Random:
 def pick(weighted, rng):
     """Inverse-CDF draw from ``(item, weight)`` pairs: the first pair whose
     running weight sum exceeds one ``rng.random()``, or the last pair when
-    float rounding leaves the sum short of the draw."""
+    float rounding leaves the sum short of the draw.  Every draw of the
+    package is one ``pick``: ``rng`` is anything with a ``random()`` method,
+    such as ``stream(seed, name)``, and anything else raises ValueError."""
+    if not hasattr(rng, "random"):
+        raise ValueError(f"a draw requires a generator, such as stream(seed, name), got {rng!r}")
     u, acc, pair = rng.random(), 0.0, None
     for pair in weighted:
         acc += pair[1]

@@ -816,6 +816,30 @@ PINNED_PICKS = {
 
 
 class TestPlumbing:
+    @pytest.mark.parametrize("model, probe_draws", [("ideal", 0), ("gaussian", 1)])
+    def test_an_analysis_draws_what_the_readme_says(self, monkeypatch, model, probe_draws):
+        # two uniforms for the detector event, one per factor, and one per
+        # probe under the gaussian readout: every canonical readout is a
+        # point mass, so no probe draws its magnitude class
+        calls, real_stream = {}, protocols.stream
+
+        class Counted:
+            def __init__(self, seed, name):
+                self.name, self.rng = name, real_stream(seed, name)
+                calls.setdefault(name, 0)
+
+            def random(self):
+                calls[self.name] += 1
+                return self.rng.random()
+
+        monkeypatch.setattr(protocols, "stream", Counted)
+        cfg = RunConfig(theta=0.2, alpha=30.0, model=model, seed=0)
+        for label in all_canonical_labels(3):
+            calls.clear()
+            hgsa_n_analyze(state_from_label(label), cfg)
+            assert calls == {"detection": 2,
+                             **{f"probe:{pid}": probe_draws for pid in probe_ids(3)}}, label
+
     def test_stream_is_deterministic_and_name_split(self):
         a = draws(stream(7, "probe:alpha1"), 4)
         b = draws(stream(7, "probe:alpha1"), 4)

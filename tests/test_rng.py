@@ -75,6 +75,15 @@ class TestPick:
         assert readout.p == abs(amp) ** 2
         assert [key for key, _ in collapsed.items()] == [(BasisKet("1", "1"), ())]
 
+    def test_a_misread_is_a_draw_below_misread_prob(self):
+        # the misread flag is a pick: a uniform equal to misread_prob reports
+        # the true magnitude, the double just below it reports the misread
+        certain = JointState(1, ("alpha1",), {(BasisKet("1", "0"), (1,)): 1})
+        for u, reported, p in ((0.25, 1, 0.75), (math.nextafter(0.25, 0.0), 0, 0.25)):
+            rng = Scripted(u)
+            _, readout = homodyne_measure(certain, "alpha1", 0.25, rng)
+            assert (readout.magnitude, readout.p, rng.calls) == (reported, p, 1)
+
 
 class TestGenerators:
     @pytest.mark.parametrize("seed", [0, 5])
@@ -86,7 +95,8 @@ class TestGenerators:
         mixed = JointState(1, ("alpha1",), {(BasisKet("0", "0"), (0,)): amp,
                                             (BasisKet("1", "0"), (1,)): amp})
         certain = JointState(1, ("alpha1",), {(BasisKet("1", "0"), (1,)): 1})
-        for draw in (lambda: sample_outcome(state, seed),
+        for draw in (lambda: pick([], seed),
+                     lambda: sample_outcome(state, seed),
                      lambda: homodyne_measure(mixed, "alpha1", rng=seed),
                      lambda: homodyne_measure(certain, "alpha1", 0.25, seed)):
             with pytest.raises(ValueError, match=r"requires a generator, such as "
