@@ -12,11 +12,11 @@ Run:  python demos/ghz_scaling.py
 
 import time
 
-from hypersa import RunConfig, verify_complete
+from hypersa import verify_complete
 
 for n in (2, 3, 4, 5):
     start = time.perf_counter()
-    report = verify_complete(n, RunConfig())
+    report = verify_complete(n)
     elapsed = time.perf_counter() - start
     branches = sum(check.branches for check in report.per_state)
     print(f"n={n}: {report.correct}/{report.total_states} correct, "
@@ -25,7 +25,7 @@ for n in (2, 3, 4, 5):
           f"{elapsed:.2f}s")
 
 # Each group holds exactly four states: same bits, the four sign pairs.
-report = verify_complete(3, RunConfig())
+report = verify_complete(3)
 by_signature = {}
 for check in report.per_state:
     by_signature.setdefault(check.signature, []).append(check.label)

@@ -3,7 +3,8 @@ homodyne model, against the analytic prediction.
 
 The study runs the analyser's own code: the analysis, the bit decoder and
 the named streams, each called through the :mod:`hypersa.protocols` module
-object.
+object.  Two commands run it: ``montecarlo``, and ``verify --model
+gaussian`` beside the proof (:func:`~hypersa.verifier.verify_complete`).
 """
 
 from __future__ import annotations

@@ -72,9 +72,8 @@ class RunConfig(NamedTuple("RunConfig", [("theta", float), ("alpha", float),
                                           ("seed", int)])):
     """Knobs for a pipeline run.
 
-    Defaults are illustrative.  ``trials`` sizes the Monte Carlo study, and
-    the noise study that ``verify_complete`` attaches under the gaussian
-    model.  A config is an immutable tuple: it iterates and equals a plain
+    Defaults are illustrative.  ``trials`` sizes only the Monte Carlo
+    study.  A config is an immutable tuple: it iterates and equals a plain
     tuple of the same values; ``cfg._replace(seed=1)`` returns a changed
     copy, validated again.
     """

@@ -50,15 +50,14 @@ def _check_dof(dof: str) -> str:
 
 
 def _check_bits(bits: str, what: str) -> str:
-    if not bits or any(c not in "01" for c in bits):
-        raise ValueError(f"{what} must be a nonempty string of 0/1, got {bits!r}")
-    return bits
+    # strip leaves behind any character other than 0/1
+    return _checked(what, bits, "a nonempty string of 0/1",
+                    lambda v: isinstance(v, str) and v and not v.strip("01"))
 
 
 def _check_sign(sign: str) -> str:
-    if sign not in ("+", "-"):
-        raise ValueError(f"sign must be '+' or '-', got {sign!r}")
-    return sign
+    return _checked("sign", sign, "'+' or '-'",
+                    lambda v: isinstance(v, str) and v in ("+", "-"))
 
 
 def complement(bits: str) -> str:
@@ -80,9 +79,9 @@ class BasisKet(NamedTuple):
 
 def _checked(name: str, value, rule: str, test):
     """``value`` if ``test(value)`` holds, else ``ValueError: {name} must be
-    {rule}, got {value!r}``: the one rule for a number a caller passes.  A bool,
-    Python's or numpy's, is no number, and a test that raises TypeError or
-    ValueError fails, as NaN fails every comparison."""
+    {rule}, got {value!r}``: the one rule for a number, sign or bit-string a
+    caller passes.  A bool, Python's or numpy's, is no number, and a test that
+    raises TypeError or ValueError fails, as NaN fails every comparison."""
     try:
         if type(value).__name__ not in ("bool", "bool_") and test(value):
             return value

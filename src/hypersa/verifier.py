@@ -15,20 +15,21 @@ cover all 4^N inputs.  Each factor run must leave its other DOF all 0s (the
 fails.  A stage that reads or moves the other DOF only when that DOF is not
 all 0s no factor run reaches, and the analyser never runs it either; the
 tests hold the joint physics to an independent dense reference.
+
+The proof runs under the ideal readout and depends on N alone.  The
+``verify`` command runs the gaussian noise study
+(:func:`~hypersa.noise.monte_carlo_misclassification`) beside it.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from typing import TYPE_CHECKING, Iterator, NamedTuple
+from typing import Iterator, NamedTuple
 
 from . import optics, protocols, states
 from .protocols import HomodyneModel, RunConfig, check_photon_count
 from .states import NORM_TOL, HyperLabel, PhotonState, canonical_bit_strings
-
-if TYPE_CHECKING:
-    from .noise import NoiseStats
 
 
 class StateCheck(NamedTuple):
@@ -86,9 +87,7 @@ class VerificationReport(NamedTuple):
     ``factors[dof][sign, bits]``.  Every count is derived from them."""
 
     n_photons: int
-    model: HomodyneModel
     factors: dict[str, dict[tuple[str, str], _DofCheck]]
-    noise: NoiseStats | None = None
 
     @property
     def total_states(self) -> int:
@@ -135,15 +134,11 @@ class VerificationReport(NamedTuple):
                              p.support * s.support, not broken, broken)
 
     def to_json_dict(self) -> dict:
-        out = {"n": self.n_photons, "total": self.total_states,
-               "correct": self.correct, "groups": self.group_count,
-               "model": self.model.value}
-        if self.noise is not None:
-            out["noise"] = self.noise.to_json_dict()
-        return out
+        return {"n": self.n_photons, "total": self.total_states,
+                "correct": self.correct, "groups": self.group_count}
 
 
-def verify_complete(n: int, cfg: RunConfig | None = None) -> VerificationReport:
+def verify_complete(n: int) -> VerificationReport:
     """Check every canonical hyperentangled input: split it into its two
     factors as the analyser does, run the analyser's per-DOF pass
     (:func:`~hypersa.protocols.pre_detection`) and bit decoder on each, walk
@@ -158,33 +153,34 @@ def verify_complete(n: int, cfg: RunConfig | None = None) -> VerificationReport:
     freedom (see the module notes), so the 2^n inputs P:s b;S:s b, one per
     (sign, bits), run every factor once.  The report keeps the two tables of
     factor runs; the per-input records are assembled from them only when
-    read (:attr:`VerificationReport.per_state`).  The exhaustive pass always
-    uses the ideal readout; with ``cfg.model == gaussian`` a sampled noise
-    study is attached on top; only then is :mod:`hypersa.noise` imported.
+    read (:attr:`VerificationReport.per_state`).  Every factor run uses the
+    ideal readout of the default :class:`~hypersa.protocols.RunConfig`, so
+    the proof depends on ``n`` alone.
     """
     check_photon_count(n, "verification")
-    if cfg is None:
-        cfg = RunConfig()
-    ideal = cfg._replace(model=HomodyneModel.IDEAL)
-    factors = {"P": {}, "S": {}}
+    ideal, factors = RunConfig(), {"P": {}, "S": {}}
     for bits, sign in itertools.product(canonical_bit_strings(n), "+-"):
         state = states.state_from_label(HyperLabel(sign, bits, sign, bits))
         for dof, factor in zip("PS", states.split_product(state)):
             factors[dof][sign, bits] = _factor_run(sign, bits, dof, factor, ideal)
-    noise = (protocols.monte_carlo_misclassification(n, cfg)
-             if cfg.model is HomodyneModel.GAUSSIAN else None)
-    return VerificationReport(n, cfg.model, factors, noise)
+    return VerificationReport(n, factors)
 
 
 def cmd_verify(args) -> int:
-    """``hypersa verify``: exit 0 only when every input is correct."""
+    """``hypersa verify``: the proof, and under ``--model gaussian`` the noise
+    study beside it; exit 0 only when every input is correct."""
     from .cli import EXIT_OK, _config, _csv_writer, _photon_count, _print_json
     n = _photon_count("verify", args.n)
     cfg = _config(args)
-    # through protocols, where the package's callers (and tracers) find it
-    report = protocols.verify_complete(n, cfg)
+    # through protocols, where the package's callers (and tracers) find them
+    report = protocols.verify_complete(n)
+    noise = (protocols.monte_carlo_misclassification(n, cfg)
+             if cfg.model is HomodyneModel.GAUSSIAN else None)
     if args.fmt == "json":
-        _print_json(report.to_json_dict())
+        doc = {**report.to_json_dict(), "model": cfg.model.value}
+        if noise is not None:
+            doc["noise"] = noise.to_json_dict()
+        _print_json(doc)
     elif args.fmt == "csv":
         writer = _csv_writer()
         writer.writerow(["state"] + protocols.probe_ids(n) + ["branches", "ok"])
@@ -194,14 +190,13 @@ def cmd_verify(args) -> int:
     else:
         print(f"n={report.n_photons} total={report.total_states} "
               f"correct={report.correct} groups={report.group_count} "
-              f"model={report.model.value}")
-        if report.noise is not None:
+              f"model={cfg.model.value}")
+        if noise is not None:
             from .noise import _print_probe_misreads
-            ns = report.noise
-            print(f"noise: rate={ns.rate:.6f} "
-                  f"wilson95=[{ns.wilson_low:.6f}, {ns.wilson_high:.6f}] "
-                  f"predicted={ns.predicted:.6f} trials={ns.trials}")
-            _print_probe_misreads(ns, cfg)
+            print(f"noise: rate={noise.rate:.6f} "
+                  f"wilson95=[{noise.wilson_low:.6f}, {noise.wilson_high:.6f}] "
+                  f"predicted={noise.predicted:.6f} trials={noise.trials}")
+            _print_probe_misreads(noise, cfg)
         if not report.all_correct:
             for check in report.per_state:
                 if not check.ok:

@@ -43,7 +43,7 @@ def criterion(num: int, summary: str, budget_s: float | None = None):
 
 def test_criterion_1_two_photon_completeness():
     with criterion(1, "all 16 two-photon inputs classified on every branch", 1.0):
-        report = verify_complete(2, RunConfig())
+        report = verify_complete(2)
         assert report.total_states == 16
         assert report.correct == 16
         assert all(check.ok for check in report.per_state)
@@ -70,7 +70,7 @@ def test_criterion_3_two_photon_detection_sets():
 
 def test_criterion_4_three_photon_completeness_and_tables():
     with criterion(4, "64/64 three-photon inputs, 16 groups, tables row for row", 5.0):
-        report = verify_complete(3, RunConfig())
+        report = verify_complete(3)
         assert (report.total_states, report.correct) == (64, 64)
         assert report.group_count == 16
         sig_rows = emit_signature_table(3)
@@ -126,10 +126,10 @@ def test_criterion_5_worked_group_amplitudes_against_dense_oracle():
 
 def test_criterion_6_n_photon_scaling():
     with criterion(6, "256/256 at n=4 and 1024/1024 at n=5, groups 4^(n-1)", 60.0):
-        report4 = verify_complete(4, RunConfig())
+        report4 = verify_complete(4)
         assert (report4.total_states, report4.correct) == (256, 256)
         assert report4.group_count == 64
-        report5 = verify_complete(5, RunConfig())
+        report5 = verify_complete(5)
         assert (report5.total_states, report5.correct) == (1024, 1024)
         assert report5.group_count == 256
 

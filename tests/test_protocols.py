@@ -244,7 +244,7 @@ class TestCompleteness:
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_group_partition_shape(self, n):
-        report = verify_complete(n, RunConfig())
+        report = verify_complete(n)
         by_signature = {}
         for check in report.per_state:
             by_signature.setdefault(check.signature, []).append(check.label)
@@ -252,7 +252,7 @@ class TestCompleteness:
         assert all(len(members) == 4 for members in by_signature.values())
 
     def test_verify_two_photons(self):
-        report = verify_complete(2, RunConfig())
+        report = verify_complete(2)
         assert report.total_states == 16
         assert report.correct == 16
         assert report.group_count == 4
@@ -261,9 +261,8 @@ class TestCompleteness:
         assert all(check.branches == 4 for check in report.per_state)
 
     def test_verify_json_shape(self):
-        report = verify_complete(2, RunConfig())
-        assert report.to_json_dict() == {"n": 2, "total": 16, "correct": 16,
-                                         "groups": 4, "model": "ideal"}
+        report = verify_complete(2)
+        assert report.to_json_dict() == {"n": 2, "total": 16, "correct": 16, "groups": 4}
 
     def test_verifier_runs_the_analysers_stages(self, monkeypatch):
         # a defect in the shared stage must fail the proof, not only analyze
@@ -293,9 +292,9 @@ class TestCompleteness:
 
     def test_verify_guard(self):
         with pytest.raises(ValueError, match="2 <= n <= 10"):
-            verify_complete(1, RunConfig())
+            verify_complete(1)
         with pytest.raises(ValueError, match="2 <= n <= 10"):
-            verify_complete(11, RunConfig())
+            verify_complete(11)
 
     @pytest.mark.parametrize("run", [verify_complete, emit_signature_table,
                                      emit_detection_table])
@@ -303,15 +302,16 @@ class TestCompleteness:
         with pytest.raises(PhotonCountError, match="integer photon count, got 3.0"):
             run(3.0)
 
-    def test_gaussian_verify_attaches_noise_stats(self):
+    def test_gaussian_verify_prints_the_noise_study_beside_the_proof(self, capsys):
+        # the command joins the ideal proof and the library's noise study
+        assert cli.main(["verify", "--n", "2", "--model", "gaussian", "--theta", "0.2",
+                         "--alpha", "150", "--trials", "200", "--seed", "13",
+                         "--format", "json"]) == 0
         cfg = RunConfig(theta=0.2, alpha=150.0,
                         model=HomodyneModel.GAUSSIAN, trials=200, seed=13)
-        report = verify_complete(2, cfg)
-        assert report.correct == 16  # exhaustive pass stays ideal
-        assert report.noise is not None
-        assert report.noise.trials == 200
-        doc = report.to_json_dict()
-        assert "noise" in doc and doc["noise"]["trials"] == 200
+        noise = json.loads(json.dumps(monte_carlo_misclassification(2, cfg).to_json_dict()))
+        assert json.loads(capsys.readouterr().out) == {
+            **verify_complete(2).to_json_dict(), "model": "gaussian", "noise": noise}
 
 
 def reference_walk(n: int) -> list[tuple]:

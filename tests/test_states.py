@@ -349,6 +349,17 @@ class TestLabels:
         with pytest.raises(ValueError, match=r"^sign must be '\+' or '-', got 'x'$"):
             ghz_state("x", "01", "P")
 
+    @pytest.mark.parametrize("build, args, message", [
+        (HyperLabel.canonical, ("+", ["0", "1"], "+", "01"),
+         "p_bits must be a nonempty string of 0/1, got ['0', '1']"),
+        (ghz_state, ("+", 5, "P"), "bits must be a nonempty string of 0/1, got 5"),
+        (ghz_state, ("+", ("0", "1"), "P"),
+         "bits must be a nonempty string of 0/1, got ('0', '1')"),
+    ])
+    def test_bits_that_are_no_string_rejected(self, build, args, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            build(*args)
+
     @pytest.mark.parametrize("text, message", [
         ("P:+00", "state literal 'P:+00' must have two ';'-separated parts"),
         ("P:+00;S:+00;", "state literal 'P:+00;S:+00;' must have two ';'-separated parts"),
