@@ -30,26 +30,30 @@ from typing import Mapping, NamedTuple, Sequence
 
 from .rng import pick
 from .states import (Dof, BasisKet, PhotonState, _Amplitudes, _check_dof, _check_ket,
-                     _check_photon_count, _check_photon_index, _checked)
+                     _check_photon_count, _check_photon_index, _checked, _checked_int)
 
 JointKey = tuple[BasisKet, tuple[int, ...]]
 
 
+def _check_probes(probes) -> tuple:
+    if isinstance(probes, str):  # a str is a sequence of one-letter ids
+        raise ValueError(f"probes must be a sequence of ids, got {probes!r}")
+    probes = tuple(probes)
+    if len(set(probes)) != len(probes):
+        raise ValueError(f"duplicate probe ids in {list(probes)}")
+    return probes
+
+
 class JointState(_Amplitudes):
     """Photon amplitudes keyed by ``(ket, multiples)``, one integer phase
-    multiple per probe id; construction checks kets and multiples lengths."""
+    multiple per probe id; construction checks probe ids, kets and multiples."""
 
     __slots__ = ("probes",)
 
     def __init__(self, n_photons: int, probes: Sequence[str],
                  amplitudes: Mapping[JointKey, complex]):
         _check_photon_count(n_photons)  # the count is refused before the probes
-        if isinstance(probes, str):  # a str is a sequence of one-letter ids
-            raise ValueError(f"probes must be a sequence of ids, got {probes!r}")
-        probes = tuple(probes)
-        if len(set(probes)) != len(probes):
-            raise ValueError(f"duplicate probe ids in {list(probes)}")
-        object.__setattr__(self, "probes", probes)
+        object.__setattr__(self, "probes", _check_probes(probes))
         super().__init__(n_photons, amplitudes)
 
     def _check_key(self, key, n_photons: int) -> JointKey:
@@ -57,7 +61,8 @@ class JointState(_Amplitudes):
         ket = _check_ket(ket, n_photons)
         if len(mults) != len(self.probes):
             raise ValueError(f"phase multiples {mults} do not match {len(self.probes)} probes")
-        return ket, tuple(mults)
+        return ket, tuple(_checked_int("phase multiple", m, "an integer", -math.inf)
+                          for m in mults)
 
     def probe_index(self, probe: str) -> int:
         if probe not in self.probes:
@@ -84,9 +89,11 @@ class ProbeReadout(NamedTuple):
 
 def attach_probes(state: PhotonState, probes: Sequence[str]) -> JointState:
     """Couple fresh probes (ids, all phase multiples zero) to a photon state."""
+    _checked("state", state, "a PhotonState", lambda v: isinstance(v, PhotonState))
+    probes = _check_probes(probes)
     zeros = (0,) * len(probes)
-    return JointState(state.n_photons, probes,
-                      {(ket, zeros): amp for ket, amp in state.items()})
+    return JointState._derived(state.n_photons,
+                               {(ket, zeros): amp for ket, amp in state.items()}, probes)
 
 
 def parity_gadget(joint: JointState, probe: str, ref_photon: int,

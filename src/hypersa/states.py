@@ -10,7 +10,9 @@ the Hadamard (:func:`apply_gate`): a wave plate on polarization, a beam
 splitter on path.
 
 :class:`PhotonState` and :class:`hypersa.kerr.JointState` share one immutable
-container; every operation returns a new state.  Amplitudes with magnitude
+container.  Its constructor is the one place a caller's keys, amplitudes and
+probe ids are checked, with one rule per value; every operation, and every
+builder here, derives its new state from checked ones.  Amplitudes with magnitude
 below :data:`PRUNE_EPS` are dropped whenever a state is built, so float dust
 never accumulates through chains of rotations.
 """
@@ -104,15 +106,11 @@ def _check_photon_count(n) -> int:
 
 def _check_ket(ket, n_photons: int) -> BasisKet:
     """``ket`` as a :class:`BasisKet` of ``n_photons`` photons, or a ValueError."""
-    if not isinstance(ket, BasisKet):
-        ket = BasisKet(*ket)
-    pol, spa = ket
-    if len(pol) != n_photons or len(spa) != n_photons:
+    ket = BasisKet(*ket)
+    if any(isinstance(bits, str) and len(bits) != n_photons for bits in ket):
         raise ValueError(f"ket {ket!r} does not describe {n_photons} photons")
-    # strip leaves behind any character other than 0/1
-    if pol.strip("01") or spa.strip("01"):
-        _check_bits(pol, "pol_bits")
-        _check_bits(spa, "spa_bits")
+    for bits, field in zip(ket, BasisKet._fields):
+        _check_bits(bits, field)
     return ket
 
 
@@ -269,14 +267,13 @@ def ghz_state(sign: str, bits: str, dof: Dof) -> PhotonState:
     _check_sign(sign)
     _check_bits(bits, "bits")
     _check_dof(dof)
-    n = len(bits)
-    zeros = "0" * n
-    s = 1.0 if sign == "+" else -1.0
+    n, zeros = len(bits), "0" * len(bits)
+    s = _SQRT_HALF if sign == "+" else -_SQRT_HALF
     if dof == "P":
         first, second = BasisKet(bits, zeros), BasisKet(complement(bits), zeros)
     else:
         first, second = BasisKet(zeros, bits), BasisKet(zeros, complement(bits))
-    return PhotonState(n, {first: _SQRT_HALF, second: s * _SQRT_HALF})
+    return PhotonState._derived(n, {first: complex(_SQRT_HALF), second: complex(s)})
 
 
 def bell_state(kind: str, dof: Dof) -> PhotonState:
@@ -301,17 +298,13 @@ def hyper_product(p_state: PhotonState, s_state: PhotonState) -> PhotonState:
     if p_state.n_photons != s_state.n_photons:
         raise ValueError("photon counts differ between the two factors")
     zeros = "0" * p_state.n_photons
-    for ket, _ in p_state.items():
-        if ket.spa_bits != zeros:
-            raise ValueError("p_state is not trivial in the spatial DOF")
-    for ket, _ in s_state.items():
-        if ket.pol_bits != zeros:
-            raise ValueError("s_state is not trivial in the polarization DOF")
-    amps: dict[BasisKet, complex] = {}
-    for kp, ap in p_state.items():
-        for ks, as_ in s_state.items():
-            amps[BasisKet(kp.pol_bits, ks.spa_bits)] = ap * as_
-    return PhotonState(p_state.n_photons, amps)
+    if any(ket.spa_bits != zeros for ket in p_state._amps):
+        raise ValueError("p_state is not trivial in the spatial DOF")
+    if any(ket.pol_bits != zeros for ket in s_state._amps):
+        raise ValueError("s_state is not trivial in the polarization DOF")
+    return PhotonState._derived(p_state.n_photons, {
+        BasisKet(kp.pol_bits, ks.spa_bits): ap * as_
+        for kp, ap in p_state.items() for ks, as_ in s_state.items()})
 
 
 def split_product(state: PhotonState) -> tuple[PhotonState, PhotonState]:

@@ -23,7 +23,8 @@ too.  The labels are built here, not by the mutated code.
 Run from the repository root::
 
     python tests/mutation_census.py                  # the verify half
-    python tests/mutation_census.py --tier1          # and pytest -x per verify survivor
+    python tests/mutation_census.py --tier1          # and pytest -x per verify survivor,
+                                                     # its module's test file first
     python tests/mutation_census.py --function check_photon_count --function RunConfig.__new__
 
 It prints one JSON line per mutant (module, line, function, operator, the
@@ -278,11 +279,17 @@ def compared(run: dict, reference: dict) -> dict:
             "raised": sum(t is None for name in PASSES for t in run[name])}
 
 
-def tier1_kills(copy: Path) -> bool:
-    """Whether ``pytest -x`` fails (or times out) on the mutant now in ``copy``."""
-    run = _run([sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
-                "tests"], copy, TIER1_TIMEOUT_S)
-    return run is None or run.returncode != 0
+def tier1_kills(copy: Path, module: str) -> bool:
+    """Whether ``pytest -x`` fails (or times out) on the mutant of ``module`` now
+    in ``copy``: first on the module's own ``tests/test_<module>.py``, which
+    kills most mutants in seconds, then, only if that passes, on the rest."""
+    own = f"tests/test_{module}.py"
+    for selection in ([own], ["tests", "--ignore", own]):
+        run = _run([sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+                    *selection], copy, TIER1_TIMEOUT_S)
+        if run is None or run.returncode != 0:
+            return True
+    return False
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -336,7 +343,7 @@ def main(argv: list[str] | None = None) -> int:
                     totals["unlisted"] += record["by_design"] is None
                     arose["BY_DESIGN"].add(key)
                 if args.tier1 and passed:
-                    record["tier1"] = "killed" if tier1_kills(copy) else "survived"
+                    record["tier1"] = "killed" if tier1_kills(copy, module) else "survived"
                     totals[f"tier1_{record['tier1']}"] += 1
                     if record["tier1"] == "survived":
                         record["equivalent"] = EQUIVALENT.get(key)

@@ -11,6 +11,7 @@ import pytest
 
 import hypersa
 from hypersa import cli, optics, protocols, verifier
+from hypersa.states import _Amplitudes
 
 
 def run(capsys, *argv):
@@ -448,6 +449,21 @@ def test_seeded_draws_print_the_pinned_stdout(capsys, argv):
     code, out, _ = run(capsys, *argv)
     assert code == 0
     assert out == PINNED_STDOUT[argv]
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--n", "3"),
+    ("montecarlo", "--n", "2", "--model", "gaussian", "--trials", "50"),
+    ("analyze", "P:+0110101;S:-0011010"),
+], ids=lambda argv: argv[0])
+def test_a_run_builds_no_state_through_a_checked_constructor(capsys, monkeypatch, argv):
+    # the constructors check a caller's input; every state a run makes is
+    # derived from checked ones, so their per-key checks never run
+    built, checked_init = [], _Amplitudes.__init__
+    monkeypatch.setattr(_Amplitudes, "__init__",
+                        lambda self, *args: built.append(self) or checked_init(self, *args))
+    assert run(capsys, *argv)[0] == 0
+    assert built == []
 
 
 def child_env(**env):

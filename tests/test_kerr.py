@@ -9,11 +9,12 @@ from hypersa.kerr import (JointState, attach_probes, gaussian_error_prob,
                           homodyne_measure, magnitude_distribution, misread,
                           parity_gadget)
 from hypersa.rng import stream
-from hypersa.states import (PRUNE_EPS, BasisKet, PhotonState, bell_state,
-                            equal_up_to_global_phase, ghz_state,
-                            hyper_product)
+from hypersa.states import (PRUNE_EPS, BasisKet, HyperLabel, PhotonState, bell_state,
+                            complement, equal_up_to_global_phase, ghz_state,
+                            hyper_product, state_from_label)
 
 from oracle import random_state
+from test_states import NOT_STRINGS, SQ
 
 PROBE = "alpha1"
 
@@ -300,6 +301,13 @@ class TestJointState:
         with pytest.raises(ValueError, match="duplicate"):
             attach_probes(bell_state("phi+", "P"), ("alpha1", "alpha1"))
 
+    def test_probes_attach_only_to_a_photon_state(self):
+        # a JointState's keys are no kets, so probes attached to it would
+        # build a state no stage can read
+        with pytest.raises(ValueError,
+                           match="^state must be a PhotonState, got <hypersa.kerr.JointState"):
+            attach_probes(joint_of(bell_state("phi+", "P")), ("beta1",))
+
     @pytest.mark.parametrize("probes", ["beta1", "alpha1"])
     def test_a_lone_id_string_is_rejected(self, probes):
         with pytest.raises(ValueError, match=f"^probes must be a sequence of ids, "
@@ -329,6 +337,8 @@ class TestJointState:
         (BasisKet("00", "0x"), "spa_bits must be a nonempty string of 0/1, got '0x'"),
         (BasisKet("00", "2"),
          "ket BasisKet(pol_bits='00', spa_bits='2') does not describe 2 photons"),
+        *((BasisKet(field, "00"), f"pol_bits must be a nonempty string of 0/1, got {field!r}")
+          for field in NOT_STRINGS),
     ])
     def test_construction_checks_each_ket_as_photon_state_does(self, ket, message):
         for build in (lambda: JointState(2, (), {(ket, ()): 1.0}),
@@ -356,6 +366,36 @@ class TestJointState:
                        and type(amp) is complex for (ket, mults), amp in out.items())
         photons = stages[-1].photon_state()
         assert photons.items() == PhotonState(n, dict(photons.items())).items()
+
+    @settings(max_examples=40, deadline=None)
+    @given(signs=st.tuples(st.sampled_from("+-"), st.sampled_from("+-")),
+           photons=st.lists(st.tuples(st.sampled_from("01"), st.sampled_from("01")),
+                            min_size=1, max_size=5),
+           probes=st.lists(st.sampled_from(("alpha1", "alpha2", "beta1")), unique=True,
+                           max_size=3))
+    def test_builders_equal_checked_construction(self, signs, photons, probes):
+        # ghz_state, hyper_product, state_from_label and attach_probes build
+        # their outputs unchecked: the checked constructor, given the mapping
+        # each builds, must give the same state, to the sign of a zero
+        def same(built, checked):
+            assert repr(built.items()) == repr(checked.items())
+
+        bits = ["".join(dof_bits) for dof_bits in zip(*photons)]  # photon i's (P, S) bits
+        n, factors = len(photons), []
+        for sign, dof_bits, dof in zip(signs, bits, "PS"):
+            kets = [BasisKet(b, "0" * n) if dof == "P" else BasisKet("0" * n, b)
+                    for b in (dof_bits, complement(dof_bits))]
+            factors.append(ghz_state(sign, dof_bits, dof))
+            same(factors[-1], PhotonState(n, dict(zip(kets, (SQ, SQ if sign == "+" else -SQ)))))
+        product = hyper_product(*factors)
+        same(product, PhotonState(n, {BasisKet(kp.pol_bits, ks.spa_bits): ap * as_
+                                      for kp, ap in factors[0].items()
+                                      for ks, as_ in factors[1].items()}))
+        same(state_from_label(HyperLabel(signs[0], bits[0], signs[1], bits[1])), product)
+        joint = attach_probes(product, probes)
+        same(joint, JointState(n, probes, {(ket, (0,) * len(probes)): amp
+                                           for ket, amp in product.items()}))
+        assert joint.probes == tuple(probes)
 
     def test_photon_state_checks_the_kets(self):
         # a hand-built JointState's kets are checked on construction, so

@@ -53,6 +53,9 @@ GUARDED = {
                               NONE_ALLOWED),
     "PhotonState-amplitude": (*AMPLITUDE, lambda v: PhotonState(1, {KET: v})),
     "JointState-amplitude": (*AMPLITUDE, lambda v: JointState(1, (), {(KET, ()): v})),
+    "JointState-multiple": ("phase multiple", "an integer",
+                            lambda v: JointState(1, ("a",), {(KET, (v,)): 1}),
+                            REFUSED + (1.5,)),
 }
 
 

@@ -20,6 +20,8 @@ from oracle import dense_vector, gate_operator, random_state, assert_matches_den
 from test_protocols import canonical_label
 
 SQ = 1 / math.sqrt(2)
+#: ket fields that are no string, refused by the bit rule like a bad string
+NOT_STRINGS = (("0", "0"), b"00", 5, None)
 BELL = ("phi+", "phi-", "psi+", "psi-")
 # the Hadamard as an ndarray
 H_ARRAY = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) * (1.0 / math.sqrt(2.0))
@@ -480,6 +482,8 @@ class TestStateContainer:
         (2.5, BasisKet("", ""), "n_photons must be an integer >= 1, got 2.5"),
         (float("nan"), BasisKet("", ""), "n_photons must be an integer >= 1, got nan"),
         (True, BasisKet("0", "0"), "n_photons must be an integer >= 1, got True"),
+        *((2, BasisKet(field, "00"), f"pol_bits must be a nonempty string of 0/1, got {field!r}")
+          for field in NOT_STRINGS),
     ])
     def test_bad_ket_rejected_naming_the_field(self, n, ket, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
